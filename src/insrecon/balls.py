@@ -7,9 +7,12 @@ values, and returned through SeqSet so iteration order is always lexicographic.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, count
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, _mask
 
@@ -213,92 +216,184 @@ def intersect_balls(x: BitSeq, y: BitSeq, t: int) -> SeqSet:
     return insertion_ball(x, t) & insertion_ball(y, t)
 
 
-class _BallCache:
-    """Per-(sequence) insertion-ball value sets, reused across pair scans."""
+@lru_cache(maxsize=32)
+def _gap_patterns(n: int, t: int) -> tuple:
+    """Column recipe of the t-insertion ball table at length n.
 
-    def __init__(self, n: int, t: int) -> None:
-        self.n = n
-        self.t = t
-        self._cache: Dict[int, frozenset] = {}
+    It follows the canonical rule of `_insertion_vals`: k <= t inserts go
+    into a multiset of gaps g_0 <= ... <= g_{k-1} of x, the insert in gap
+    g_j is the complement of x[g_j], and the t-k bits after x are free.  For
+    each k there is one (shift, flip, keep) term per segment s = 0..k of x:
+    x shifted left by t-s puts segment s in place, and also the source bit
+    x[g_s] of insert s, which `flip` complements; `keep` masks both.  The
+    values of the free trailing bits come last.
+    """
+    dt = _word_dtype(n + t)
+    out = []
+    for k in range(t + 1):
+        cuts = [(0, *g, n) for g in combinations_with_replacement(range(n), k)]
+        if not cuts:
+            continue
+        terms = []
+        for s in range(k + 1):
+            # segment s is x[c[s]:c[s + 1]]; insert s sits in gap c[s + 1]
+            flips = [1 << (n + t - 1 - c[s + 1] - s) if s < k else 0 for c in cuts]
+            keeps = [
+                f | ((1 << (n - c[s])) - (1 << (n - c[s + 1]))) << (t - s)
+                for f, c in zip(flips, cuts)
+            ]
+            terms.append((t - s, _const(flips, dt), _const(keeps, dt)))
+        out.append((tuple(terms), _const(range(1 << (t - k)), dt)))
+    return tuple(out)
 
-    def get(self, val: int) -> frozenset:
-        s = self._cache.get(val)
-        if s is None:
-            s = frozenset(_insertion_vals(self.n, val, self.t))
-            self._cache[val] = s
-        return s
+
+def _word_dtype(bits: int):
+    """uint64 for values of up to 64 bits, Python ints (object) beyond."""
+    return np.uint64 if bits <= 64 else object
+
+
+def _const(seq, dt) -> np.ndarray:
+    arr = np.array(list(seq), dtype=dt)
+    arr.flags.writeable = False
+    return arr
+
+
+def _insertion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
+    """(len(vals), |I_t|) table: row i holds the t-insertion ball of vals[i].
+
+    Values are uint64 while n + t <= 64 and Python ints (dtype=object) above.
+    """
+    x = np.array(list(vals), dtype=_word_dtype(n + t))[:, None]
+    parts = []
+    for terms, tails in _gap_patterns(n, t):
+        base = 0
+        for shift, flip, keep in terms:
+            base = base | (((x << shift) ^ flip) & keep)
+        parts.append((base[:, :, None] | tails).reshape(len(x), -1))
+    return np.concatenate(parts, axis=1)
+
+
+# Ball-table entries per block of first owners in the pair scan; bounds the
+# pair incidences held at once, and with them peak memory.
+_BLOCK = 1 << 18
+
+
+def _pair_blocks(vals: Sequence[int], n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Exact overlaps of the t-insertion balls of all pairs of vals that meet.
+
+    Yields (keys, counts) block by block, where key a*rows+b (a < b) names
+    the pair (vals[a], vals[b]) and count its overlap.  Keys ascend within
+    and across blocks.  Each ball value is tagged with its owner row in the
+    low bits and the table is sorted once, so equal values form runs with
+    owners ascending; a block of first owners emits its pairs from the runs
+    one offset at a time and counts them with np.unique.
+    """
+    rows = len(vals)
+    tag = (rows - 1).bit_length()
+    table = _insertion_table(vals, n, t).astype(_word_dtype(n + t + tag), copy=False)
+    width = table.shape[1]
+    table <<= tag
+    table |= np.arange(rows).astype(table.dtype)[:, None]
+    flat = table.ravel()
+    flat.sort()
+    z = flat >> tag
+    eq = z[1:] == z[:-1]
+    shared = np.zeros(len(z), dtype=bool)
+    shared[1:] = eq
+    shared[:-1] |= eq
+    z = z[shared]
+    owner = (flat[shared] & ((1 << tag) - 1)).astype(np.int64)
+    del table, flat, eq, shared  # the blocks below need only z and owner
+    step = max(1, _BLOCK // width)
+    for lo in range(0, rows, step):
+        first = np.flatnonzero((owner >= lo) & (owner < lo + step))
+        keys = []
+        for d in count(1):
+            first = first[first + d < len(z)]
+            first = first[z[first] == z[first + d]]
+            if not first.size:
+                break
+            keys.append(owner[first] * rows + owner[first + d])
+        if keys:
+            yield np.unique(np.concatenate(keys), return_counts=True)
+
+
+def _close_blocks(vals: Sequence[int], n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Like _pair_blocks, restricted to the pairs at d_L <= 1.
+
+    Those pairs come from the engine at t = 1; each one's t-balls are then
+    intersected row-wise by sorting their concatenation and counting
+    adjacent equal values.
+    """
+    close = [keys for keys, _ in _pair_blocks(vals, n, 1)]
+    if not close:
+        return
+    close = np.concatenate(close)
+    step = max(1, _BLOCK // (2 * ball_size_formula(n, t)))
+    for lo in range(0, len(close), step):
+        keys = close[lo : lo + step]
+        a, b = np.divmod(keys, len(vals))
+        both = np.concatenate(
+            [
+                _insertion_table([vals[i] for i in a], n, t),
+                _insertion_table([vals[i] for i in b], n, t),
+            ],
+            axis=1,
+        )
+        both.sort(axis=1)
+        yield keys, (both[:, 1:] == both[:, :-1]).sum(axis=1)
+
+
+def _worst_pair(code: SeqSet, t: int, close_only: bool) -> Tuple[int, BitSeq, BitSeq]:
+    """(overlap, x, y) for the lexicographically first pair of largest overlap.
+
+    When no pair overlaps, that is (0, the two smallest words).
+    """
+    if len(code) < 2:
+        raise ValueError("read coverage needs at least two codewords")
+    vals = code._ordered()
+    blocks = (
+        _close_blocks(vals, code.n, t)
+        if close_only
+        else _pair_blocks(vals, code.n, t)
+    )
+    best, key = 0, 1
+    for keys, counts in blocks:
+        i = int(counts.argmax())
+        if counts[i] > best:
+            best, key = int(counts[i]), int(keys[i])
+    a, b = divmod(key, len(vals))
+    return best, BitSeq.from_int(vals[a], code.n), BitSeq.from_int(vals[b], code.n)
 
 
 def read_coverage(code: SeqSet, t: int) -> int:
     """Exact max |I_t(x) cap I_t(y)| over distinct codewords (no pair skipped)."""
-    if len(code) < 2:
-        raise ValueError("read coverage needs at least two codewords")
-    cache = _BallCache(code.n, t)
-    best = 0
-    vals = sorted(code.values())
-    for i, xv in enumerate(vals):
-        bx = cache.get(xv)
-        for yv in vals[i + 1 :]:
-            size = len(bx & cache.get(yv))
-            if size > best:
-                best = size
-    return best
+    return _worst_pair(code, t, False)[0]
 
 
 def coverage_argmax(code: SeqSet, t: int) -> Tuple[int, BitSeq, BitSeq]:
-    """(max intersection size, x, y) attaining the read coverage."""
-    if len(code) < 2:
-        raise ValueError("read coverage needs at least two codewords")
-    cache = _BallCache(code.n, t)
-    best = -1
-    arg = None
-    vals = sorted(code.values())
-    for i, xv in enumerate(vals):
-        bx = cache.get(xv)
-        for yv in vals[i + 1 :]:
-            size = len(bx & cache.get(yv))
-            if size > best:
-                best = size
-                arg = (xv, yv)
-    return best, BitSeq.from_int(arg[0], code.n), BitSeq.from_int(arg[1], code.n)
+    """(max intersection size, x, y) attaining the read coverage.
+
+    Ties go to the lexicographically smallest (x, y) with x < y.
+    """
+    return _worst_pair(code, t, False)
 
 
-def _close_pairs(code: SeqSet, t1: int = 1) -> Set[Tuple[int, int]]:
-    """Pairs of codewords whose 1-insertion balls meet (d_L <= 1)."""
-    buckets: Dict[int, List[int]] = {}
-    for xv in sorted(code.values()):
-        for z in _insertion_vals(code.n, xv, t1):
-            buckets.setdefault(z, []).append(xv)
-    pairs: Set[Tuple[int, int]] = set()
-    for members in buckets.values():
-        if len(members) > 1:
-            members = sorted(set(members))
-            for a, b in combinations(members, 2):
-                pairs.add((a, b))
-    return pairs
+def coverage_at_least(code: SeqSet, t: int, bound: int) -> Optional[Tuple[int, BitSeq, BitSeq]]:
+    """The worst pair (overlap, x, y) if the read coverage is >= bound, else None.
+
+    For t = 2 with bound > 6 (and n >= 4), only pairs whose 1-insertion balls
+    meet can reach the bound, so only those are intersected.  Every skipped
+    pair has intersection at most 6, so when the worst intersected pair
+    reaches the bound it is the worst pair overall.  (At t = 1 only such
+    pairs overlap at all, and the full scan finds just them.)
+    """
+    if len(code) < 2 or nplus_formula(code.n, t) < bound:
+        return None
+    worst = _worst_pair(code, t, close_only=t == 2 and bound > 6 and code.n >= 4)
+    return worst if worst[0] >= bound else None
 
 
 def coverage_less_than(code: SeqSet, t: int, bound: int) -> bool:
-    """Threshold query: is the read coverage < bound?
-
-    For t = 1 and for t = 2 with bound > 6 (and n >= 4), only pairs whose
-    1-insertion balls meet can reach the bound, so the scan is restricted to
-    those; every skipped pair has intersection 0 (t=1) or at most 6 (t=2).
-    Other cases fall back to the full scan with early exit.
-    """
-    if len(code) < 2:
-        return True
-    if bound < 1:
-        return False
-    if nplus_formula(code.n, t) < bound:
-        return True
-    cache = _BallCache(code.n, t)
-    if t == 1 or (t == 2 and bound > 6 and code.n >= 4):
-        candidates = _close_pairs(code)
-    else:
-        vals = sorted(code.values())
-        candidates = combinations(vals, 2)
-    for xv, yv in candidates:
-        if len(cache.get(xv) & cache.get(yv)) >= bound:
-            return False
-    return True
+    """Threshold query: is the read coverage < bound?"""
+    return coverage_at_least(code, t, bound) is None

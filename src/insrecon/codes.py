@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from . import seqs
-from .balls import SeqSet, coverage_less_than
+from .balls import SeqSet, coverage_at_least, coverage_less_than
 from .seqs import BitSeq, EnumerationCapError, indicator, in_r, inversions, r_values
 
 
@@ -577,10 +577,15 @@ def redundancy(code: SeqSet, n: int) -> float:
 
 @dataclass(frozen=True)
 class VerifyResult:
-    """Outcome of a reconstruction-code check; vacuous when |code| <= 1."""
+    """Outcome of a reconstruction-code check; vacuous when |code| <= 1.
+
+    When the check fails, ``worst`` is (overlap, x, y) for the worst pair of
+    codewords, the lexicographically first on ties.
+    """
 
     ok: bool
     vacuous: bool
+    worst: Optional[Tuple[int, BitSeq, BitSeq]] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -592,7 +597,9 @@ def verify_reconstruction_code(code: SeqSet, t: int, N: int) -> VerifyResult:
         raise ValueError("N must be >= 1")
     if len(code) < 2:
         return VerifyResult(True, True)
-    return VerifyResult(coverage_less_than(code, t, N), False)
+    if coverage_less_than(code, t, N):
+        return VerifyResult(True, False)
+    return VerifyResult(False, False, coverage_at_least(code, t, N))
 
 
 def _coset_groups(family: str, n: int, P: Optional[int], h_second: Optional[str]):

@@ -1,14 +1,21 @@
 """Ball enumeration, formulas, intersections, and coverage tests."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
+from insrecon import balls
 from insrecon.balls import (
     SeqSet,
+    _insertion_table,
+    _insertion_vals,
     ball_size_formula,
     coverage_argmax,
+    coverage_at_least,
     coverage_less_than,
     deletion_ball,
     insertion_ball,
@@ -188,7 +195,11 @@ def test_read_coverage_far_apart_code():
             kept.append(x)
     code = SeqSet(n, kept)
     assert len(code) > 2
-    assert read_coverage(code, 2) <= 6
+    exact = read_coverage(code, 2)
+    assert exact <= 6
+    # at bound 7 the threshold query skips every pair here; at 6 it may not
+    for bound in range(exact + 3):
+        assert coverage_less_than(code, 2, bound) == (exact < bound)
 
 
 def test_coverage_argmax_attains_value():
@@ -211,6 +222,98 @@ def test_threshold_query_agrees_with_exact(t):
         exact = read_coverage(code, t)
         for bound in (1, 2, exact, exact + 1, 2 * n + 5):
             assert coverage_less_than(code, t, bound) == (exact < bound)
+
+
+@st.composite
+def ball_table_inputs(draw):
+    n = draw(st.integers(0, 12))
+    t = draw(st.integers(0, 3))
+    vals = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    return n, t, vals
+
+
+@given(ball_table_inputs())
+@settings(max_examples=150)
+def test_ball_table_rows_are_exact_balls(args):
+    n, t, vals = args
+    table = _insertion_table(vals, n, t)
+    assert table.shape == (len(vals), ball_size_formula(n, t))
+    for v, row in zip(vals, table):
+        got = sorted(int(z) for z in row)
+        assert len(set(got)) == len(got)
+        assert got == sorted(_insertion_vals(n, v, t))
+
+
+def brute_worst(words, t):
+    """(max overlap, x, y), lexicographically first on ties, from brute balls."""
+    balls = [brute.insertion_ball(w, t) for w in words]
+    value, i, j = max(
+        (len(balls[i] & balls[j]), -i, -j)
+        for i in range(len(words))
+        for j in range(i + 1, len(words))
+    )
+    return value, BitSeq(words[-i]), BitSeq(words[-j])
+
+
+@st.composite
+def small_codes(draw):
+    n = draw(st.integers(1, 9))
+    words = draw(
+        st.lists(st.text("01", min_size=n, max_size=n), min_size=2, max_size=30, unique=True)
+    )
+    return n, sorted(words), draw(st.sampled_from((0, 1, 2, 3)))
+
+
+@given(small_codes())
+@settings(max_examples=60)
+def test_coverage_views_match_brute(args):
+    n, words, t = args
+    code = SeqSet(n, [BitSeq(w) for w in words])
+    worst = brute_worst(words, t)
+    value = worst[0]
+    # one pair block as usual, then one codeword (or pair) per block
+    for block in (balls._BLOCK, 1):
+        with mock.patch.object(balls, "_BLOCK", block):
+            assert read_coverage(code, t) == value
+            assert coverage_argmax(code, t) == worst
+            for bound in range(value + 3):
+                assert coverage_less_than(code, t, bound) == (value < bound)
+                assert coverage_at_least(code, t, bound) == (None if value < bound else worst)
+
+
+def test_coverage_argmax_ties_and_zero_overlap():
+    # 38 pairs reach overlap 2 at t = 1; the first pair, (0000, 0011), has 0
+    words = [s for s in brute.all_seqs(4) if s not in ("0001", "0010")]
+    code = SeqSet(4, [BitSeq(s) for s in words])
+    assert coverage_argmax(code, 1) == (2, BitSeq("0000"), BitSeq("0100"))
+    # t = 0: every pair has overlap 0, so the two smallest words are reported
+    code = SeqSet(3, [BitSeq("110"), BitSeq("011"), BitSeq("001")])
+    assert coverage_argmax(code, 0) == (0, BitSeq("001"), BitSeq("011"))
+    assert read_coverage(code, 0) == 0
+    for small in (SeqSet(4, []), SeqSet(4, [BitSeq("0110")])):
+        with pytest.raises(ValueError):
+            read_coverage(small, 2)
+        with pytest.raises(ValueError):
+            coverage_argmax(small, 2)
+
+
+# n + t = 65: balls no longer fit in uint64.  n + t = 63: they fit, but not
+# with the two bits that tag them with their owner among three words.
+@pytest.mark.parametrize("n", (63, 61))
+def test_coverage_of_words_wider_than_a_machine_word(n):
+    rng = random.Random(n)
+    x = "".join(rng.choice("01") for _ in range(n))
+    y = x[:30] + ("1" if x[30] == "0" else "0") + x[31:]  # one substitution
+    z = "".join(rng.choice("01") for _ in range(n))
+    words = sorted({x, y, z})
+    code = SeqSet(n, [BitSeq(w) for w in words])
+    worst = brute_worst(words, 2)
+    value = worst[0]
+    assert value > 6
+    assert read_coverage(code, 2) == value
+    assert coverage_argmax(code, 2) == worst
+    assert not coverage_less_than(code, 2, value)
+    assert coverage_less_than(code, 2, value + 1)
 
 
 # ---------------------------------------------------------------------------

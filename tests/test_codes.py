@@ -9,6 +9,7 @@ import pytest
 import brute
 from insrecon.balls import (
     SeqSet,
+    coverage_argmax,
     deletion_ball,
     insertion_ball,
     intersect_balls,
@@ -387,6 +388,16 @@ def test_verify_vacuous_flag():
     result = verify_reconstruction_code(single, 2, 1)
     assert result.ok and result.vacuous
     assert bool(result)
+
+
+def test_verify_names_worst_pair_on_failure():
+    space = SeqSet(5, [BitSeq(s) for s in brute.all_seqs(5)])
+    result = verify_reconstruction_code(space, 2, 10)
+    assert not result.ok and not result.vacuous
+    value, x, y = result.worst
+    assert result.worst == coverage_argmax(space, 2)
+    assert value == 14 == len(brute.insertion_ball(str(x), 2) & brute.insertion_ball(str(y), 2))
+    assert verify_reconstruction_code(space, 2, 15).worst is None
 
 
 def test_verify_np4_best_coset():
