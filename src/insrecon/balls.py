@@ -93,10 +93,16 @@ class SeqSet:
         return f"SeqSet(n={self.n}, size={len(self._vals)})"
 
     def to_lines(self) -> str:
-        """One sequence per line, lexicographically sorted, trailing newline."""
-        if self.n == 0:
-            return "\n" * len(self._vals)
-        return "".join(format(v, f"0{self.n}b") + "\n" for v in self._ordered())
+        """One sequence per line, lexicographically sorted, trailing newline;
+        written into a (size, n+1) byte matrix one bit column at a time."""
+        n = self.n
+        vals = np.fromiter(self._vals, dtype=np.uint64, count=len(self._vals))
+        vals.sort()
+        chars = np.full((vals.size, n + 1), ord("\n"), dtype=np.uint8)
+        for j in range(n):
+            chars[:, j] = (vals >> (n - 1 - j)) & 1
+            chars[:, j] += ord("0")
+        return chars.tobytes().decode("ascii")
 
     @classmethod
     def parse_lines(cls, text: str, n: Optional[int] = None) -> "SeqSet":

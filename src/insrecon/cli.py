@@ -205,12 +205,12 @@ def _table_rows(n: int, P: int):
                 ncosets, ambient = 1, 1 << n
             else:
                 fam_p = P if family in ("tworead", "np4", "np5") else None
-                groups, ambient, make = codes._coset_groups(family, n, fam_p, None)
-                if not groups:
+                sweep = codes.coset_sweep(family, n, fam_p)
+                if not sweep.keys.size:
                     raise ValueError("all cosets empty")
-                ncosets = len(groups)
-                best = min(groups, key=lambda k: (-len(groups[k]), k))
-                params, size = make(best), len(groups[best])
+                ncosets, ambient = sweep.keys.size, sweep.ambient_size
+                best = sweep.best()
+                params, size = sweep.params(best), int(sweep.sizes[best])
             red = n - math.log2(size)
             bound = n - math.log2(ambient) + math.log2(ncosets)
             body = ",".join(f"{k}={v}" for k, v in params.params_dict().items()) or "-"

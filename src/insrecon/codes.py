@@ -20,14 +20,15 @@ enumeration cap); the ``*_member`` predicates work at any length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from . import seqs
 from .balls import SeqSet, coverage_at_least, coverage_less_than
-from .seqs import BitSeq, EnumerationCapError, indicator, in_r, inversions, r_values
+from .confusability import ConfusabilityVerdict, classify_pair
+from .seqs import BitSeq, indicator, in_r, inversions, r_values
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,11 @@ class ParityVector:
 _H_WEIGHTS = ("m0", "m1")
 
 
+def _parity_moduli(n: int) -> Tuple[int, int, int, int, int]:
+    """Moduli of the five checks on a length-n word: (2n, n^2, n^3, 3, 2n)."""
+    return (2 * n, n * n, n**3, 3, 2 * n)
+
+
 def _dot(ind: BitSeq, weights: Sequence[int]) -> int:
     total = 0
     L = ind.n
@@ -108,7 +114,7 @@ def parity_checks(x: BitSeq, h_second: str = "m1") -> ParityVector:
     n = x.n
     if n < 2:
         raise ValueError("parity checks need length >= 2")
-    return _checks(x, (2 * n, n * n, n**3, 3, 2 * n), h_second)
+    return _checks(x, _parity_moduli(n), h_second)
 
 
 def segment_checks(x: BitSeq, k: int, m: int, h_second: str = "m0") -> ParityVector:
@@ -125,7 +131,7 @@ def segment_checks(x: BitSeq, k: int, m: int, h_second: str = "m0") -> ParityVec
     if not 0 <= k <= s - 2:
         raise ValueError(f"segment index {k} out of range 0..{s - 2}")
     window = x.subword(k * m + 1, k * m + 2 * m)
-    return _checks(window, (4 * m, 4 * m * m, 8 * m**3, 3, 4 * m), h_second)
+    return _checks(window, _parity_moduli(2 * m), h_second)
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ def tilde_sums(x: BitSeq, m: int, h_second: str = "m0") -> TildeSums:
     n = x.n
     if m < 1 or n % m != 0:
         raise ValueError(f"segment width {m} must divide n={n}")
-    moduli = (4 * m, 4 * m * m, 8 * m**3, 3, 4 * m)
+    moduli = _parity_moduli(2 * m)
     acc = {0: [0, 0, 0, 0, 0], 1: [0, 0, 0, 0, 0]}
     for k in range(0, n // m - 1):
         res = segment_checks(x, k, m, h_second).residues()
@@ -156,8 +162,36 @@ def tilde_sums(x: BitSeq, m: int, h_second: str = "m0") -> TildeSums:
 # code parameter records
 
 
+class _Params:
+    """Header fields and residues come from the dataclass fields after ``n``.
+
+    A coset family also declares its ambient set, ``_ambient(n, P)``, and a
+    kernel, ``_kernel(vals, n, P, h_second)``, giving the arrays of the
+    ``residues()`` of packed words, with their moduli.
+    """
+
+    _h_second = ""
+    _from_residues = classmethod(lambda cls, n, P, r: cls(n, *r))
+
+    def _items(self) -> List[Tuple[str, object]]:
+        return [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
+
+    def params_dict(self) -> Dict[str, str]:
+        return {
+            k: str(v) if isinstance(v, int) else "|".join(map(str, v))
+            for k, v in self._items()
+        }
+
+    def residues(self) -> Tuple[int, ...]:
+        out: List[int] = []
+        for k, v in self._items():
+            if k != "P":
+                out.extend((v,) if isinstance(v, int) else v)
+        return tuple(out)
+
+
 @dataclass(frozen=True)
-class AllParams:
+class AllParams(_Params):
     """The trivial code: the entire space."""
 
     n: int
@@ -168,57 +202,48 @@ class AllParams:
         if self.n < 0:
             raise ValueError("n must be >= 0")
 
-    def params_dict(self) -> Dict[str, str]:
-        return {}
-
 
 @dataclass(frozen=True)
-class VTParams:
+class VTParams(_Params):
     n: int
     a: int
 
     family = "vt"
+    _ambient = staticmethod(lambda n, P: _space(n))
+    _kernel = staticmethod(lambda vals, n, P, h: ([_vt_keys(vals, n)], (n + 1,)))
 
     def __post_init__(self):
         if not 0 <= self.a <= self.n:
             raise ValueError(f"VT residue a={self.a} out of range 0..{self.n}")
 
-    def params_dict(self) -> Dict[str, str]:
-        return {"a": str(self.a)}
-
-
-def _check_coset_pair(P: int, c: int, d: int) -> None:
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    if not 0 <= c <= P:
-        raise ValueError(f"residue c={c} out of range 0..{P}")
-    if d not in (0, 1):
-        raise ValueError("parity d must be 0 or 1")
-
 
 @dataclass(frozen=True)
-class TwoReadParams:
+class _InvWtParams(_Params):
+    """Inversions mod 1+P and weight mod 2 over a periodicity-limited ambient."""
+
     n: int
     P: int
     c: int
     d: int
 
-    family = "tworead"
+    _kernel = staticmethod(lambda vals, n, P, h: (_inv_wt_residues(vals, n, P), (P + 1, 2)))
+    _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, *r))
 
     def __post_init__(self):
-        _check_coset_pair(self.P, self.c, self.d)
+        if self.P < 1:
+            raise ValueError("P must be >= 1")
+        if not 0 <= self.c <= self.P:
+            raise ValueError(f"residue c={self.c} out of range 0..{self.P}")
+        if self.d not in (0, 1):
+            raise ValueError("parity d must be 0 or 1")
 
-    def params_dict(self) -> Dict[str, str]:
-        return {"P": str(self.P), "c": str(self.c), "d": str(self.d)}
+
+class TwoReadParams(_InvWtParams):
+    family = "tworead"
+    _ambient = staticmethod(lambda n, P: r_values(n, 2, 2 * P))
 
 
-@dataclass(frozen=True)
-class Np4Params:
-    n: int
-    P: int
-    c: int
-    d: int
-
+class Np4Params(_InvWtParams):
     family = "np4"
 
     def __post_init__(self):
@@ -226,33 +251,31 @@ class Np4Params:
             raise ValueError("np4 requires n >= 4")
         if self.P < 6 or self.P % 3 != 0:
             raise ValueError("np4 requires P >= 6 with 3 | P")
-        _check_coset_pair(self.P, self.c, self.d)
+        super().__post_init__()
 
-    def params_dict(self) -> Dict[str, str]:
-        return {"P": str(self.P), "c": str(self.c), "d": str(self.d)}
+    @staticmethod
+    def _ambient(n: int, P: int) -> np.ndarray:
+        Np4Params(n, P, 0, 0)
+        return r_values(n, 3, P // 3)
 
 
-@dataclass(frozen=True)
-class Np5Params:
-    n: int
-    P: int
-    c: int
-    d: int
-
+class Np5Params(_InvWtParams):
     family = "np5"
 
     def __post_init__(self):
         # 2P/3 must be integral; flooring would silently loosen the constraint
         if self.P < 3 or self.P % 3 != 0:
             raise ValueError("np5 requires P >= 3 with 3 | P")
-        _check_coset_pair(self.P, self.c, self.d)
+        super().__post_init__()
 
-    def params_dict(self) -> Dict[str, str]:
-        return {"P": str(self.P), "c": str(self.c), "d": str(self.d)}
+    @staticmethod
+    def _ambient(n: int, P: int) -> np.ndarray:
+        Np5Params(n, P, 0, 0)
+        return r_values(n, 2, 2 * P // 3)
 
 
 @dataclass(frozen=True)
-class TwoInsertionParams:
+class TwoInsertionParams(_Params):
     n: int
     a1: int
     a2: int
@@ -261,29 +284,21 @@ class TwoInsertionParams:
     a5: int
 
     family = "twoins"
+    _h_second = "m1"
+    _ambient = staticmethod(lambda n, P: _space(n))
+    _kernel = staticmethod(lambda vals, n, P, h: (_parity_residues(vals, n, h), _parity_moduli(n)))
 
     def __post_init__(self):
-        n = self.n
-        if n < 2:
+        if self.n < 2:
             raise ValueError("twoins requires n >= 2")
-        bounds = (2 * n, n * n, n**3, 3, 2 * n)
-        for name, val, mod in zip(
-            ("a1", "a2", "a3", "a4", "a5"),
-            (self.a1, self.a2, self.a3, self.a4, self.a5),
-            bounds,
-        ):
+        names = ("a1", "a2", "a3", "a4", "a5")
+        for name, val, mod in zip(names, self.residues(), _parity_moduli(self.n)):
             if not 0 <= val < mod:
                 raise ValueError(f"residue {name}={val} out of range 0..{mod - 1}")
 
-    def residues(self) -> Tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a5)
-
-    def params_dict(self) -> Dict[str, str]:
-        return {k: str(v) for k, v in zip(("a1", "a2", "a3", "a4", "a5"), self.residues())}
-
 
 @dataclass(frozen=True)
-class FiveReadParams:
+class FiveReadParams(_Params):
     n: int
     P: int
     a: int
@@ -291,6 +306,10 @@ class FiveReadParams:
     bvec: Tuple[int, int, int, int, int]
 
     family = "fiveread"
+    _h_second = "m0"
+    _ambient = staticmethod(lambda n, P: r_values(n, 3, P))
+    _kernel = staticmethod(lambda vals, n, P, h: _five_read_residues(vals, n, P, h))
+    _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, r[0], r[1:6], r[6:11]))
 
     def __post_init__(self):
         if self.P < 1:
@@ -300,7 +319,7 @@ class FiveReadParams:
             raise ValueError(f"requires segment width m=7P+1={m} < n={self.n}")
         if not 0 <= self.a <= self.n:
             raise ValueError(f"VT residue a={self.a} out of range 0..{self.n}")
-        bounds = (4 * m, 4 * m * m, 8 * m**3, 3, 4 * m)
+        bounds = _parity_moduli(2 * m)
         for label, vec in (("avec", self.avec), ("bvec", self.bvec)):
             if len(vec) != 5:
                 raise ValueError(f"{label} must have 5 residues")
@@ -312,37 +331,14 @@ class FiveReadParams:
     def m(self) -> int:
         return 7 * self.P + 1
 
-    def params_dict(self) -> Dict[str, str]:
-        return {
-            "P": str(self.P),
-            "a": str(self.a),
-            "avec": "|".join(map(str, self.avec)),
-            "bvec": "|".join(map(str, self.bvec)),
-        }
-
 
 CodeParams = (
-    AllParams
-    | VTParams
-    | TwoReadParams
-    | Np4Params
-    | Np5Params
-    | TwoInsertionParams
+    AllParams | VTParams | TwoReadParams | Np4Params | Np5Params | TwoInsertionParams
     | FiveReadParams
 )
 
-FAMILIES: Dict[str, Type] = {
-    cls.family: cls
-    for cls in (
-        AllParams,
-        VTParams,
-        TwoReadParams,
-        Np4Params,
-        Np5Params,
-        TwoInsertionParams,
-        FiveReadParams,
-    )
-}
+FAMILIES: Dict[str, Type] = {cls.family: cls for cls in (
+    AllParams, VTParams, TwoReadParams, Np4Params, Np5Params, TwoInsertionParams, FiveReadParams)}
 
 
 # ---------------------------------------------------------------------------
@@ -427,39 +423,81 @@ def five_read_member(
 
 
 # ---------------------------------------------------------------------------
-# vectorized enumeration helpers
+# vectorized syndrome kernels: the exact residues of a whole array of packed
+# words, one int array per residue, from weighted bit sums
+
+# _BYTE_BITS[v, j] is bit j (least significant first) of the byte v
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.int32)
 
 
-def _np_weight(vals: np.ndarray, n: int) -> np.ndarray:
-    acc = np.zeros(vals.shape, dtype=np.int64)
-    for i in range(n):
-        acc += (vals >> np.uint32(i)).astype(np.int64) & 1
-    return acc
+def _bit_sums(vals: np.ndarray, nbits: int, *weights: Sequence[int]) -> List[np.ndarray]:
+    """sum_b w[b] * (bit b of each word) for each weight vector w, LSB first.
+
+    One 256-entry table per byte and weight vector; every sum here is < 2**31.
+    """
+    sums = [np.zeros(vals.shape, dtype=np.int32) for _ in weights]
+    for lo in range(0, nbits, 8):
+        byte = (vals >> lo) & 0xFF
+        for acc, w in zip(sums, weights):
+            part = np.asarray(w[lo : lo + 8], dtype=np.int32)
+            acc += (_BYTE_BITS[:, : part.size] @ part)[byte]
+    return sums
 
 
-def _np_vt(vals: np.ndarray, n: int) -> np.ndarray:
-    acc = np.zeros(vals.shape, dtype=np.int64)
-    for i in range(1, n + 1):
-        acc += i * ((vals >> np.uint32(n - i)).astype(np.int64) & 1)
-    return acc % (n + 1)
+def _vt_keys(vals: np.ndarray, n: int) -> np.ndarray:
+    """With w the weight and S = sum_b b * bit_b, sum_i i * x_i = n*w - S."""
+    w, s = _bit_sums(vals, n, [1] * n, range(n))
+    return (n * w - s) % (n + 1)
 
 
-def _np_inversions(vals: np.ndarray, n: int) -> np.ndarray:
-    ones = np.zeros(vals.shape, dtype=np.int64)
-    inv = np.zeros(vals.shape, dtype=np.int64)
-    for i in range(1, n + 1):
-        bit = (vals >> np.uint32(n - i)).astype(np.int64) & 1
-        inv += ones * (1 - bit)
-        ones += bit
-    return inv
+def _inv_wt_residues(vals: np.ndarray, n: int, P: int) -> List[np.ndarray]:
+    """[inversions mod P+1, weight mod 2]: the one at bit b precedes b symbols,
+    and the ones among them make up w(w-1)/2 pairs, so inversions = S - w(w-1)/2.
+    """
+    w, s = _bit_sums(vals, n, [1] * n, range(n))
+    return [(s - w * (w - 1) // 2) % (P + 1), w % 2]
+
+
+def _parity_residues(vals: np.ndarray, n: int, h_second: str) -> List[np.ndarray]:
+    """The five parity_checks residues of every length-n word."""
+    if n < 2:
+        raise ValueError("parity checks need length >= 2")
+    if h_second not in _H_WEIGHTS:
+        raise ValueError(f"h_second must be one of {_H_WEIGHTS}")
+    # indicator position i = 1..n-1 is bit n-1-i, so the weights run reversed
+    m0, m1, m2 = (vec[::-1] for vec in astuple(weight_vectors(n)))
+    low = (1 << (n - 1)) - 1
+    shifted = vals >> 1
+    sums = _bit_sums(shifted & ~vals & low, n - 1, m0, m1, m2)
+    sums += _bit_sums(~shifted & vals & low, n - 1, [1] * (n - 1), m1 if h_second == "m1" else m0)
+    return [s % mod for s, mod in zip(sums, _parity_moduli(n))]
+
+
+def _five_read_residues(vals: np.ndarray, n: int, P: int, h_second: str):
+    """VT, even and odd window sums of every word; windows of the padded word."""
+    m = 7 * P + 1
+    if m >= n:
+        raise ValueError(f"requires m=7P+1={m} < n={n}")
+    nbar = -(-n // m) * m
+    moduli = _parity_moduli(2 * m)
+    padded = vals.astype(np.uint64) << (nbar - n)
+    sums = [[np.zeros(vals.shape, dtype=np.int32)] * 5 for _ in range(2)]
+    for k in range(nbar // m - 1):
+        window = (padded >> (nbar - (k + 2) * m)) & ((1 << 2 * m) - 1)
+        side = sums[k % 2]
+        for idx, r in enumerate(_parity_residues(window, 2 * m, h_second)):
+            side[idx] = (side[idx] + r) % moduli[idx]
+    return [_vt_keys(vals, n), *sums[0], *sums[1]], (n + 1, *moduli, *moduli)
 
 
 def _space(n: int) -> np.ndarray:
     return seqs._enum_values(n)
 
 
-def _seqset(n: int, vals: Iterable[int]) -> SeqSet:
-    return SeqSet._from_vals(n, (int(v) for v in vals))
+def _seqset(n: int, vals: np.ndarray) -> SeqSet:
+    return SeqSet._from_vals(n, vals.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -470,98 +508,51 @@ def build_all(n: int) -> SeqSet:
     return _seqset(n, _space(n))
 
 
+def build_code(params: CodeParams, h_second: Optional[str] = None) -> SeqSet:
+    """Materialize the coset described by a parameter record."""
+    if params.family == "all":
+        return build_all(params.n)
+    n, P = params.n, getattr(params, "P", None)
+    ambient = params._ambient(n, P)
+    residues, _ = params._kernel(ambient, n, P, h_second or params._h_second)
+    hit = np.logical_and.reduce([r == want for r, want in zip(residues, params.residues())])
+    return _seqset(n, ambient[hit])
+
+
 def build_vt(n: int, a: int) -> SeqSet:
     """All x of length n with VT syndrome a."""
-    VTParams(n, a)
-    vals = _space(n)
-    return _seqset(n, vals[_np_vt(vals, n) == a])
-
-
-def _build_inv_wt(ambient: np.ndarray, n: int, P: int, c: int, d: int) -> SeqSet:
-    if ambient.size == 0:
-        return _seqset(n, ())
-    mask = (_np_inversions(ambient, n) % (1 + P) == c) & (_np_weight(ambient, n) % 2 == d)
-    return _seqset(n, ambient[mask])
+    return build_code(VTParams(n, a))
 
 
 def build_two_read_code(n: int, P: int, c: int, d: int) -> SeqSet:
     """Inversion/weight coset of R(n, 2, 2P)."""
-    TwoReadParams(n, P, c, d)
-    return _build_inv_wt(r_values(n, 2, 2 * P), n, P, c, d)
+    return build_code(TwoReadParams(n, P, c, d))
 
 
 def build_np4_code(n: int, P: int, c: int, d: int) -> SeqSet:
     """Inversion/weight coset of R(n, 3, P/3); coverage <= n+3 after 2 insertions."""
-    Np4Params(n, P, c, d)
-    return _build_inv_wt(r_values(n, 3, P // 3), n, P, c, d)
+    return build_code(Np4Params(n, P, c, d))
 
 
 def build_np5_code(n: int, P: int, c: int, d: int) -> SeqSet:
     """Inversion/weight coset of R(n, 2, 2P/3); coverage <= n+4 after 2 insertions."""
-    Np5Params(n, P, c, d)
-    return _build_inv_wt(r_values(n, 2, 2 * P // 3), n, P, c, d)
+    return build_code(Np5Params(n, P, c, d))
 
 
-def build_two_insertion_code(
-    n: int, a1: int, a2: int, a3: int, a4: int, a5: int, h_second: str = "m1"
-) -> SeqSet:
+def build_two_insertion_code(n: int, a1: int, a2: int, a3: int, a4: int, a5: int,
+                             h_second: str = "m1") -> SeqSet:
     """Coset of the higher-order parity checks over the full space."""
-    params = TwoInsertionParams(n, a1, a2, a3, a4, a5)
-    want = params.residues()
-    vals = _space(n)
-    keep = [
-        int(v)
-        for v in vals
-        if two_insertion_syndrome(BitSeq.from_int(int(v), n), h_second) == want
-    ]
-    return _seqset(n, keep)
+    return build_code(TwoInsertionParams(n, a1, a2, a3, a4, a5), h_second)
 
 
-def build_five_read_code(
-    n: int,
-    P: int,
-    a: int,
-    avec: Sequence[int],
-    bvec: Sequence[int],
-    h_second: str = "m0",
-) -> SeqSet:
+def build_five_read_code(n: int, P: int, a: int, avec: Sequence[int], bvec: Sequence[int],
+                         h_second: str = "m0") -> SeqSet:
     """VT + even/odd segment-sum coset of R(n, 3, P).
 
     When 7P+1 does not divide n, the segment sums are evaluated on the
     zero-padded word while the VT and R(n, 3, P) conditions stay on x itself.
     """
-    params = FiveReadParams(n, P, a, tuple(avec), tuple(bvec))
-    keep = []
-    for v in r_values(n, 3, P):
-        x = BitSeq.from_int(int(v), n)
-        va, ve, vo = five_read_syndrome(x, P, h_second)
-        if va == params.a and ve == params.avec and vo == params.bvec:
-            keep.append(int(v))
-    return _seqset(n, keep)
-
-
-def build_code(params: CodeParams, h_second: Optional[str] = None) -> SeqSet:
-    """Materialize the coset described by a parameter record."""
-    if isinstance(params, AllParams):
-        return build_all(params.n)
-    if isinstance(params, VTParams):
-        return build_vt(params.n, params.a)
-    if isinstance(params, TwoReadParams):
-        return build_two_read_code(params.n, params.P, params.c, params.d)
-    if isinstance(params, Np4Params):
-        return build_np4_code(params.n, params.P, params.c, params.d)
-    if isinstance(params, Np5Params):
-        return build_np5_code(params.n, params.P, params.c, params.d)
-    if isinstance(params, TwoInsertionParams):
-        return build_two_insertion_code(
-            params.n, *params.residues(), h_second=h_second or "m1"
-        )
-    if isinstance(params, FiveReadParams):
-        return build_five_read_code(
-            params.n, params.P, params.a, params.avec, params.bvec,
-            h_second=h_second or "m0",
-        )
-    raise TypeError(f"unknown parameter record {params!r}")
+    return build_code(FiveReadParams(n, P, a, tuple(avec), tuple(bvec)), h_second)
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +571,14 @@ class VerifyResult:
     """Outcome of a reconstruction-code check; vacuous when |code| <= 1.
 
     When the check fails, ``worst`` is (overlap, x, y) for the worst pair of
-    codewords, the lexicographically first on ties.
+    codewords, the lexicographically first on ties, and ``verdict`` is
+    ``classify_pair(x, y)``.
     """
 
     ok: bool
     vacuous: bool
     worst: Optional[Tuple[int, BitSeq, BitSeq]] = None
+    verdict: Optional[ConfusabilityVerdict] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -599,78 +592,95 @@ def verify_reconstruction_code(code: SeqSet, t: int, N: int) -> VerifyResult:
         return VerifyResult(True, True)
     if coverage_less_than(code, t, N):
         return VerifyResult(True, False)
-    return VerifyResult(False, False, coverage_at_least(code, t, N))
+    worst = coverage_at_least(code, t, N)
+    return VerifyResult(False, False, worst, classify_pair(worst[1], worst[2]))
 
 
-def _coset_groups(family: str, n: int, P: Optional[int], h_second: Optional[str]):
-    """(groups keyed by residue tuple, ambient size, params factory)."""
-    if family in ("tworead", "np4", "np5"):
-        if P is None:
-            raise ValueError(f"family {family} needs P")
-        if family == "tworead":
-            ambient = r_values(n, 2, 2 * P)
-            make = lambda key: TwoReadParams(n, P, key[0], key[1])
-        elif family == "np4":
-            Np4Params(n, P, 0, 0)
-            ambient = r_values(n, 3, P // 3)
-            make = lambda key: Np4Params(n, P, key[0], key[1])
+class CosetSweep(NamedTuple):
+    """The nonempty cosets of one family at one length, from one keyed sweep.
+
+    ``keys`` are the distinct ``word_keys`` in ascending residue order, with
+    their word counts in ``sizes``; ``params(i)`` is the record of coset i.
+    ``ambient_size`` stays at index 1, where perfbench/spans.py reads it.
+    """
+
+    n: int
+    ambient_size: int
+    ambient: np.ndarray
+    word_keys: np.ndarray
+    keys: np.ndarray
+    sizes: np.ndarray
+    params: Callable[[int], CodeParams]
+
+    def best(self) -> int:
+        """The largest coset; ties break to the smallest residues."""
+        return int(np.argmax(self.sizes))
+
+    def members(self, i: int) -> SeqSet:
+        return _seqset(self.n, self.ambient[self.word_keys == self.keys[i]])
+
+    def partition(self) -> Dict[CodeParams, SeqSet]:
+        if not self.keys.size:
+            return {}
+        order = np.argsort(self.word_keys, kind="stable")
+        chunks = np.split(self.ambient[order], np.cumsum(self.sizes)[:-1])
+        return {self.params(i): _seqset(self.n, c) for i, c in enumerate(chunks)}
+
+
+def _coset_groups(family: str, n: int, P: Optional[int], h_second: Optional[str]) -> CosetSweep:
+    """Key every ambient word by its residues and count the words per key.
+
+    Mixed-radix int64 keys are counted by bincount when the key space is no
+    larger than the ambient, else by unique; residues too wide for one int64
+    (fiveread) are grouped as rows.  perfbench/spans.py traces sweeps through
+    this name, so the public entry point is ``coset_sweep``.
+    """
+    cls = FAMILIES.get(family)
+    if cls is None or cls is AllParams:
+        raise ValueError(f"unknown family {family!r}")
+    if P is None and "P" in cls.__dataclass_fields__:
+        raise ValueError(f"family {family} needs P")
+    ambient = cls._ambient(n, P)
+    residues, moduli = cls._kernel(ambient, n, P, h_second or cls._h_second)
+    if math.prod(moduli) < 2**63:
+        word_keys = np.ravel_multi_index(residues, moduli)
+        if math.prod(moduli) <= ambient.size:
+            counts = np.bincount(word_keys)
+            keys = np.flatnonzero(counts)
+            sizes = counts[keys]
         else:
-            Np5Params(n, P, 0, 0)
-            ambient = r_values(n, 2, 2 * P // 3)
-            make = lambda key: Np5Params(n, P, key[0], key[1])
-        groups: Dict[tuple, List[int]] = {}
-        if ambient.size:
-            cs = _np_inversions(ambient, n) % (1 + P)
-            ds = _np_weight(ambient, n) % 2
-            for v, c, d in zip(ambient, cs, ds):
-                groups.setdefault((int(c), int(d)), []).append(int(v))
-        return groups, int(ambient.size), make
-    if family == "vt":
-        vals = _space(n)
-        syn = _np_vt(vals, n)
-        groups = {}
-        for v, a in zip(vals, syn):
-            groups.setdefault((int(a),), []).append(int(v))
-        return groups, int(vals.size), lambda key: VTParams(n, key[0])
-    if family == "twoins":
-        groups = {}
-        hw = h_second or "m1"
-        for v in _space(n):
-            x = BitSeq.from_int(int(v), n)
-            groups.setdefault(two_insertion_syndrome(x, hw), []).append(int(v))
-        return groups, 1 << n, lambda key: TwoInsertionParams(n, *key)
-    if family == "fiveread":
-        if P is None:
-            raise ValueError("family fiveread needs P")
-        hw = h_second or "m0"
-        ambient = r_values(n, 3, P)
-        groups = {}
-        for v in ambient:
-            x = BitSeq.from_int(int(v), n)
-            va, ve, vo = five_read_syndrome(x, P, hw)
-            groups.setdefault((va, *ve, *vo), []).append(int(v))
-        make = lambda key: FiveReadParams(n, P, key[0], tuple(key[1:6]), tuple(key[6:11]))
-        return groups, int(ambient.size), make
-    raise ValueError(f"unknown family {family!r}")
+            keys, sizes = np.unique(word_keys, return_counts=True)
+        unpack = lambda i: np.unravel_index(keys[i], moduli)
+    else:
+        rows, word_keys, sizes = np.unique(
+            np.column_stack(residues), axis=0, return_inverse=True, return_counts=True
+        )
+        keys = np.arange(len(rows))
+        unpack = lambda i: rows[i]
+    make = lambda i: cls._from_residues(n, P, tuple(int(r) for r in unpack(i)))
+    return CosetSweep(n, int(ambient.size), ambient, word_keys.ravel(), keys, sizes, make)
 
 
-def coset_partition(
-    family: str, n: int, P: Optional[int] = None, h_second: Optional[str] = None
-) -> Dict[CodeParams, SeqSet]:
+def coset_sweep(family: str, n: int, P: Optional[int] = None,
+                h_second: Optional[str] = None) -> CosetSweep:
+    """Every nonempty coset of the family with its size, from one ambient sweep."""
+    return _coset_groups(family, n, P, h_second)
+
+
+def coset_partition(family: str, n: int, P: Optional[int] = None,
+                    h_second: Optional[str] = None) -> Dict[CodeParams, SeqSet]:
     """Every nonempty coset of the family, grouped in one ambient sweep."""
-    groups, _, make = _coset_groups(family, n, P, h_second)
-    return {make(key): _seqset(n, vals) for key, vals in sorted(groups.items())}
+    return coset_sweep(family, n, P, h_second).partition()
 
 
-def best_coset(
-    family: str, n: int, P: Optional[int] = None, h_second: Optional[str] = None
-) -> Tuple[CodeParams, SeqSet]:
+def best_coset(family: str, n: int, P: Optional[int] = None,
+               h_second: Optional[str] = None) -> Tuple[CodeParams, SeqSet]:
     """The largest coset; ties break to the smallest residue tuple."""
-    groups, ambient_size, make = _coset_groups(family, n, P, h_second)
-    if not groups:
+    sweep = coset_sweep(family, n, P, h_second)
+    if not sweep.keys.size:
         raise ValueError(f"all {family} cosets are empty at n={n}")
-    best_key = min(groups, key=lambda k: (-len(groups[k]), k))
-    return make(best_key), _seqset(n, groups[best_key])
+    best = sweep.best()
+    return sweep.params(best), sweep.members(best)
 
 
 # ---------------------------------------------------------------------------
@@ -684,36 +694,19 @@ def format_header(params: CodeParams) -> str:
 
 
 def parse_header(line: str) -> CodeParams:
-    fields: Dict[str, str] = {}
-    for chunk in line.lstrip("#").split():
-        key, _, value = chunk.partition("=")
-        fields[key] = value
-    family = fields.get("family")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown code family in header: {family!r}")
-    n = int(fields["n"])
-    raw = fields.get("params", "")
-    kv: Dict[str, str] = {}
-    if raw:
-        for item in raw.split(","):
-            key, _, value = item.partition("=")
-            kv[key] = value
-    if family == "all":
-        return AllParams(n)
-    if family == "vt":
-        return VTParams(n, int(kv["a"]))
-    if family in ("tworead", "np4", "np5"):
-        cls = FAMILIES[family]
-        return cls(n, int(kv["P"]), int(kv["c"]), int(kv["d"]))
-    if family == "twoins":
-        return TwoInsertionParams(n, *(int(kv[f"a{i}"]) for i in range(1, 6)))
-    return FiveReadParams(
-        n,
-        int(kv["P"]),
-        int(kv["a"]),
-        tuple(int(s) for s in kv["avec"].split("|")),
-        tuple(int(s) for s in kv["bvec"].split("|")),
-    )
+    head = dict(chunk.partition("=")[::2] for chunk in line.lstrip("#").split())
+    cls = FAMILIES.get(head.get("family"))
+    if cls is None:
+        raise ValueError(f"unknown code family in header: {head.get('family')!r}")
+    kv = dict(item.partition("=")[::2] for item in head.get("params", "").split(",") if item)
+    values = []
+    for f in fields(cls):
+        src = head if f.name == "n" else kv
+        if f.name not in src:
+            raise ValueError(f"code file header is missing field {f.name!r}")
+        raw = src[f.name]
+        values.append(tuple(map(int, raw.split("|"))) if f.type.startswith("Tuple") else int(raw))
+    return cls(*values)
 
 
 def write_code_file(path: str, params: CodeParams, code: SeqSet) -> None:

@@ -8,7 +8,7 @@ to see the per-criterion lines.
 
 import random
 from itertools import combinations
-from math import ceil, log2
+from math import ceil, comb, log2
 
 import pytest
 
@@ -184,6 +184,27 @@ def test_c06_np4_sweep_all_cosets():
     report(6, "n in [10,14], P=9: all cosets verified at N=n+4, pigeonhole holds")
 
 
+def test_c06b_np4_sweep_rich_cosets():
+    """n in [10, 16], P in {12, 18}: every coset verified at N = n+4, on
+    ambient sets rich enough that the largest coset has at least 100 words."""
+    lines = []
+    for P in (12, 18):
+        largest = pairs = 0
+        for n in range(10, 17):
+            groups = coset_partition("np4", n, P=P)
+            assert sum(len(c) for c in groups.values()) == count_r(n, 3, P // 3)
+            for params, code in groups.items():
+                assert verify_reconstruction_code(code, 2, n + 4).ok, params
+                pairs += comb(len(code), 2)
+            biggest = max(groups.values(), key=len)
+            assert read_coverage(biggest, 2) <= n + 3
+            largest = max(largest, len(biggest))
+        assert pairs > 0
+        assert largest >= 100
+        lines.append(f"P={P}: largest coset {largest} words, {pairs} pairs decided")
+    report("6b", "n in [10,16], all cosets verified at N=n+4; " + "; ".join(lines))
+
+
 def test_c07_np5_sweep_all_cosets():
     """n in [10, 14], P = 9: every coset has 2-insertion coverage <= n+4."""
     P = 9
@@ -332,6 +353,17 @@ def test_c11_reconstruction_round_trip():
         f"np4 best coset {params.params_dict()} size={len(code)} and VT(10, a=0): "
         "1000/1000 unique and correct in both experiments",
     )
+
+
+def test_c11b_round_trip_on_a_rich_coset():
+    """The np4 best coset at (n=14, P=18), 304 words: every seeded trial at
+    N = n+4 = 18 reads decodes uniquely to the ground truth."""
+    params, code = best_coset("np4", 14, P=18)
+    assert len(code) == 304
+    summary = run_experiment(code, t=2, reads=18, trials=300, seed=20261018)
+    assert summary.trials == 300
+    assert summary.unique == summary.correct == 300
+    report("11b", f"np4 best coset {params.params_dict()} size=304: 300/300 unique and correct")
 
 
 def test_c12_closed_forms_match_enumeration():

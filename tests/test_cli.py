@@ -200,6 +200,29 @@ def test_enumeration_cap_refusal(tmp_path, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "header,field",
+    [
+        ("# family=vt n=4 params=", "'a'"),
+        ("# family=vt params=a=0", "'n'"),
+        ("# family=np4 n=4 params=P=9,c=0", "'d'"),
+        ("# family=twoins n=4 params=a1=0,a2=0,a3=0,a4=0", "'a5'"),
+        ("# family=fiveread n=23 params=P=3,a=0,avec=0|0|0|0|0", "'bvec'"),
+    ],
+)
+@pytest.mark.parametrize("command", ("verify", "simulate", "coverage"))
+def test_header_missing_field_is_one_error_line(tmp_path, capsys, header, field, command):
+    path = tmp_path / "bad.code"
+    path.write_text(header + "\n" + "0" * 4 + "\n")
+    extra = {"verify": ("--N", "3"), "simulate": ("--N", "3", "--trials", "1", "--seed", "1"),
+             "coverage": ()}[command]
+    code, out, err = run(capsys, command, str(path), "--t", "1", *extra)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "missing field" in lines[0] and field in lines[0]
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["ball", "10", "--t", "1", "--bogus"])

@@ -4,9 +4,13 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
+from insrecon import codes
 from insrecon.balls import (
     SeqSet,
     coverage_argmax,
@@ -400,6 +404,15 @@ def test_verify_names_worst_pair_on_failure():
     assert verify_reconstruction_code(space, 2, 15).worst is None
 
 
+def test_verify_names_worst_pair_kind_on_failure():
+    space = SeqSet(5, [BitSeq(s) for s in brute.all_seqs(5)])
+    result = verify_reconstruction_code(space, 2, 10)
+    _, x, y = result.worst
+    assert result.verdict == classify_pair(x, y)
+    passing = verify_reconstruction_code(space, 2, 15)
+    assert passing.worst is None and passing.verdict is None
+
+
 def test_verify_np4_best_coset():
     params, code = best_coset("np4", 12, P=9)
     assert verify_reconstruction_code(code, 2, 12 + 4).ok
@@ -475,3 +488,108 @@ def test_headerless_file(tmp_path):
 
 def test_header_format_example():
     assert format_header(VTParams(4, 0)) == "# family=vt n=4 params=a=0"
+
+
+# ---------------------------------------------------------------------------
+# vectorized syndrome kernels and sweeps
+
+
+def scalar_syndrome(family, x, P, h_second):
+    """The residue tuple of x from the scalar syndromes."""
+    if family == "vt":
+        return (vt_syndrome(x),)
+    if family in ("tworead", "np4", "np5"):
+        return (inversions(x) % (P + 1), x.weight() % 2)
+    if family == "twoins":
+        return two_insertion_syndrome(x, h_second)
+    va, ve, vo = five_read_syndrome(x, P, h_second)
+    return (va, *ve, *vo)
+
+
+def kernel_residues(family, vals, n, P, h_second):
+    """The residue tuple of every word from the vectorized kernel."""
+    residues, moduli = codes.FAMILIES[family]._kernel(np.array(vals, dtype=np.uint32), n, P, h_second)
+    assert len(residues) == len(moduli)
+    return list(zip(*(r.tolist() for r in residues)))
+
+
+@st.composite
+def kernel_inputs(draw):
+    family = draw(st.sampled_from(("vt", "tworead", "np4", "np5", "twoins", "fiveread")))
+    h_second = draw(st.sampled_from(("m0", "m1")))
+    if family == "fiveread":
+        P = draw(st.integers(1, 3))
+        n = draw(st.integers(7 * P + 2, 26))
+    else:
+        P = draw(st.sampled_from((3, 6, 9, 18)))
+        n = draw(st.integers(2 if family == "twoins" else 0, 26))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    return family, n, P, h_second, words
+
+
+@given(kernel_inputs())
+@settings(max_examples=300)
+def test_kernel_keys_equal_scalar_syndromes(case):
+    family, n, P, h_second, words = case
+    got = kernel_residues(family, words, n, P, h_second)
+    want = [scalar_syndrome(family, BitSeq.from_int(v, n), P, h_second) for v in words]
+    assert got == want
+
+
+# (family, P, h_second, lengths) of every sweep compared with the reference
+SWEEP_CASES = [
+    ("vt", None, None, range(0, 13)),
+    ("tworead", 1, None, range(1, 13)),
+    ("tworead", 3, None, range(1, 13)),
+    ("np4", 9, None, range(4, 13)),
+    ("np4", 18, None, range(4, 13)),
+    ("np5", 3, None, range(1, 13)),
+    ("np5", 9, None, range(1, 13)),
+    ("twoins", None, "m1", range(2, 11)),
+    ("twoins", None, "m0", range(2, 11)),
+    ("fiveread", 1, "m0", range(9, 13)),
+    ("fiveread", 3, "m0", (23,)),
+    ("fiveread", 3, "m1", (23,)),
+]
+
+
+def reference_groups(family, n, P, h_second):
+    """Plain dict of lists: scalar residue tuple -> ambient words, in order."""
+    ambient = codes.FAMILIES[family]._ambient(n, P)
+    groups = {}
+    for v in ambient.tolist():
+        x = BitSeq.from_int(v, n)
+        groups.setdefault(scalar_syndrome(family, x, P, h_second or "m1"), []).append(v)
+    return groups
+
+
+@pytest.mark.parametrize("family,P,h_second,lengths", SWEEP_CASES)
+def test_sweeps_match_dict_of_lists_reference(family, P, h_second, lengths):
+    ties = 0
+    for n in lengths:
+        groups = reference_groups(family, n, P, h_second)
+        part = coset_partition(family, n, P=P, h_second=h_second)
+        assert [(p.residues(), sorted(c.values())) for p, c in part.items()] == sorted(
+            groups.items()
+        )
+        if not groups:
+            with pytest.raises(ValueError):
+                best_coset(family, n, P=P, h_second=h_second)
+            continue
+        want = min(groups, key=lambda k: (-len(groups[k]), k))
+        ties += sum(len(g) == len(groups[want]) for g in groups.values()) > 1
+        params, code = best_coset(family, n, P=P, h_second=h_second)
+        assert params.residues() == want
+        assert sorted(code.values()) == groups[want]
+        assert code == codes.build_code(params, h_second)
+    if family in ("vt", "twoins"):
+        assert ties > 0  # the tie-break was exercised
+
+
+@pytest.mark.parametrize("n", (0, 1, 31, 33, 64))
+def test_to_lines_matches_per_word_format(n):
+    rng = random.Random(n)
+    vals = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(300)}
+    want = "".join((format(v, f"0{n}b") if n else "") + "\n" for v in sorted(vals))
+    got = SeqSet._from_vals(n, vals).to_lines()
+    assert got == want
