@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count
 from math import comb
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -106,7 +106,11 @@ class SeqSet:
 
     @classmethod
     def parse_lines(cls, text: str, n: Optional[int] = None) -> "SeqSet":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        """One sequence per line; blank lines are skipped, except at n = 0,
+        where each line is the empty word."""
+        lines = [ln.strip() for ln in text.splitlines()]
+        if n != 0:
+            lines = [ln for ln in lines if ln]
         if n is None:
             if not lines:
                 raise ValueError("cannot infer length from empty input")
@@ -115,35 +119,8 @@ class SeqSet:
         for ln in lines:
             if len(ln) != n or set(ln) - {"0", "1"}:
                 raise ValueError(f"bad sequence line: {ln!r}")
-            vals.add(int(ln, 2))
+            vals.add(int(ln, 2) if ln else 0)
         return cls._from_vals(n, vals)
-
-
-def _insertion_vals(n: int, val: int, t: int) -> List[int]:
-    """Distinct supersequence values of length n+t, each generated once.
-
-    Canonical rule: build left to right and match greedily against x; a char
-    equal to the next unmatched symbol of x always counts as matched, so an
-    inserted char is forced to differ from it (trailing inserts are free once
-    x is exhausted).  This is exactly one generation per distinct element.
-    """
-    out: List[int] = []
-
-    def rec(i: int, r: int, acc: int) -> None:
-        if i == n and r == 0:
-            out.append(acc)
-            return
-        if i < n:
-            nxt = (val >> (n - 1 - i)) & 1
-            rec(i + 1, r, (acc << 1) | nxt)
-            if r > 0:
-                rec(i, r - 1, (acc << 1) | (1 - nxt))
-        elif r > 0:
-            rec(i, r - 1, acc << 1)
-            rec(i, r - 1, (acc << 1) | 1)
-
-    rec(0, t, 0)
-    return out
 
 
 def _deletion_vals(n: int, val: int, t: int) -> Set[int]:
@@ -168,7 +145,7 @@ def insertion_ball(x: BitSeq, t: int) -> SeqSet:
         raise ValueError("t must be >= 0")
     if x.n + t > MAX_LEN:
         raise SequenceTooLongError(f"ball length {x.n + t} exceeds MAX_LEN")
-    return SeqSet._from_vals(x.n + t, _insertion_vals(x.n, x.val, t))
+    return SeqSet._from_vals(x.n + t, _insertion_table([x.val], x.n, t)[0].tolist())
 
 
 def deletion_ball(y: BitSeq, t: int) -> SeqSet:
@@ -226,10 +203,14 @@ def intersect_balls(x: BitSeq, y: BitSeq, t: int) -> SeqSet:
 def _gap_patterns(n: int, t: int) -> tuple:
     """Column recipe of the t-insertion ball table at length n.
 
-    It follows the canonical rule of `_insertion_vals`: k <= t inserts go
-    into a multiset of gaps g_0 <= ... <= g_{k-1} of x, the insert in gap
-    g_j is the complement of x[g_j], and the t-k bits after x are free.  For
-    each k there is one (shift, flip, keep) term per segment s = 0..k of x:
+    Each supersequence is generated once, by a canonical rule: build it left
+    to right and match greedily against x, so a char equal to the next
+    unmatched symbol of x always counts as matched and an inserted char must
+    differ from it; once x is exhausted the trailing inserts are free.  So
+    k <= t inserts go into a multiset of gaps g_0 <= ... <= g_{k-1} of x, the
+    insert in gap g_j is the complement of x[g_j], and the t-k bits after x
+    are free.  For each k there is one (shift, flip, keep) term per segment
+    s = 0..k of x:
     x shifted left by t-s puts segment s in place, and also the source bit
     x[g_s] of insert s, which `flip` complements; `keep` masks both.  The
     values of the free trailing bits come last.

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from . import balls, codes, confusability, recon
-from .seqs import BitSeq, EnumerationCapError, SequenceTooLongError
+from .seqs import BitSeq
 
 
 def _bitseq(text: str) -> BitSeq:
@@ -88,42 +89,29 @@ def cmd_window(args) -> int:
     return 0
 
 
+def _flag(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"family {args.family} requires --{name}")
+    return value
+
+
 def _build_params(args) -> codes.CodeParams:
-    family = args.family
-    need = lambda flag, val: val if val is not None else _missing(family, flag)
-    if family == "all":
-        return codes.AllParams(args.n)
-    if family == "vt":
-        return codes.VTParams(args.n, need("--a", args.a))
-    if family in ("tworead", "np4", "np5"):
-        cls = codes.FAMILIES[family]
-        return cls(args.n, need("--P", args.P), need("--c", args.c), need("--d", args.d))
-    if family == "twoins":
-        vec = need("--avec", args.avec)
+    """The family's record from the flags named after its fields; the five
+    residues a1..a5 of twoins come from --avec."""
+    cls = codes.FAMILIES[args.family]
+    names = [f.name for f in fields(cls)]
+    if names[1:] == ["a1", "a2", "a3", "a4", "a5"]:
+        vec = _flag(args, "avec")
         if len(vec) != 5:
-            raise ValueError("twoins needs --avec with 5 residues a1,...,a5")
-        return codes.TwoInsertionParams(args.n, *vec)
-    if family == "fiveread":
-        return codes.FiveReadParams(
-            args.n,
-            need("--P", args.P),
-            need("--a", args.a),
-            need("--avec", args.avec),
-            need("--bvec", args.bvec),
-        )
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _missing(family: str, flag: str):
-    raise ValueError(f"family {family} requires {flag}")
+            raise ValueError(f"{args.family} needs --avec with 5 residues a1,...,a5")
+        return cls(args.n, *vec)
+    return cls(*(_flag(args, name) for name in names))
 
 
 def cmd_build(args) -> int:
     if args.best:
-        if args.family in ("all",):
-            params, code = codes.AllParams(args.n), codes.build_all(args.n)
-        else:
-            params, code = codes.best_coset(args.family, args.n, P=args.P)
+        params, code = codes.best_coset(args.family, args.n, P=args.P)
     else:
         params = _build_params(args)
         code = codes.build_code(params)
@@ -181,42 +169,32 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# (family, its N range at length n), from the most reads to the fewest
 _REGIMES = (
-    ("N>2n+4", "all"),
-    ("n+6..2n+4", "tworead"),
-    ("n+4..n+5", "np4"),
-    ("7..n+3", "vt"),
-    ("1..6", "twoins"),
+    ("all", lambda n: f">{2 * n + 4}"),
+    ("tworead", lambda n: f"{n + 6}..{2 * n + 4}"),
+    ("np4", lambda n: f"{n + 4}..{n + 5}"),
+    ("vt", lambda n: f"7..{n + 3}"),
+    ("twoins", lambda n: "1..6"),
 )
 
 
 def _table_rows(n: int, P: int):
-    for regime, family in _REGIMES:
-        n_range = {
-            "N>2n+4": f">{2 * n + 4}",
-            "n+6..2n+4": f"{n + 6}..{2 * n + 4}",
-            "n+4..n+5": f"{n + 4}..{n + 5}",
-            "7..n+3": f"7..{n + 3}",
-            "1..6": "1..6",
-        }[regime]
+    """One row per regime: its family's largest coset; a family without P
+    ignores it."""
+    for family, n_range in _REGIMES:
         try:
-            if family == "all":
-                params, size = codes.AllParams(n), 1 << n
-                ncosets, ambient = 1, 1 << n
-            else:
-                fam_p = P if family in ("tworead", "np4", "np5") else None
-                sweep = codes.coset_sweep(family, n, fam_p)
-                if not sweep.keys.size:
-                    raise ValueError("all cosets empty")
-                ncosets, ambient = sweep.keys.size, sweep.ambient_size
-                best = sweep.best()
-                params, size = sweep.params(best), int(sweep.sizes[best])
+            sweep = codes.coset_sweep(family, n, P)
+            if not sweep.keys.size:
+                raise ValueError("all cosets empty")
+            best = sweep.best()
+            params, size = sweep.params(best), int(sweep.sizes[best])
             red = n - math.log2(size)
-            bound = n - math.log2(ambient) + math.log2(ncosets)
+            bound = n - math.log2(sweep.ambient_size) + math.log2(sweep.keys.size)
             body = ",".join(f"{k}={v}" for k, v in params.params_dict().items()) or "-"
-            yield (n, n_range, family, body, size, f"{red:.3f}", f"{bound:.3f}")
+            yield (n, n_range(n), family, body, size, f"{red:.3f}", f"{bound:.3f}")
         except ValueError as exc:
-            yield (n, n_range, family, "-", "-", "-", f"unavailable: {exc}")
+            yield (n, n_range(n), family, "-", "-", "-", f"unavailable: {exc}")
 
 
 def cmd_table(args) -> int:
@@ -317,7 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SequenceTooLongError, EnumerationCapError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

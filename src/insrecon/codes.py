@@ -1,6 +1,8 @@
 """Code constructions and their syndromes.
 
-Six families, all realized as syndrome cosets of an ambient set:
+Seven families, all realized as syndrome cosets of an ambient set:
+
+* ``all``      -- the whole space, one coset of a constant zero residue.
 
 * ``vt``       -- the Varshamov-Tenengolts code (position-weighted sum mod n+1).
 * ``tworead``  -- inversion + weight parity over R(n, 2, 2P); two reads
@@ -28,7 +30,7 @@ import numpy as np
 from . import seqs
 from .balls import SeqSet, coverage_at_least, coverage_less_than
 from .confusability import ConfusabilityVerdict, classify_pair
-from .seqs import BitSeq, indicator, in_r, inversions, r_values
+from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, indicator, in_r, inversions, r_mask, r_values
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +167,24 @@ def tilde_sums(x: BitSeq, m: int, h_second: str = "m0") -> TildeSums:
 class _Params:
     """Header fields and residues come from the dataclass fields after ``n``.
 
-    A coset family also declares its ambient set, ``_ambient(n, P)``, and a
-    kernel, ``_kernel(vals, n, P, h_second)``, giving the arrays of the
+    A family declares its ambient set as ``_r(P) -> (ell, t)``, meaning
+    R(n, ell, t), or as the whole space by having no ``_r``; and a kernel,
+    ``_kernel(vals, n, P, h_second)``, giving the arrays of the
     ``residues()`` of packed words, with their moduli.
     """
 
     _h_second = ""
+    _r = None
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, *r))
+
+    @classmethod
+    def _ambient(cls, n: int, P: Optional[int]) -> np.ndarray:
+        return _space(n) if cls._r is None else r_values(n, *cls._r(P))
+
+    def _residues_equal(self, vals: np.ndarray, h_second: Optional[str] = None) -> np.ndarray:
+        residues, _ = self._kernel(vals, self.n, getattr(self, "P", None),
+                                   h_second or self._h_second)
+        return np.logical_and.reduce([r == want for r, want in zip(residues, self.residues())])
 
     def _items(self) -> List[Tuple[str, object]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
@@ -192,11 +205,16 @@ class _Params:
 
 @dataclass(frozen=True)
 class AllParams(_Params):
-    """The trivial code: the entire space."""
+    """The trivial code: the entire space, one coset of the constant residue 0."""
 
     n: int
 
     family = "all"
+    _kernel = staticmethod(lambda vals, n, P, h: ([np.zeros(vals.shape, dtype=np.uint8)], (1,)))
+    _from_residues = classmethod(lambda cls, n, P, r: cls(n))
+
+    def residues(self) -> Tuple[int, ...]:
+        return (0,)
 
     def __post_init__(self):
         if self.n < 0:
@@ -209,7 +227,6 @@ class VTParams(_Params):
     a: int
 
     family = "vt"
-    _ambient = staticmethod(lambda n, P: _space(n))
     _kernel = staticmethod(lambda vals, n, P, h: ([_vt_keys(vals, n)], (n + 1,)))
 
     def __post_init__(self):
@@ -229,6 +246,11 @@ class _InvWtParams(_Params):
     _kernel = staticmethod(lambda vals, n, P, h: (_inv_wt_residues(vals, n, P), (P + 1, 2)))
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, *r))
 
+    @classmethod
+    def _ambient(cls, n: int, P: int) -> np.ndarray:
+        cls(n, P, 0, 0)  # the record's checks of n and P come before enumerating
+        return super()._ambient(n, P)
+
     def __post_init__(self):
         if self.P < 1:
             raise ValueError("P must be >= 1")
@@ -240,11 +262,12 @@ class _InvWtParams(_Params):
 
 class TwoReadParams(_InvWtParams):
     family = "tworead"
-    _ambient = staticmethod(lambda n, P: r_values(n, 2, 2 * P))
+    _r = staticmethod(lambda P: (2, 2 * P))
 
 
 class Np4Params(_InvWtParams):
     family = "np4"
+    _r = staticmethod(lambda P: (3, P // 3))
 
     def __post_init__(self):
         if self.n < 4:
@@ -253,25 +276,16 @@ class Np4Params(_InvWtParams):
             raise ValueError("np4 requires P >= 6 with 3 | P")
         super().__post_init__()
 
-    @staticmethod
-    def _ambient(n: int, P: int) -> np.ndarray:
-        Np4Params(n, P, 0, 0)
-        return r_values(n, 3, P // 3)
-
 
 class Np5Params(_InvWtParams):
     family = "np5"
+    _r = staticmethod(lambda P: (2, 2 * P // 3))
 
     def __post_init__(self):
         # 2P/3 must be integral; flooring would silently loosen the constraint
         if self.P < 3 or self.P % 3 != 0:
             raise ValueError("np5 requires P >= 3 with 3 | P")
         super().__post_init__()
-
-    @staticmethod
-    def _ambient(n: int, P: int) -> np.ndarray:
-        Np5Params(n, P, 0, 0)
-        return r_values(n, 2, 2 * P // 3)
 
 
 @dataclass(frozen=True)
@@ -285,7 +299,6 @@ class TwoInsertionParams(_Params):
 
     family = "twoins"
     _h_second = "m1"
-    _ambient = staticmethod(lambda n, P: _space(n))
     _kernel = staticmethod(lambda vals, n, P, h: (_parity_residues(vals, n, h), _parity_moduli(n)))
 
     def __post_init__(self):
@@ -307,7 +320,7 @@ class FiveReadParams(_Params):
 
     family = "fiveread"
     _h_second = "m0"
-    _ambient = staticmethod(lambda n, P: r_values(n, 3, P))
+    _r = staticmethod(lambda P: (3, P))
     _kernel = staticmethod(lambda vals, n, P, h: _five_read_residues(vals, n, P, h))
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, r[0], r[1:6], r[6:11]))
 
@@ -481,6 +494,8 @@ def _five_read_residues(vals: np.ndarray, n: int, P: int, h_second: str):
     if m >= n:
         raise ValueError(f"requires m=7P+1={m} < n={n}")
     nbar = -(-n // m) * m
+    if nbar > MAX_LEN:
+        raise SequenceTooLongError(f"padded length {nbar} exceeds MAX_LEN")
     moduli = _parity_moduli(2 * m)
     padded = vals.astype(np.uint64) << (nbar - n)
     sums = [[np.zeros(vals.shape, dtype=np.int32)] * 5 for _ in range(2)]
@@ -504,19 +519,14 @@ def _seqset(n: int, vals: np.ndarray) -> SeqSet:
 # builders
 
 
-def build_all(n: int) -> SeqSet:
-    return _seqset(n, _space(n))
-
-
 def build_code(params: CodeParams, h_second: Optional[str] = None) -> SeqSet:
     """Materialize the coset described by a parameter record."""
-    if params.family == "all":
-        return build_all(params.n)
-    n, P = params.n, getattr(params, "P", None)
-    ambient = params._ambient(n, P)
-    residues, _ = params._kernel(ambient, n, P, h_second or params._h_second)
-    hit = np.logical_and.reduce([r == want for r, want in zip(residues, params.residues())])
-    return _seqset(n, ambient[hit])
+    ambient = params._ambient(params.n, getattr(params, "P", None))
+    return _seqset(params.n, ambient[params._residues_equal(ambient, h_second)])
+
+
+def build_all(n: int) -> SeqSet:
+    return build_code(AllParams(n))
 
 
 def build_vt(n: int, a: int) -> SeqSet:
@@ -636,7 +646,7 @@ def _coset_groups(family: str, n: int, P: Optional[int], h_second: Optional[str]
     this name, so the public entry point is ``coset_sweep``.
     """
     cls = FAMILIES.get(family)
-    if cls is None or cls is AllParams:
+    if cls is None:
         raise ValueError(f"unknown family {family!r}")
     if P is None and "P" in cls.__dataclass_fields__:
         raise ValueError(f"family {family} needs P")
@@ -716,15 +726,27 @@ def write_code_file(path: str, params: CodeParams, code: SeqSet) -> None:
 
 
 def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
-    """Parse a code file; a missing header yields params=None."""
+    """Parse a code file; a missing header yields params=None.
+
+    Under a header, every codeword must lie in the coset it names (with the
+    family's default h_second), by the membership test build_code uses.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+        lines = fh.read().splitlines(keepends=True)
     params: Optional[CodeParams] = None
-    body = lines
     if lines and lines[0].startswith("#"):
         params = parse_header(lines[0])
-        body = lines[1:]
-    n = params.n if params is not None else None
-    code = SeqSet.parse_lines("\n".join(body), n)
+        lines = lines[1:]
+    code = SeqSet.parse_lines("".join(lines), None if params is None else params.n)
+    if not 0 <= code.n <= MAX_LEN:
+        raise SequenceTooLongError(f"code length {code.n} out of range 0..{MAX_LEN}")
+    if params is not None:
+        vals = np.fromiter(code.values(), dtype=np.uint64, count=len(code))
+        ok = params._residues_equal(vals)
+        if params._r is not None:
+            ok &= r_mask(vals, code.n, *params._r(params.P))
+        if not ok.all():
+            word = BitSeq.from_int(int(vals[~ok].min()), code.n)
+            raise ValueError(f"codeword {word} is not in the code of its header: "
+                             f"{format_header(params)[2:]}")
     return params, code

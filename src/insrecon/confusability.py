@@ -14,9 +14,10 @@ their 2-insertion intersection is n'+3, n'+4 or n'+5 (n' = |v|+3), and the
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .balls import SeqSet, insertion_ball, intersect_balls
 from .seqs import (
@@ -206,47 +207,22 @@ class WindowClass:
     matched_form: Optional[str]
 
 
-def _rep(block: List[int], times: int) -> List[int]:
-    return block * times
-
-
-def _plus5_patterns(a: int, b: int, length: int) -> List[Tuple[str, List[int]]]:
-    """All +5 family instances of the given length (a-b relation fixed)."""
-    ab = [a, 1 - a]
-    ba = [1 - a, a]
-    out: List[Tuple[str, List[int]]] = []
-    if a == b:
-        # v = (a a~)^i a (a a~)^j    or    v = (a a~)^i (a~ a)^j a~
-        for i in range(length // 2 + 1):
-            rest = length - 2 * i
-            if rest >= 1 and (rest - 1) % 2 == 0:
-                j = (rest - 1) // 2
-                out.append(("alt-family-1", _rep(ab, i) + [a] + _rep(ab, j)))
-                out.append(("alt-family-2", _rep(ab, i) + _rep(ba, j) + [1 - a]))
-    else:
-        # v = (a a~)^i (a~ a)^j      or    v = (a a~)^i a a (a~ a)^j
-        for i in range(length // 2 + 1):
-            rest = length - 2 * i
-            if rest % 2 == 0:
-                out.append(("alt-family-3", _rep(ab, i) + _rep(ba, rest // 2)))
-                if rest >= 2:
-                    out.append(
-                        ("alt-family-4", _rep(ab, i) + [a, a] + _rep(ba, (rest - 2) // 2))
-                    )
-    return out
-
-
-# +4 rows: (row id, applies when a == b, builder(i, j, k), j lower bound).
-# Row order is the tie-break: the lowest matching row is reported.
-_PLUS4_ROWS = (
-    ("row-1", True, lambda A, B, i, j, k: _rep([A, B], i) + [B] * j + _rep([A, B], k), 2),
-    ("row-2", True, lambda A, B, i, j, k: _rep([A, B], i) + [A] * j + _rep([A, B], k), 2),
-    ("row-3", True, lambda A, B, i, j, k: _rep([A, B], i) + _rep([B, A, B], j) + _rep([B, A], k) + [B], 1),
-    ("row-4", True, lambda A, B, i, j, k: _rep([A, B], i) + [A] + _rep([A, B, A], j) + _rep([A, B], k), 1),
-    ("row-5", False, lambda A, B, i, j, k: _rep([A, B], i) + [B] * j + _rep([B, A], k), 1),
-    ("row-6", False, lambda A, B, i, j, k: _rep([A, B], i) + [A] * j + _rep([B, A], k), 3),
-    ("row-7", False, lambda A, B, i, j, k: _rep([A, B], i) + _rep([B, A, B], j) + _rep([B, A], k), 1),
-    ("row-8", False, lambda A, B, i, j, k: _rep([A, B], i) + [A] + _rep([A, B, A], j) + _rep([A, B], k) + [A], 1),
+# Window forms, in report order: (name, holds when a == b, pattern over the
+# letters A = a and B = a~ of v).  The four +5 alternating-core families
+# come first, then the eight +4 periodic rows; the first match is reported.
+_FORMS = (
+    ("alt-family-1", True, "(AB)*A(AB)*"),
+    ("alt-family-2", True, "(AB)*(BA)*B"),
+    ("alt-family-3", False, "(AB)*(BA)*"),
+    ("alt-family-4", False, "(AB)*AA(BA)*"),
+    ("row-1", True, "(AB)*BB+(AB)*"),
+    ("row-2", True, "(AB)*AA+(AB)*"),
+    ("row-3", True, "(AB)*(BAB)+(BA)*B"),
+    ("row-4", True, "(AB)*A(ABA)+(AB)*"),
+    ("row-5", False, "(AB)*B+(BA)*"),
+    ("row-6", False, "(AB)*AAA+(BA)*"),
+    ("row-7", False, "(AB)*(BAB)+(BA)*"),
+    ("row-8", False, "(AB)*A(ABA)+(AB)*A"),
 )
 
 
@@ -259,23 +235,11 @@ def classify_window(a: int, b: int, v: BitSeq) -> WindowClass:
     """
     if excluded_by_rsv(a, b, v):
         raise ValueError("degenerate window: pair would be Type-A confusable")
-    vb = list(v)
-    for name, pattern in _plus5_patterns(a, b, v.n):
-        if pattern == vb:
-            return WindowClass(SizeOffset.PLUS5, name)
-    A, B = a, 1 - a
-    for name, when_eq, build, jmin in _PLUS4_ROWS:
-        if when_eq != (a == b):
-            continue
-        for i in range(v.n // 2 + 1):
-            for j in range(jmin, v.n + 1):
-                for k in range(v.n // 2 + 1):
-                    cand = build(A, B, i, j, k)
-                    if len(cand) == v.n:
-                        if cand == vb:
-                            return WindowClass(SizeOffset.PLUS4, name)
-                    elif len(cand) > v.n:
-                        break
+    word = "".join("A" if bit == a else "B" for bit in v)
+    for name, same, pattern in _FORMS:
+        if same == (a == b) and re.fullmatch(pattern, word):
+            offset = SizeOffset.PLUS5 if name.startswith("alt") else SizeOffset.PLUS4
+            return WindowClass(offset, name)
     return WindowClass(SizeOffset.PLUS3, None)
 
 

@@ -23,7 +23,7 @@ class SequenceTooLongError(ValueError):
     """Sequence length exceeds MAX_LEN."""
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(ValueError):
     """A 2**n sweep was requested above the enumeration cap."""
 
 
@@ -205,50 +205,42 @@ def in_r(x: BitSeq, ell: int, t: int) -> bool:
     return True
 
 
-def _np_r_mask(vals: np.ndarray, n: int, ell: int, t: int) -> np.ndarray:
-    """Vectorized in_r over packed values (assumes n > t >= ell)."""
+def r_mask(vals: np.ndarray, n: int, ell: int, t: int) -> np.ndarray:
+    """Vectorized in_r over packed length-n values, with the same edge cases."""
+    if ell < 1 or t < 1 or n < 0:
+        raise ValueError("require n >= 0, ell >= 1, t >= 1")
+    if n <= t or t < ell:
+        return np.full(vals.shape, n <= t)
     dtype = vals.dtype.type
     ok = np.ones(vals.shape, dtype=bool)
     for p in range(1, ell + 1):
-        width = n - p
-        mask = dtype(_mask(width))
-        zeros = ~(vals ^ (vals >> dtype(p))) & mask
+        zeros = ~(vals ^ (vals >> dtype(p))) & dtype(_mask(n - p))
+        # a run of (t+1-p) agreeing shift-p positions marks a violating window
         run = zeros
-        one = dtype(1)
         for _ in range(t - p):
-            run = run & (run >> one)
+            run = run & (run >> dtype(1))
         ok &= run == 0
     return ok
 
 
-def _enum_values(n: int, cap: int = ENUM_CAP) -> np.ndarray:
-    if n > cap:
-        raise EnumerationCapError(f"2**{n} enumeration exceeds cap n <= {cap}")
+def _enum_values(n: int) -> np.ndarray:
+    if n < 0:
+        raise ValueError(f"length n={n} must be >= 0")
+    if n > ENUM_CAP:
+        raise EnumerationCapError(f"2**{n} enumeration exceeds cap n <= {ENUM_CAP}")
     return np.arange(1 << n, dtype=np.uint32 if n < 32 else np.uint64)
 
 
-def r_values(n: int, ell: int, t: int, cap: int = ENUM_CAP) -> np.ndarray:
+def r_values(n: int, ell: int, t: int) -> np.ndarray:
     """Sorted packed values of all members of R(n, ell, t)."""
-    if ell < 1 or t < 1 or n < 0:
-        raise ValueError("require n >= 0, ell >= 1, t >= 1")
-    if n <= t:
-        return _enum_values(n, cap)
-    if t < ell:
-        return np.empty(0, dtype=np.uint32)
-    vals = _enum_values(n, cap)
-    return vals[_np_r_mask(vals, n, ell, t)]
+    vals = _enum_values(n)
+    return vals[r_mask(vals, n, ell, t)]
 
 
-def count_r(n: int, ell: int, t: int, cap: int = ENUM_CAP) -> int:
+def count_r(n: int, ell: int, t: int) -> int:
     """|R(n, ell, t)| by full enumeration (refused above the cap)."""
-    if ell < 1 or t < 1 or n < 0:
-        raise ValueError("require n >= 0, ell >= 1, t >= 1")
-    if n <= t:
-        return 1 << n
-    if t < ell:
-        return 0
-    vals = _enum_values(n, cap)
-    return int(np.count_nonzero(_np_r_mask(vals, n, ell, t)))
+    vals = _enum_values(n)
+    return int(np.count_nonzero(r_mask(vals, n, ell, t)))
 
 
 def inversions(x: BitSeq) -> int:

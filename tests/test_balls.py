@@ -12,7 +12,6 @@ from insrecon import balls
 from insrecon.balls import (
     SeqSet,
     _insertion_table,
-    _insertion_vals,
     ball_size_formula,
     coverage_argmax,
     coverage_at_least,
@@ -239,9 +238,9 @@ def test_ball_table_rows_are_exact_balls(args):
     table = _insertion_table(vals, n, t)
     assert table.shape == (len(vals), ball_size_formula(n, t))
     for v, row in zip(vals, table):
-        got = sorted(int(z) for z in row)
+        got = sorted(format(int(z), f"0{n + t}b") if n + t else "" for z in row)
         assert len(set(got)) == len(got)
-        assert got == sorted(_insertion_vals(n, v, t))
+        assert got == sorted(brute.insertion_ball(format(v, f"0{n}b") if n else "", t))
 
 
 def brute_worst(words, t):

@@ -1,7 +1,13 @@
 """End-to-end CLI tests through main(argv)."""
 
-import pytest
+import os
+import tempfile
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from insrecon import codes
 from insrecon.balls import read_coverage
 from insrecon.cli import main
 from insrecon.codes import build_np4_code, read_code_file
@@ -227,3 +233,133 @@ def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["ball", "10", "--t", "1", "--bogus"])
     assert exc.value.code != 0
+
+
+# (family flags, the record they name); each record's coset is nonempty
+BUILD_CASES = [
+    (("all", "--n", "5"), codes.AllParams(5)),
+    (("vt", "--n", "6", "--a", "1"), codes.VTParams(6, 1)),
+    (("tworead", "--n", "8", "--P", "3", "--c", "1", "--d", "0"), codes.TwoReadParams(8, 3, 1, 0)),
+    (("np4", "--n", "10", "--P", "18", "--c", "12", "--d", "1"), codes.Np4Params(10, 18, 12, 1)),
+    (("np5", "--n", "9", "--P", "6", "--c", "3", "--d", "0"), codes.Np5Params(9, 6, 3, 0)),
+    (("twoins", "--n", "6", "--avec", "8,21,69,2,11"), codes.TwoInsertionParams(6, 8, 21, 69, 2, 11)),
+    (("fiveread", "--n", "23", "--P", "3", "--a", "12", "--avec", "56,510,6670,1,44",
+      "--bvec", "0,0,0,0,0"), codes.FiveReadParams(23, 3, 12, (56, 510, 6670, 1, 44), (0,) * 5)),
+]
+
+
+@pytest.mark.parametrize("flags,params", BUILD_CASES, ids=[c[0][0] for c in BUILD_CASES])
+def test_build_flags_write_the_build_code_file(tmp_path, capsys, flags, params):
+    path, want = tmp_path / "cli.code", tmp_path / "lib.code"
+    code, out, err = run(capsys, "build", *flags, "--out", str(path))
+    assert (code, err) == (0, "")
+    built = codes.build_code(params)
+    assert len(built) > 0 and f"size={len(built)} " in out
+    codes.write_code_file(str(want), params, built)
+    assert path.read_text() == want.read_text()
+    assert read_code_file(str(path)) == (params, built)
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("vt", "--n", "4"), "family vt requires --a"),
+        (("np4", "--n", "10", "--P", "9", "--d", "0"), "family np4 requires --c"),
+        (("twoins", "--n", "6"), "family twoins requires --avec"),
+        (("twoins", "--n", "6", "--avec", "1,2"), "twoins needs --avec with 5 residues a1,...,a5"),
+        (("fiveread", "--n", "23", "--P", "3", "--a", "0", "--avec", "0,0,0,0,0"),
+         "family fiveread requires --bvec"),
+    ],
+)
+def test_build_missing_flag_messages(tmp_path, capsys, flags, message):
+    code, out, err = run(capsys, "build", *flags, "--out", str(tmp_path / "x"))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_length_zero_code_round_trip(tmp_path, capsys):
+    path = str(tmp_path / "empty-word.code")
+    code, out, _ = run(capsys, "build", "vt", "--n", "0", "--a", "0", "--out", path,
+                       "--format", "records")
+    assert code == 0 and " size=1 " in out
+    params, loaded = read_code_file(path)
+    assert params == codes.VTParams(0, 0) and list(loaded) == [BitSeq("")]
+    code, out, _ = run(capsys, "verify", path, "--t", "2", "--N", "1", "--format", "records")
+    assert (code, out) == (0, "ok=true vacuous=true t=2 N=1\n")
+    code, out, _ = run(capsys, "simulate", path, "--t", "2", "--N", "3", "--trials", "4",
+                       "--seed", "1")
+    assert code == 0 and "unique=4 " in out and "correct=4 " in out
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # VT syndromes 4 and 3, not 0
+        ("# family=vt n=4 params=a=0\n0010\n0001\n",
+         "codeword 0001 is not in the code of its header: family=vt n=4 params=a=0"),
+        # 1111 has the right residues but a run longer than R(4, 2, 2) allows
+        ("# family=tworead n=4 params=P=1,c=0,d=0\n0110\n1111\n",
+         "codeword 1111 is not in the code of its header: family=tworead n=4 params=P=1,c=0,d=0"),
+        ("# family=vt n=70 params=a=0\n" + "0" * 70 + "\n", "code length 70 out of range 0..64"),
+        ("# family=fiveread n=40 params=P=5,a=0,avec=0|0|0|0|0,bvec=0|0|0|0|0\n" + "01" * 20 + "\n",
+         "padded length 72 exceeds MAX_LEN"),
+    ],
+)
+@pytest.mark.parametrize("command", ("verify", "simulate", "coverage"))
+def test_header_body_mismatch_is_one_error_line(tmp_path, capsys, text, message, command):
+    path = tmp_path / "bad.code"
+    path.write_text(text)
+    extra = {"verify": ("--N", "3"), "simulate": ("--N", "3", "--trials", "1", "--seed", "1"),
+             "coverage": ()}[command]
+    code, out, err = run(capsys, command, str(path), "--t", "1", *extra)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_table_above_enumeration_cap_reads_unavailable(capsys):
+    code, out, err = run(capsys, "table", "--n-range=27:27", "--format", "records")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert [r.split()[2] for r in rows] == [f"family={f}" for f in
+                                            ("all", "tworead", "np4", "vt", "twoins")]
+    assert all(r.endswith("unavailable: 2**27 enumeration exceeds cap n <= 26") for r in rows)
+
+
+def test_table_negative_length_reads_unavailable(capsys):
+    code, out, err = run(capsys, "table", "--n-range=-1:-1", "--format", "records")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 5 and "shift" not in out
+    assert sum(r.endswith("unavailable: length n=-1 must be >= 0") for r in rows) == 4
+    assert rows[2].endswith("unavailable: np4 requires n >= 4")
+
+
+headers = st.builds(
+    lambda family, n, params: f"# family={family} n={n} params={params}",
+    st.sampled_from(sorted(codes.FAMILIES) + ["bogus"]),
+    st.sampled_from(["0", "1", "3", "4", "9", "23", "-1", "70", "x"]),
+    st.lists(st.sampled_from(["a=0", "a=1", "P=1", "P=3", "P=9", "c=0", "d=1", "a1=0", "a2=0",
+                              "a3=0", "a4=0", "a5=0", "avec=0|0|0|0|0", "bvec=0|0|0|0|0",
+                              "c=x", "a=-1"]), max_size=8).map(",".join),
+)
+bodies = st.lists(st.one_of(st.text("01", max_size=10), st.sampled_from(["", " ", "2", "0 1"])),
+                  max_size=6).map(lambda lines: "".join(ln + "\n" for ln in lines))
+
+
+@given(header=st.one_of(headers, st.just("")), body=bodies,
+       command=st.sampled_from(["verify", "coverage", "simulate"]))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_code_file_fuzz_exits_zero_or_one_error_line(capsys, header, body, command):
+    fd, path = tempfile.mkstemp(suffix=".code")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(header + ("\n" if header else "") + body)
+    extra = {"verify": ("--N", "3"), "simulate": ("--N", "1", "--trials", "2", "--seed", "1"),
+             "coverage": ()}[command]
+    try:
+        code, out, err = run(capsys, command, path, "--t", "1", *extra)
+    finally:
+        os.unlink(path)
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

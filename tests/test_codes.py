@@ -1,7 +1,9 @@
 """Construction, syndrome, coset-search, and code-file tests."""
 
 import math
+import os
 import random
+import tempfile
 from itertools import combinations
 
 import numpy as np
@@ -473,6 +475,14 @@ def test_code_file_roundtrip(tmp_path, params_builder):
     assert got_code == code
 
 
+def test_all_is_one_coset_of_the_whole_space():
+    sweep = codes.coset_sweep("all", 5)
+    assert (sweep.keys.size, sweep.ambient_size) == (1, 32)
+    assert best_coset("all", 5) == (codes.AllParams(5), build_all(5))
+    assert coset_partition("all", 5) == {codes.AllParams(5): build_all(5)}
+    assert len(build_all(5)) == 32
+
+
 def test_header_parse_rejects_unknown_family():
     with pytest.raises(ValueError):
         parse_header("# family=wat n=4 params=")
@@ -484,6 +494,74 @@ def test_headerless_file(tmp_path):
     params, code = read_code_file(str(path))
     assert params is None
     assert seqs_of(code) == {"0101", "1010"}
+
+
+def scalar_member(params, x):
+    """Coset membership of x from the scalar predicates (default h_second)."""
+    family = params.family
+    if family == "all":
+        return True
+    if family == "vt":
+        return codes.vt_member(x, params.a)
+    if family == "twoins":
+        return codes.two_insertion_member(x, params.residues())
+    if family == "fiveread":
+        return codes.five_read_member(x, params.P, params.a, params.avec, params.bvec)
+    member = {"tworead": codes.two_read_member, "np4": codes.np4_member, "np5": codes.np5_member}
+    return member[family](x, params.P, params.c, params.d)
+
+
+@st.composite
+def code_files(draw):
+    """A record keyed on one word's own syndromes, and words to list under it."""
+    family = draw(st.sampled_from(sorted(codes.FAMILIES)))
+    P = draw(st.sampled_from({"tworead": (1, 3), "np4": (6, 9, 18), "np5": (3, 6, 9),
+                              "fiveread": (1, 3, 4)}.get(family, (None,))))
+    if family == "fiveread":  # m = 7P+1 < n, and the padded word fits 64 bits
+        n = draw(st.integers(7 * P + 2, 64 // (7 * P + 1) * (7 * P + 1)))
+    else:
+        n = draw(st.integers({"twoins": 2, "np4": 4}.get(family, 0), 64))
+    word = st.integers(0, (1 << n) - 1)
+    if P and draw(st.booleans()):
+        # the rotations of (001110)^k lie in R(n, 3, t) for t >= 3 and R(n, 2, t) for t >= 3
+        r = draw(st.integers(0, 5))
+        x = BitSeq(("001110" * 12)[r : r + n])
+    else:
+        x = BitSeq.from_int(draw(word), n)
+    if family == "all":
+        params = codes.AllParams(n)
+    elif family == "vt":
+        params = VTParams(n, vt_syndrome(x))
+    elif family == "twoins":
+        params = TwoInsertionParams(n, *two_insertion_syndrome(x))
+    elif family == "fiveread":
+        a, even, odd = five_read_syndrome(x, P)
+        params = FiveReadParams(n, P, a, even, odd)
+    else:
+        params = codes.FAMILIES[family](n, P, inversions(x) % (P + 1), x.weight() % 2)
+    others = draw(st.lists(word, max_size=4))
+    return params, sorted({x.val, *others})
+
+
+@given(code_files())
+@settings(max_examples=300, deadline=None)
+def test_code_file_load_check_matches_scalar_membership(case):
+    params, vals = case
+    n = params.n
+    text = format_header(params) + "\n" + "".join(format(v, f"0{n}b") + "\n" for v in vals)
+    fd, path = tempfile.mkstemp(suffix=".code")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(text if n else format_header(params) + "\n\n")
+    try:
+        bad = [v for v in vals if not scalar_member(params, BitSeq.from_int(v, n))]
+        if bad:
+            word = format(bad[0], f"0{n}b") if n else ""
+            with pytest.raises(ValueError, match=f"^codeword {word} is not in the code"):
+                read_code_file(path)
+        else:
+            assert read_code_file(path) == (params, SeqSet._from_vals(n, vals))
+    finally:
+        os.unlink(path)
 
 
 def test_header_format_example():

@@ -1,6 +1,8 @@
 """Confusability classification, windows, and the window-size decomposition."""
 
+import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -179,6 +181,27 @@ def test_classify_window_form_present_iff_plus45():
                     assert (got.matched_form is not None) == (
                         got.offset in (SizeOffset.PLUS4, SizeOffset.PLUS5)
                     )
+
+
+# sha256 of the "a b v offset form" listing below, taken from the earlier
+# generate-and-compare classifier that the pattern table replaced
+WINDOW_LISTING_SHA256 = "836d39be353397fe4e2b67544b9cb55788d7c703f7293a6719a61e2e64d9e74a"
+FORMS = [f"alt-family-{i}" for i in range(1, 5)] + [f"row-{i}" for i in range(1, 9)]
+
+
+def test_classify_window_names_are_pinned():
+    digest, seen = hashlib.sha256(), set()
+    for lv in range(0, 11):
+        for bits in range(1 << lv):
+            v = BitSeq.from_int(bits, lv)
+            for a, b in product((0, 1), repeat=2):
+                if excluded_by_rsv(a, b, v):
+                    continue
+                got = classify_window(a, b, v)
+                digest.update(f"{a} {b} {v} {int(got.offset)} {got.matched_form}\n".encode())
+                seen.add(got.matched_form)
+    assert digest.hexdigest() == WINDOW_LISTING_SHA256
+    assert seen == {None, *FORMS}
 
 
 @pytest.mark.parametrize("lv", range(0, 8))

@@ -1,5 +1,6 @@
 """Sequence primitive tests against string-based oracles."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from insrecon.seqs import (
     inversions,
     is_alternating,
     period,
+    r_mask,
+    r_values,
 )
 
 bitstrings = st.text(alphabet="01", max_size=MAX_LEN)
@@ -163,6 +166,23 @@ def test_count_r_matches_oracle(n, ell, t):
 def test_count_r_cap():
     with pytest.raises(EnumerationCapError):
         count_r(40, 2, 10)
+    assert issubclass(EnumerationCapError, ValueError)
+
+
+def test_negative_length_enumeration_is_refused_clearly():
+    for call in (lambda: count_r(-1, 2, 3), lambda: r_values(-1, 2, 3)):
+        with pytest.raises(ValueError, match=r"^length n=-1 must be >= 0$"):
+            call()
+
+
+@given(st.integers(0, 12), st.integers(1, 4), st.integers(1, 6), st.data())
+@settings(max_examples=200)
+def test_r_mask_matches_in_r(n, ell, t, data):
+    """Including the edge cases n <= t (all in) and t < ell (none in)."""
+    vals = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    got = r_mask(np.array(vals, dtype=np.uint64), n, ell, t).tolist()
+    assert got == [in_r(BitSeq.from_int(v, n), ell, t) for v in vals]
+    assert count_r(n, ell, t) == sum(in_r(BitSeq.from_int(v, n), ell, t) for v in range(1 << n))
 
 
 # ---------------------------------------------------------------------------
