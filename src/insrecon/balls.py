@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, _mask
+from .seqs import MAX_LEN, BitSeq, SequenceTooLongError
 
 
 class SeqSet:
@@ -124,19 +124,7 @@ class SeqSet:
 
 
 def _deletion_vals(n: int, val: int, t: int) -> Set[int]:
-    if t == 0:
-        return {val}
-    out: Set[int] = set()
-    for positions in combinations(range(n), t):
-        v = val
-        m = n
-        # delete from the right so earlier indices stay valid
-        for i in reversed(positions):
-            high = v >> (m - i)
-            v = (high << (m - 1 - i)) | (v & _mask(m - 1 - i))
-            m -= 1
-        out.add(v)
-    return out
+    return set(_deletion_table([val], n, t)[0].tolist())
 
 
 def insertion_ball(x: BitSeq, t: int) -> SeqSet:
@@ -256,8 +244,37 @@ def _insertion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
         base = 0
         for shift, flip, keep in terms:
             base = base | (((x << shift) ^ flip) & keep)
-        parts.append((base[:, :, None] | tails).reshape(len(x), -1))
+        parts.append((base[:, :, None] | tails).reshape(len(x), base.shape[1] * len(tails)))
     return np.concatenate(parts, axis=1)
+
+
+@lru_cache(maxsize=32)
+def _deletion_masks(n: int, t: int) -> tuple:
+    """Column recipe of the t-deletion table at length n: one mask per segment.
+
+    Column j deletes the j-th t-subset p_0 < ... < p_{t-1} of positions
+    (in itertools.combinations order), which cuts x into segments s = 0..t,
+    segment s being x[p_{s-1}+1 : p_s] (with p_{-1} = -1, p_t = n).  It keeps
+    its bits after the t - s deletions to its right, so it is masked and
+    shifted right by t - s.
+    """
+    cuts = [(-1, *p, n) for p in combinations(range(n), t)]
+    return tuple(
+        _const([(1 << (n - c[s] - 1)) - (1 << (n - c[s + 1])) for c in cuts], np.uint64)
+        for s in range(t + 1)
+    )
+
+
+def _deletion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
+    """(len(vals), C(n, t)) table: row i holds the t-deletion ball of vals[i],
+    one column per set of deleted positions, so values repeat within a row.
+    Words are at most MAX_LEN = 64 bits, so the table is uint64.
+    """
+    x = np.array(list(vals), dtype=np.uint64)[:, None]
+    out = 0
+    for s, keep in enumerate(_deletion_masks(n, t)):
+        out = out | ((x & keep) >> (t - s))
+    return out
 
 
 # Ball-table entries per block of first owners in the pair scan; bounds the

@@ -2,9 +2,8 @@
 
 A channel use inserts exactly t symbols, so a read is a uniform draw (without
 replacement) from the insertion ball of the transmitted word.  The decoder
-intersects the deletion balls of all reads and restricts to the code; whenever
-the number of distinct reads exceeds the code's read coverage the survivor is
-unique.
+returns the codewords in the deletion balls of all reads; whenever the number
+of distinct reads exceeds the code's read coverage the survivor is unique.
 """
 
 from __future__ import annotations
@@ -14,7 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .balls import SeqSet, _deletion_vals, insertion_ball
+import numpy as np
+
+from .balls import SeqSet, _deletion_vals, _insertion_table, insertion_ball
 from .seqs import BitSeq
 
 
@@ -29,11 +30,13 @@ class ReadBundle:
 
 
 def _sample_from_ball(x: BitSeq, t: int, count: int, rng: random.Random) -> ReadBundle:
-    ball = insertion_ball(x, t)
+    # random.sample picks positions from the population's length alone, so
+    # the reads depend only on the seed and the sorted ball
+    ball = insertion_ball(x, t)._ordered()
     if count > len(ball):
         raise ValueError(f"cannot draw {count} distinct reads from a ball of {len(ball)}")
-    picked = rng.sample(list(ball), count)
-    return ReadBundle(SeqSet(x.n + t, picked), x.n, t, source_hint=x)
+    picked = rng.sample(ball, count)
+    return ReadBundle(SeqSet._from_vals(x.n + t, picked), x.n, t, source_hint=x)
 
 
 def sample_reads(x: BitSeq, t: int, count: int, seed: int) -> ReadBundle:
@@ -60,16 +63,24 @@ class DecodeOutcome:
 
 
 def decode(bundle: ReadBundle, code: SeqSet, t: int) -> DecodeOutcome:
-    """Intersect the t-deletion balls of every read, restricted to the code."""
+    """The codewords whose t-deletion balls hold every read.
+
+    Candidates are the codewords in one read's deletion ball.  A candidate c
+    survives iff every read lies in I_t(c) (c in D_t(r) iff r in I_t(c)); its
+    ball-table row holds distinct values and the reads are distinct, so that
+    is iff the row holds len(reads) of them.
+    """
     if bundle.reads.n != code.n + t:
         raise ValueError(
             f"reads of length {bundle.reads.n} cannot be {code.n}-words after {t} insertions"
         )
-    survivors = set(code.values())
-    for read in bundle.reads:
-        survivors &= _deletion_vals(read.n, read.val, t)
-        if not survivors:
-            break
+    survivors = code.values()
+    reads = bundle.reads._ordered()
+    if reads:
+        found = list(_deletion_vals(bundle.reads.n, reads[0], t) & survivors)
+        rows = _insertion_table(found, code.n, t)
+        hits = np.isin(rows, np.array(reads, dtype=rows.dtype)).sum(axis=1)
+        survivors = [c for c, h in zip(found, hits.tolist()) if h == len(reads)]
     candidates = SeqSet._from_vals(code.n, survivors)
     if len(candidates) == 1:
         status = DecodeStatus.UNIQUE
@@ -117,6 +128,10 @@ class ExperimentSummary:
 
 def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> ExperimentSummary:
     """Sample-and-decode loop; trial k uses the derived seed (seed + k)."""
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
+    if reads < 0:
+        raise ValueError("reads must be >= 0")
     if len(code) == 0:
         raise ValueError("experiment needs a nonempty code")
     members = list(code)

@@ -1,6 +1,7 @@
 """Ball enumeration, formulas, intersections, and coverage tests."""
 
 import random
+from math import comb
 from unittest import mock
 
 import pytest
@@ -11,6 +12,7 @@ import brute
 from insrecon import balls
 from insrecon.balls import (
     SeqSet,
+    _deletion_table,
     _insertion_table,
     ball_size_formula,
     coverage_argmax,
@@ -241,6 +243,40 @@ def test_ball_table_rows_are_exact_balls(args):
         got = sorted(format(int(z), f"0{n + t}b") if n + t else "" for z in row)
         assert len(set(got)) == len(got)
         assert got == sorted(brute.insertion_ball(format(v, f"0{n}b") if n else "", t))
+
+
+def word_str(v, n):
+    return format(v, f"0{n}b") if n else ""
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_deletion_table_rows_are_exact_balls(n):
+    # every word of length n at every t: one column per set of deleted
+    # positions, and each row's values are exactly the deletion ball
+    for t in range(n + 1):
+        table = _deletion_table(range(1 << n), n, t)
+        assert table.shape == (1 << n, comb(n, t))
+        for s, row in zip(brute.all_seqs(n), table.tolist()):
+            assert {word_str(z, n - t) for z in row} == brute.deletion_ball(s, t)
+
+
+@st.composite
+def deletion_table_inputs(draw):
+    # up to MAX_LEN = 64 bits, the widest word a BitSeq holds
+    n = draw(st.integers(0, 64))
+    t = draw(st.integers(0, min(n, 2)))
+    vals = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    return n, t, vals
+
+
+@given(deletion_table_inputs())
+@settings(max_examples=150)
+def test_deletion_table_rows_are_exact_balls_up_to_64_bits(args):
+    n, t, vals = args
+    table = _deletion_table(vals, n, t)
+    assert table.shape == (len(vals), comb(n, t))
+    for v, row in zip(vals, table.tolist()):
+        assert {word_str(z, n - t) for z in row} == brute.deletion_ball(word_str(v, n), t)
 
 
 def brute_worst(words, t):

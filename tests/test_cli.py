@@ -1,5 +1,6 @@
 """End-to-end CLI tests through main(argv)."""
 
+import hashlib
 import os
 import tempfile
 
@@ -170,6 +171,33 @@ def test_simulate_zero_trials(tmp_path, capsys):
     assert code == 0
     assert out.startswith("trials=0 ")
     assert "unique_rate" not in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    (("--trials", "-3", "trials must be >= 0"), ("--N", "-1", "reads must be >= 0")),
+)
+def test_simulate_negative_counts_are_one_error_line(tmp_path, capsys, flag, value, message):
+    path = str(tmp_path / "vt5.code")
+    run(capsys, "build", "vt", "--n", "5", "--a", "0", "--out", path)
+    counts = {"--N": "1", "--trials": "2", flag: value}
+    argv = [x for item in counts.items() for x in item]
+    code, out, err = run(capsys, "simulate", path, "--t", "1", *argv, "--seed", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_simulate_seeded_records_are_pinned(tmp_path, capsys):
+    # sha256 of the stdout taken when reads were drawn from BitSeq lists and
+    # decoded by intersecting every read's deletion ball
+    path = str(tmp_path / "vt10.code")
+    run(capsys, "build", "vt", "--n", "10", "--a", "0", "--out", path)
+    code, out, _ = run(capsys, "simulate", path, "--t", "2", "--N", "2", "--trials", "300",
+                       "--seed", "5", "--format", "records")
+    assert code == 0
+    assert " ambiguous=20 " in out.splitlines()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "934c0e8bd44eb9cfdfbde51c649f01e5cc5c35c4ccbd82e83272349c58f45778"
+    )
 
 
 def test_table_five_regimes(capsys):

@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import brute
 from insrecon.balls import SeqSet, insertion_ball, read_coverage, coverage_argmax, intersect_balls
 from insrecon.codes import best_coset, build_all, build_vt
 from insrecon.recon import (
     DecodeStatus,
+    ReadBundle,
     decode,
     run_experiment,
     sample_reads,
@@ -39,6 +43,15 @@ def test_sample_determinism_and_bounds():
         sample_reads(x, 1, 100, seed=0)
 
 
+def test_sample_reads_seeded_draw_is_pinned():
+    # the reads a seed draws, taken when reads were drawn from BitSeq lists
+    bundle = sample_reads(BitSeq("1100101001"), 2, 6, seed=3)
+    assert [str(r) for r in bundle.reads] == [
+        "101001010010", "110001101001", "110010101101",
+        "110100101001", "111000101001", "111001011001",
+    ]
+
+
 def test_decode_whole_ball_is_unique():
     code = build_vt(6, 0)
     x = next(iter(code))
@@ -68,6 +81,52 @@ def test_decode_soundness_random():
         assert x in outcome.candidates
 
 
+@st.composite
+def decode_cases(draw):
+    """(n, t, VT residue or None for the whole space, reads) with reads drawn
+    from no word, one codeword, two codewords (their shared reads, or any of
+    theirs) or a non-codeword."""
+    n = draw(st.integers(1, 10))
+    t = draw(st.sampled_from((1, 2, 3)))
+    a = draw(st.one_of(st.none(), st.integers(0, n)))
+    words = brute.all_seqs(n)
+    code = [w for w in words if a is None or brute.vt_syndrome(w) == a]
+    x = draw(st.sampled_from(code))
+    y = draw(st.sampled_from([w for w in code if w != x] or [x]))  # VT codes at n = 1 have one word
+    kind = draw(st.sampled_from(("none", "one", "shared", "mixed", "outside")))
+    if kind == "none":
+        return n, t, a, []
+    if kind == "one":
+        pool = brute.insertion_ball(x, t)
+    elif kind == "shared":
+        pool = brute.insertion_ball(x, t) & brute.insertion_ball(y, t)
+    elif kind == "mixed":
+        pool = brute.insertion_ball(x, t) | brute.insertion_ball(y, t)
+    else:
+        outside = [w for w in words if w not in code] or [x]
+        pool = brute.insertion_ball(draw(st.sampled_from(outside)), t)
+    reads = draw(st.lists(st.sampled_from(sorted(pool)), max_size=8, unique=True)) if pool else []
+    return n, t, a, reads
+
+
+@given(decode_cases())
+@settings(max_examples=150, deadline=None)
+@example((5, 1, None, []))  # zero reads: the whole code survives
+@example((6, 2, 1, ["00000000"]))  # 000000 is not in VT_1(6): no candidate
+@example((4, 2, None, ["011010", "100101"]))  # four words hold both reads: ambiguous
+def test_decode_matches_deletion_ball_intersection(case):
+    n, t, a, reads = case
+    code = build_all(n) if a is None else build_vt(n, a)
+    bundle = ReadBundle(SeqSet(n + t, [BitSeq(r) for r in reads]), n, t)
+    want = {str(c) for c in code}
+    for r in reads:
+        want &= brute.deletion_ball(r, t)
+    outcome = decode(bundle, code, t)
+    assert {str(c) for c in outcome.candidates} == want
+    status = {0: DecodeStatus.NO_CANDIDATE, 1: DecodeStatus.UNIQUE}
+    assert outcome.status is status.get(len(want), DecodeStatus.AMBIGUOUS)
+
+
 def test_decode_length_mismatch():
     code = build_vt(6, 0)
     x = next(iter(code))
@@ -84,8 +143,6 @@ def test_adversarial_bundle_is_ambiguous():
     worst = intersect_balls(x, y, t)
     assert len(worst) == value == read_coverage(code, t)
     bundle_reads = SeqSet(5 + t, list(worst))
-    from insrecon.recon import ReadBundle
-
     outcome = decode(ReadBundle(bundle_reads, 5, t), code, t)
     assert outcome.status is DecodeStatus.AMBIGUOUS
     assert x in outcome.candidates and y in outcome.candidates
