@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .seqs import MAX_LEN, BitSeq, SequenceTooLongError
+from .seqs import ENUM_CAP, MAX_LEN, BitSeq, EnumerationCapError, SequenceTooLongError
 
 
 class SeqSet:
@@ -51,6 +51,12 @@ class SeqSet:
         if self._sorted is None:
             object.__setattr__(self, "_sorted", tuple(sorted(self._vals)))
         return self._sorted
+
+    def _array(self) -> np.ndarray:
+        """Member values as a sorted uint64 array (n <= MAX_LEN)."""
+        vals = np.fromiter(self._vals, dtype=np.uint64, count=len(self._vals))
+        vals.sort()
+        return vals
 
     def __len__(self) -> int:
         return len(self._vals)
@@ -96,8 +102,7 @@ class SeqSet:
         """One sequence per line, lexicographically sorted, trailing newline;
         written into a (size, n+1) byte matrix one bit column at a time."""
         n = self.n
-        vals = np.fromiter(self._vals, dtype=np.uint64, count=len(self._vals))
-        vals.sort()
+        vals = self._array()
         chars = np.full((vals.size, n + 1), ord("\n"), dtype=np.uint8)
         for j in range(n):
             chars[:, j] = (vals >> (n - 1 - j)) & 1
@@ -106,33 +111,53 @@ class SeqSet:
 
     @classmethod
     def parse_lines(cls, text: str, n: Optional[int] = None) -> "SeqSet":
-        """One sequence per line; blank lines are skipped, except at n = 0,
-        where each line is the empty word."""
-        lines = [ln.strip() for ln in text.splitlines()]
+        """One sequence per line, stripped; blank lines are skipped, except at
+        n = 0, where each line is the empty word.  The mirror of to_lines: the
+        lines, each ended by a newline, are read as one (rows, n+1) byte
+        matrix and the values are built from its bit columns."""
+        lines = list(map(str.strip, text.splitlines()))
         if n != 0:
-            lines = [ln for ln in lines if ln]
-        if n is None:
-            if not lines:
+            lines = list(filter(None, lines))
+        if not lines:
+            if n is None:
                 raise ValueError("cannot infer length from empty input")
+            return cls._from_vals(n, ())
+        if n is None:
             n = len(lines[0])
-        vals = set()
-        for ln in lines:
-            if len(ln) != n or set(ln) - {"0", "1"}:
-                raise ValueError(f"bad sequence line: {ln!r}")
-            vals.add(int(ln, 2) if ln else 0)
-        return cls._from_vals(n, vals)
+        chars = np.frombuffer("\n".join([*lines, ""]).encode("ascii", "replace"), dtype=np.uint8)
+        rows = len(lines)
+        ok = chars.size == rows * (n + 1)
+        if ok:
+            # each line ends in a newline, so with the size right all of them
+            # sit in the last column iff no bit column holds one
+            bits = chars.reshape(rows, n + 1)[:, :n] - ord("0")
+            ok = (bits <= 1).all()
+        if not ok:
+            bad = next(ln for ln in lines if len(ln) != n or set(ln) - {"0", "1"})
+            raise ValueError(f"bad sequence line: {bad!r}")
+        dt = _word_dtype(n)
+        vals = np.zeros(rows, dtype=dt)
+        for j in range(n):
+            vals |= bits[:, j].astype(dt) << (n - 1 - j)
+        return cls._from_vals(n, vals.tolist())
 
 
 def _deletion_vals(n: int, val: int, t: int) -> Set[int]:
     return set(_deletion_table([val], n, t)[0].tolist())
 
 
-def insertion_ball(x: BitSeq, t: int) -> SeqSet:
-    """All supersequences of x of length n+t."""
+def _check_ball(n: int, t: int) -> int:
+    """|I_t| at length n, for t >= 0 and supersequences within MAX_LEN."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if x.n + t > MAX_LEN:
-        raise SequenceTooLongError(f"ball length {x.n + t} exceeds MAX_LEN")
+    if n + t > MAX_LEN:
+        raise SequenceTooLongError(f"ball length {n + t} exceeds MAX_LEN")
+    return ball_size_formula(n, t)
+
+
+def insertion_ball(x: BitSeq, t: int) -> SeqSet:
+    """All supersequences of x of length n+t."""
+    _check_ball(x.n, t)
     return SeqSet._from_vals(x.n + t, _insertion_table([x.val], x.n, t)[0].tolist())
 
 
@@ -202,7 +227,15 @@ def _gap_patterns(n: int, t: int) -> tuple:
     x shifted left by t-s puts segment s in place, and also the source bit
     x[g_s] of insert s, which `flip` complements; `keep` masks both.  The
     values of the free trailing bits come last.
+
+    A negative t, or a ball above 2**ENUM_CAP words, is refused before
+    anything is allocated.
     """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    size = ball_size_formula(n, t)
+    if size > 1 << ENUM_CAP:
+        raise EnumerationCapError(f"insertion ball of {size} words exceeds cap 2**{ENUM_CAP}")
     dt = _word_dtype(n + t)
     out = []
     for k in range(t + 1):
@@ -238,7 +271,7 @@ def _insertion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
 
     Values are uint64 while n + t <= 64 and Python ints (dtype=object) above.
     """
-    x = np.array(list(vals), dtype=_word_dtype(n + t))[:, None]
+    x = np.asarray(vals, dtype=_word_dtype(n + t))[:, None]
     parts = []
     for terms, tails in _gap_patterns(n, t):
         base = 0
@@ -256,8 +289,10 @@ def _deletion_masks(n: int, t: int) -> tuple:
     (in itertools.combinations order), which cuts x into segments s = 0..t,
     segment s being x[p_{s-1}+1 : p_s] (with p_{-1} = -1, p_t = n).  It keeps
     its bits after the t - s deletions to its right, so it is masked and
-    shifted right by t - s.
+    shifted right by t - s.  A table above 2**ENUM_CAP columns is refused.
     """
+    if comb(n, t) > 1 << ENUM_CAP:
+        raise EnumerationCapError(f"deletion table of {comb(n, t)} columns exceeds cap 2**{ENUM_CAP}")
     cuts = [(-1, *p, n) for p in combinations(range(n), t)]
     return tuple(
         _const([(1 << (n - c[s] - 1)) - (1 << (n - c[s + 1])) for c in cuts], np.uint64)
@@ -270,7 +305,7 @@ def _deletion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
     one column per set of deleted positions, so values repeat within a row.
     Words are at most MAX_LEN = 64 bits, so the table is uint64.
     """
-    x = np.array(list(vals), dtype=np.uint64)[:, None]
+    x = np.asarray(vals, dtype=np.uint64)[:, None]
     out = 0
     for s, keep in enumerate(_deletion_masks(n, t)):
         out = out | ((x & keep) >> (t - s))

@@ -15,8 +15,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .balls import SeqSet, _deletion_vals, _insertion_table, insertion_ball
+from .balls import SeqSet, _check_ball, _deletion_table, _insertion_table, ball_size_formula
 from .seqs import BitSeq
+
+# Ball-table entries held at once: trials are drawn and decoded, and their
+# candidates checked, _CHUNK // |I_t| rows at a time, so peak memory grows
+# with neither the number of trials nor the number of candidates.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -29,25 +34,71 @@ class ReadBundle:
     source_hint: Optional[BitSeq] = None
 
 
-def _sample_from_ball(x: BitSeq, t: int, count: int, rng: random.Random) -> ReadBundle:
-    # random.sample picks positions from the population's length alone, so
-    # the reads depend only on the seed and the sorted ball
-    ball = insertion_ball(x, t)._ordered()
-    if count > len(ball):
-        raise ValueError(f"cannot draw {count} distinct reads from a ball of {len(ball)}")
-    picked = rng.sample(ball, count)
-    return ReadBundle(SeqSet._from_vals(x.n + t, picked), x.n, t, source_hint=x)
+def _pick(rng: random.Random, size: int, count: int) -> List[int]:
+    """Positions of `count` distinct reads in a sorted ball of `size` words.
+
+    random.sample chooses from the population's length alone, so these are
+    the positions rng.sample(ball, count) would take.
+    """
+    if count > size:
+        raise ValueError(f"cannot draw {count} distinct reads from a ball of {size}")
+    return rng.sample(range(size), count)
+
+
+def _read_rows(truths: np.ndarray, n: int, t: int, picks: np.ndarray) -> np.ndarray:
+    """Row i: the reads at positions picks[i] of the sorted t-insertion ball of truths[i]."""
+    table = _insertion_table(truths, n, t)
+    table.sort(axis=1)
+    return np.take_along_axis(table, picks, axis=1)
 
 
 def sample_reads(x: BitSeq, t: int, count: int, seed: int) -> ReadBundle:
     """Draw `count` distinct elements of I_t(x), deterministically per seed."""
-    return _sample_from_ball(x, t, count, random.Random(seed))
+    picks = _pick(random.Random(seed), _check_ball(x.n, t), count)
+    reads = _read_rows(np.array([x.val], dtype=np.uint64), x.n, t, np.array([picks], dtype=np.intp))
+    return ReadBundle(SeqSet._from_vals(x.n + t, reads[0].tolist()), x.n, t, source_hint=x)
+
+
+def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(row, codeword) pairs, rows ascending: the codewords whose t-deletion
+    balls hold every read of their row.
+
+    `reads` is a (rows, N >= 1) uint64 array of distinct reads per row and
+    `code` the sorted uint64 codewords, at least one.  A row's candidates
+    are the distinct codewords in the deletion ball of its smallest read,
+    found by searchsorted.  A candidate c survives iff every read lies in
+    I_t(c) (c in D_t(r) iff r in I_t(c)); its ball-table row holds distinct
+    values and the reads are distinct, so that is iff the row and the reads
+    share N values, counted as adjacent equal values of their sorted
+    concatenation.
+    """
+    dels = _deletion_table(reads.min(axis=1), n + t, t)
+    dels.sort(axis=1)
+    first = np.ones(dels.shape, dtype=bool)
+    first[:, 1:] = dels[:, 1:] != dels[:, :-1]
+    at = np.minimum(np.searchsorted(code, dels), len(code) - 1)
+    row, col = np.nonzero(first & (code[at] == dels))
+    cands = dels[row, col]
+    keep = np.zeros(len(cands), dtype=bool)
+    step = max(1, _CHUNK // ball_size_formula(n, t))
+    for lo in range(0, len(cands), step):
+        part = slice(lo, lo + step)
+        both = np.concatenate([_insertion_table(cands[part], n, t), reads[row[part]]], axis=1)
+        both.sort(axis=1)
+        keep[part] = (both[:, 1:] == both[:, :-1]).sum(axis=1) == reads.shape[1]
+    return row[keep], cands[keep]
 
 
 class DecodeStatus(Enum):
     UNIQUE = "unique"
     AMBIGUOUS = "ambiguous"
     NO_CANDIDATE = "no-candidate"
+
+
+def _status(count: int) -> DecodeStatus:
+    if count == 1:
+        return DecodeStatus.UNIQUE
+    return DecodeStatus.NO_CANDIDATE if count == 0 else DecodeStatus.AMBIGUOUS
 
 
 @dataclass(frozen=True)
@@ -63,32 +114,18 @@ class DecodeOutcome:
 
 
 def decode(bundle: ReadBundle, code: SeqSet, t: int) -> DecodeOutcome:
-    """The codewords whose t-deletion balls hold every read.
-
-    Candidates are the codewords in one read's deletion ball.  A candidate c
-    survives iff every read lies in I_t(c) (c in D_t(r) iff r in I_t(c)); its
-    ball-table row holds distinct values and the reads are distinct, so that
-    is iff the row holds len(reads) of them.
-    """
+    """The codewords whose t-deletion balls hold every read (the whole code
+    when there are no reads): the one-row case of the trial decoder."""
     if bundle.reads.n != code.n + t:
         raise ValueError(
             f"reads of length {bundle.reads.n} cannot be {code.n}-words after {t} insertions"
         )
-    survivors = code.values()
-    reads = bundle.reads._ordered()
-    if reads:
-        found = list(_deletion_vals(bundle.reads.n, reads[0], t) & survivors)
-        rows = _insertion_table(found, code.n, t)
-        hits = np.isin(rows, np.array(reads, dtype=rows.dtype)).sum(axis=1)
-        survivors = [c for c, h in zip(found, hits.tolist()) if h == len(reads)]
-    candidates = SeqSet._from_vals(code.n, survivors)
-    if len(candidates) == 1:
-        status = DecodeStatus.UNIQUE
-    elif len(candidates) == 0:
-        status = DecodeStatus.NO_CANDIDATE
-    else:
-        status = DecodeStatus.AMBIGUOUS
-    return DecodeOutcome(status, candidates)
+    candidates = code
+    if len(bundle.reads) and len(code):
+        reads = np.array([bundle.reads._ordered()], dtype=np.uint64)
+        _, vals = _decode_rows(reads, code._array(), code.n, t)
+        candidates = SeqSet._from_vals(code.n, vals.tolist())
+    return DecodeOutcome(_status(len(candidates)), candidates)
 
 
 @dataclass(frozen=True)
@@ -127,39 +164,48 @@ class ExperimentSummary:
 
 
 def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> ExperimentSummary:
-    """Sample-and-decode loop; trial k uses the derived seed (seed + k)."""
+    """Sample-and-decode experiment; trial k uses the derived seed (seed + k).
+
+    With rng = Random(seed + k), trial k draws its truth as the
+    rng.randrange(|C|)-th codeword and its reads at positions
+    rng.sample(range(|I_t|), reads) of the truth's sorted insertion ball.
+    Only these draws are made per trial; each chunk of trials is then read
+    and decoded as arrays.  With no reads every codeword survives.
+    """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if reads < 0:
         raise ValueError("reads must be >= 0")
     if len(code) == 0:
         raise ValueError("experiment needs a nonempty code")
-    members = list(code)
+    members = code._array()
     rows: List[TrialRecord] = []
-    unique = ambiguous = nocand = correct = 0
-    for k in range(trials):
-        rng = random.Random(seed + k)
-        truth = members[rng.randrange(len(members))]
-        bundle = _sample_from_ball(truth, t, reads, rng)
-        outcome = decode(bundle, code, t)
-        ok = outcome.status is DecodeStatus.UNIQUE and outcome.word == truth
-        if outcome.status is DecodeStatus.UNIQUE:
-            unique += 1
-        elif outcome.status is DecodeStatus.AMBIGUOUS:
-            ambiguous += 1
+    size = _check_ball(code.n, t) if trials else 1
+    step = max(1, _CHUNK // size)
+    for lo in range(0, trials, step):
+        rngs = [random.Random(seed + k) for k in range(lo, min(trials, lo + step))]
+        truths = members[[rng.randrange(len(members)) for rng in rngs]]
+        picks = np.array([_pick(rng, size, reads) for rng in rngs], dtype=np.intp)
+        read_rows = _read_rows(truths, code.n, t, picks)
+        if reads:
+            row, vals = _decode_rows(read_rows, members, code.n, t)
+            counts = np.bincount(row, minlength=len(rngs))
+            found = np.bincount(row[vals == truths[row]], minlength=len(rngs)) > 0
         else:
-            nocand += 1
-        if ok:
-            correct += 1
-        rows.append(TrialRecord(k, outcome.status, len(outcome.candidates), ok))
+            counts = np.full(len(rngs), len(members))
+            found = counts == 1
+        ok = (found & (counts == 1)).tolist()
+        for k, count in enumerate(counts.tolist()):
+            rows.append(TrialRecord(lo + k, _status(count), count, ok[k]))
+    status = [r.status for r in rows]
     return ExperimentSummary(
         n=code.n,
         t=t,
         reads=reads,
         trials=trials,
-        unique=unique,
-        ambiguous=ambiguous,
-        no_candidate=nocand,
-        correct=correct,
+        unique=status.count(DecodeStatus.UNIQUE),
+        ambiguous=status.count(DecodeStatus.AMBIGUOUS),
+        no_candidate=status.count(DecodeStatus.NO_CANDIDATE),
+        correct=sum(r.correct for r in rows),
         rows=tuple(rows),
     )

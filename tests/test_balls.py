@@ -5,7 +5,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -58,6 +58,47 @@ def test_seqset_serialization_roundtrip():
     assert SeqSet.parse_lines(text, 4) == s
     with pytest.raises(ValueError):
         SeqSet.parse_lines("10\n110\n")
+
+
+def _parse_per_line(text, n):
+    """The per-line reading parse_lines must agree with: (n, values) or the error text."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    if n != 0:
+        lines = [ln for ln in lines if ln]
+    if n is None:
+        if not lines:
+            return "cannot infer length from empty input"
+        n = len(lines[0])
+    vals = set()
+    for ln in lines:
+        if len(ln) != n or set(ln) - {"0", "1"}:
+            return f"bad sequence line: {ln!r}"
+        vals.add(int(ln, 2) if ln else 0)
+    return n, vals
+
+
+_line_chars = st.sampled_from(["0", "1", "0", "1", " ", "\t", "2", "\xa0", "\x1f"])
+_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])
+
+
+@given(
+    lines=st.lists(st.text(_line_chars, max_size=7), max_size=8),
+    breaks=st.lists(_breaks, min_size=8, max_size=8),
+    n=st.one_of(st.none(), st.integers(-1, 7)),
+)
+@example(lines=["1" * 64, "0" * 63 + "1"], breaks=["\n"] * 8, n=None)  # the top bit of uint64
+@example(lines=["1" * 65, "0" * 65], breaks=["\n"] * 8, n=65)  # wider than a machine word
+@example(lines=["", " ", ""], breaks=["\n"] * 8, n=0)  # each line the empty word
+@example(lines=["01", "1 0", "2"], breaks=["\n"] * 8, n=2)  # the first bad line is named
+def test_parse_lines_matches_per_line_reading(lines, breaks, n):
+    text = "".join(ln + br for ln, br in zip(lines, breaks))
+    want = _parse_per_line(text, n)
+    try:
+        got = SeqSet.parse_lines(text, n)
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert (got.n, set(got.values())) == want
 
 
 def test_seqset_set_ops():

@@ -200,6 +200,54 @@ def test_simulate_seeded_records_are_pinned(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "build, t, reads, trials, seed, head, digest",
+    [
+        # read-heavy: N = n + 5 reads of a 190-word np5 code
+        (("np5", "--n", "12", "--best", "--P", "9"), "2", "17", "200", "3", " unique=200 ",
+         "e50302e79e5291abae6ee0d158ddeb77f2041815d80ed67472e1be358a34a1b6"),
+        # one insertion, two reads of the whole space: a third of the trials are ambiguous
+        (("all", "--n", "7"), "1", "2", "300", "4", " ambiguous=101 ",
+         "5f969b4d758733ef1c553b98329ef31e803a7c2392a79233a3443f0d6701adb5"),
+    ],
+)
+def test_simulate_read_heavy_and_one_insertion_records_are_pinned(
+    tmp_path, capsys, build, t, reads, trials, seed, head, digest
+):
+    # sha256 of the stdout taken when each trial was drawn and decoded on its own
+    path = str(tmp_path / "pinned.code")
+    run(capsys, "build", *build, "--out", path)
+    code, out, _ = run(capsys, "simulate", path, "--t", t, "--N", reads, "--trials", trials,
+                       "--seed", seed, "--format", "records")
+    assert code == 0
+    assert head in out.splitlines()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ball", "0", "--t", "40"), "insertion ball of 2199023255551 words exceeds cap 2**26"),
+        (("ball", "0", "--t", "-2"), "t must be >= 0"),
+        (("coverage", "{code}", "--t", "60"),
+         "insertion ball of 73786976294828500844 words exceeds cap 2**26"),
+        (("coverage", "{code}", "--t", "-2"), "t must be >= 0"),
+        (("verify", "{code}", "--t", "60", "--N", "5"),
+         "insertion ball of 73786976294828500844 words exceeds cap 2**26"),
+        (("simulate", "{code}", "--t", "50", "--N", "2", "--trials", "3", "--seed", "1"),
+         "insertion ball of 72057594033711513 words exceeds cap 2**26"),
+        (("simulate", "{code}", "--t", "-1", "--N", "2", "--trials", "3", "--seed", "1"),
+         "t must be >= 0"),
+    ],
+)
+def test_oversized_or_negative_t_is_one_error_line(tmp_path, capsys, argv, message):
+    # refused from the closed-form ball size, before any table is allocated
+    path = str(tmp_path / "vt6.code")
+    run(capsys, "build", "vt", "--n", "6", "--a", "0", "--out", path)
+    code, out, err = run(capsys, *(arg.format(code=path) for arg in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_table_five_regimes(capsys):
     code, out, _ = run(capsys, "table", "--n-range", "10:10", "--format", "records")
     assert code == 0

@@ -1,13 +1,23 @@
 """Channel sampling and decoder tests."""
 
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from insrecon.balls import SeqSet, insertion_ball, read_coverage, coverage_argmax, intersect_balls
+from insrecon import recon
+from insrecon.balls import (
+    SeqSet,
+    ball_size_formula,
+    coverage_argmax,
+    insertion_ball,
+    intersect_balls,
+    read_coverage,
+)
 from insrecon.codes import best_coset, build_all, build_vt
 from insrecon.recon import (
     DecodeStatus,
@@ -195,3 +205,84 @@ def test_run_experiment_empty():
 def test_run_experiment_needs_code():
     with pytest.raises(ValueError):
         run_experiment(SeqSet(4, []), 1, 1, trials=1, seed=0)
+
+
+def _documented_trials(members, t, reads, trials, seed):
+    """(truth, reads, candidates) per trial, rebuilt from the documented draw
+    over strings: truth = members[rng.randrange(|C|)], reads = the sorted
+    insertion ball at rng.sample(range(B), N), and the candidates as the
+    codewords in every read's deletion ball."""
+    size = ball_size_formula(len(members[0]), t)
+    out = []
+    for k in range(trials):
+        rng = random.Random(seed + k)
+        truth = members[rng.randrange(len(members))]
+        ball = sorted(brute.insertion_ball(truth, t))
+        got = sorted(ball[i] for i in rng.sample(range(size), reads))
+        want = set(members)
+        for r in got:
+            want &= brute.deletion_ball(r, t)
+        out.append((truth, got, want))
+    return out
+
+
+def _check_against_oracle(members, t, reads, trials, seed, entries):
+    n = len(members[0])
+    code = SeqSet(n, [BitSeq(m) for m in members])
+    with mock.patch.object(recon, "_CHUNK", entries):
+        summary = run_experiment(code, t, reads, trials, seed)
+    oracle = _documented_trials(members, t, reads, trials, seed)
+    assert len(summary.rows) == trials
+    for k, (row, (truth, got, want)) in enumerate(zip(summary.rows, oracle)):
+        assert row.trial == k
+        assert row.n_candidates == len(want)
+        assert row.status is {0: DecodeStatus.NO_CANDIDATE, 1: DecodeStatus.UNIQUE}.get(
+            len(want), DecodeStatus.AMBIGUOUS)
+        assert row.correct == (want == {truth})
+        bundle = ReadBundle(SeqSet(n + t, [BitSeq(r) for r in got]), n, t)
+        assert {str(c) for c in decode(bundle, code, t).candidates} == want
+    if reads:
+        # all trials' candidate sets from one call of the batched decoder
+        table = np.array([[BitSeq(r).val for r in got] for _, got, _ in oracle],
+                         dtype=np.uint64).reshape(trials, reads)
+        members_u64 = np.array([BitSeq(m).val for m in members], dtype=np.uint64)
+        row, vals = recon._decode_rows(table, members_u64, n, t)
+        assert vals.dtype == np.uint64
+        for k, (_, _, want) in enumerate(oracle):
+            got = {str(BitSeq.from_int(int(v), n)) for v in vals[row == k]}
+            assert got == want
+    return summary
+
+
+@st.composite
+def experiment_cases(draw):
+    """(sorted code, t, reads, trials, seed, chunk entries): any nonempty
+    code of length <= 6, N from 0 to the whole ball, and chunks of one to
+    several trials."""
+    t = draw(st.sampled_from((0, 1, 2, 3)))
+    n = draw(st.integers(0, 6 if t < 3 else 5))
+    words = brute.all_seqs(n)
+    code = sorted(draw(st.lists(st.sampled_from(words), min_size=1, max_size=12, unique=True)))
+    size = ball_size_formula(n, t)
+    reads = draw(st.one_of(st.just(0), st.just(size), st.integers(0, min(size, 6))))
+    entries = draw(st.sampled_from((1, 3, 2 * size, 3 * size + 1, recon._CHUNK)))
+    return code, t, reads, draw(st.integers(0, 7)), draw(st.integers(0, 2**32)), entries
+
+
+@given(experiment_cases())
+@settings(max_examples=120, deadline=None)
+@example((["0110"], 2, 0, 3, 5, 1))  # one word, no reads
+@example((["0110"], 2, 15, 4, 5, 3))  # one word, the whole ball
+@example((["000", "001", "010", "100"], 1, 1, 7, 9, 3))  # chunks of one trial
+def test_batched_experiment_matches_documented_draw(case):
+    _check_against_oracle(*case)
+
+
+@pytest.mark.parametrize("reads", (1, 2, 5))
+def test_batched_experiment_on_62_bit_words(reads):
+    # n + t = 64: reads reach 2**64 - 1, which a float64 cannot hold exactly;
+    # words one substitution from 1^62 make single reads ambiguous
+    members = sorted(["1" * 62, "0" + "1" * 61, "10" + "1" * 60, "110" + "1" * 59,
+                      "1" * 61 + "0", "1" * 60 + "01"])
+    summary = _check_against_oracle(members, 2, reads, 30, 3, recon._CHUNK)
+    assert summary.ambiguous > 0 if reads == 1 else summary.unique == 30
