@@ -20,7 +20,7 @@ from .seqs import ENUM_CAP, MAX_LEN, BitSeq, EnumerationCapError, SequenceTooLon
 class SeqSet:
     """A deduplicated set of equal-length sequences with sorted iteration."""
 
-    __slots__ = ("n", "_vals", "_sorted")
+    __slots__ = ("n", "_vals", "_sorted", "_arr")
 
     def __init__(self, n: int, seqs: Iterable[BitSeq] = ()) -> None:
         vals = set()
@@ -31,6 +31,7 @@ class SeqSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_vals", frozenset(vals))
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_arr", None)
 
     @classmethod
     def _from_vals(cls, n: int, vals: Iterable[int]) -> "SeqSet":
@@ -38,6 +39,7 @@ class SeqSet:
         object.__setattr__(obj, "n", n)
         object.__setattr__(obj, "_vals", frozenset(vals))
         object.__setattr__(obj, "_sorted", None)
+        object.__setattr__(obj, "_arr", None)
         return obj
 
     def __setattr__(self, name, value):
@@ -53,10 +55,13 @@ class SeqSet:
         return self._sorted
 
     def _array(self) -> np.ndarray:
-        """Member values as a sorted uint64 array (n <= MAX_LEN)."""
-        vals = np.fromiter(self._vals, dtype=np.uint64, count=len(self._vals))
-        vals.sort()
-        return vals
+        """Member values as a sorted read-only uint64 array (n <= MAX_LEN)."""
+        if self._arr is None:
+            vals = np.fromiter(self._vals, dtype=np.uint64, count=len(self._vals))
+            vals.sort()
+            vals.flags.writeable = False
+            object.__setattr__(self, "_arr", vals)
+        return self._arr
 
     def __len__(self) -> int:
         return len(self._vals)

@@ -122,8 +122,7 @@ def decode(bundle: ReadBundle, code: SeqSet, t: int) -> DecodeOutcome:
         )
     candidates = code
     if len(bundle.reads) and len(code):
-        reads = np.array([bundle.reads._ordered()], dtype=np.uint64)
-        _, vals = _decode_rows(reads, code._array(), code.n, t)
+        _, vals = _decode_rows(bundle.reads._array()[None], code._array(), code.n, t)
         candidates = SeqSet._from_vals(code.n, vals.tolist())
     return DecodeOutcome(_status(len(candidates)), candidates)
 

@@ -26,7 +26,7 @@ from insrecon.balls import (
     read_coverage,
     t_insertion_bound,
 )
-from insrecon.seqs import BitSeq, SequenceTooLongError, insertion_distance
+from insrecon.seqs import BitSeq, EnumerationCapError, SequenceTooLongError, insertion_distance
 
 
 def as_strs(seqset):
@@ -318,6 +318,16 @@ def test_deletion_table_rows_are_exact_balls_up_to_64_bits(args):
     assert table.shape == (len(vals), comb(n, t))
     for v, row in zip(vals, table.tolist()):
         assert {word_str(z, n - t) for z in row} == brute.deletion_ball(word_str(v, n), t)
+
+
+def test_oversized_ball_tables_are_refused_before_allocating():
+    # C(60, 30) > 2**26 deletion columns; I_40 of a 10-bit word > 2**26 words
+    with pytest.raises(EnumerationCapError, match="deletion table of 118264581564861424 columns"):
+        deletion_ball(BitSeq("01" * 30), 30)
+    with pytest.raises(EnumerationCapError, match="insertion ball of .* words exceeds cap 2\\*\\*26"):
+        insertion_ball(BitSeq("0110100110"), 40)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        _insertion_table([0], 4, -1)
 
 
 def brute_worst(words, t):
