@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from . import seqs
 from .balls import SeqSet, coverage_at_least, coverage_less_than
 from .confusability import ConfusabilityVerdict, classify_pair
-from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, indicator, in_r, inversions, r_mask, r_values
+from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, indicator, in_r, inversions, r_mask
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +170,21 @@ class _Params:
     A family declares its ambient set as ``_r(P) -> (ell, t)``, meaning
     R(n, ell, t), or as the whole space by having no ``_r``; and a kernel,
     ``_kernel(vals, n, P, h_second)``, giving the arrays of the
-    ``residues()`` of packed words, with their moduli.
+    ``residues()`` of packed words, with their moduli.  A family whose
+    residues depend only on the weight w and the position sum S of a word
+    declares them as ``_ws(w, S, n, P)`` instead, and its kernel is that of
+    ``_weight_and_sum(vals)``.
     """
 
     _h_second = ""
     _r = None
+    _ws = None
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, *r))
+    _kernel = classmethod(lambda cls, vals, n, P, h: cls._ws(*_weight_and_sum(vals, n), n, P))
 
     @classmethod
-    def _ambient(cls, n: int, P: Optional[int]) -> np.ndarray:
-        return _space(n) if cls._r is None else r_values(n, *cls._r(P))
+    def _check(cls, n: int, P: Optional[int]) -> None:
+        """The record's own checks of n and P, run before a sweep enumerates."""
 
     def _residues_equal(self, vals: np.ndarray, h_second: Optional[str] = None) -> np.ndarray:
         residues, _ = self._kernel(vals, self.n, getattr(self, "P", None),
@@ -227,7 +232,7 @@ class VTParams(_Params):
     a: int
 
     family = "vt"
-    _kernel = staticmethod(lambda vals, n, P, h: ([_vt_keys(vals, n)], (n + 1,)))
+    _ws = staticmethod(lambda w, s, n, P: ([_vt_residue(w, s, n)], (n + 1,)))
 
     def __post_init__(self):
         if not 0 <= self.a <= self.n:
@@ -243,13 +248,9 @@ class _InvWtParams(_Params):
     c: int
     d: int
 
-    _kernel = staticmethod(lambda vals, n, P, h: (_inv_wt_residues(vals, n, P), (P + 1, 2)))
+    _ws = staticmethod(lambda w, s, n, P: (_inv_wt_residues(w, s, P), (P + 1, 2)))
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, *r))
-
-    @classmethod
-    def _ambient(cls, n: int, P: int) -> np.ndarray:
-        cls(n, P, 0, 0)  # the record's checks of n and P come before enumerating
-        return super()._ambient(n, P)
+    _check = classmethod(lambda cls, n, P: cls(n, P, 0, 0))
 
     def __post_init__(self):
         if self.P < 1:
@@ -459,17 +460,20 @@ def _bit_sums(vals: np.ndarray, nbits: int, *weights: Sequence[int]) -> List[np.
     return sums
 
 
-def _vt_keys(vals: np.ndarray, n: int) -> np.ndarray:
-    """With w the weight and S = sum_b b * bit_b, sum_i i * x_i = n*w - S."""
-    w, s = _bit_sums(vals, n, [1] * n, range(n))
+def _weight_and_sum(vals: np.ndarray, n: int) -> List[np.ndarray]:
+    """The weight w and the position sum S = sum_b b * bit_b of every word."""
+    return _bit_sums(vals, n, [1] * n, range(n))
+
+
+def _vt_residue(w: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """Bit b is x_{n-b}, so sum_i i * x_i = n*w - S."""
     return (n * w - s) % (n + 1)
 
 
-def _inv_wt_residues(vals: np.ndarray, n: int, P: int) -> List[np.ndarray]:
+def _inv_wt_residues(w: np.ndarray, s: np.ndarray, P: int) -> List[np.ndarray]:
     """[inversions mod P+1, weight mod 2]: the one at bit b precedes b symbols,
     and the ones among them make up w(w-1)/2 pairs, so inversions = S - w(w-1)/2.
     """
-    w, s = _bit_sums(vals, n, [1] * n, range(n))
     return [(s - w * (w - 1) // 2) % (P + 1), w % 2]
 
 
@@ -504,11 +508,8 @@ def _five_read_residues(vals: np.ndarray, n: int, P: int, h_second: str):
         side = sums[k % 2]
         for idx, r in enumerate(_parity_residues(window, 2 * m, h_second)):
             side[idx] = (side[idx] + r) % moduli[idx]
-    return [_vt_keys(vals, n), *sums[0], *sums[1]], (n + 1, *moduli, *moduli)
-
-
-def _space(n: int) -> np.ndarray:
-    return seqs._enum_values(n)
+    vt = _vt_residue(*_weight_and_sum(vals, n), n)
+    return [vt, *sums[0], *sums[1]], (n + 1, *moduli, *moduli)
 
 
 def _seqset(n: int, vals: np.ndarray) -> SeqSet:
@@ -521,8 +522,10 @@ def _seqset(n: int, vals: np.ndarray) -> SeqSet:
 
 def build_code(params: CodeParams, h_second: Optional[str] = None) -> SeqSet:
     """Materialize the coset described by a parameter record."""
-    ambient = params._ambient(params.n, getattr(params, "P", None))
-    return _seqset(params.n, ambient[params._residues_equal(ambient, h_second)])
+    blocks = _keyed_blocks(type(params), params.n, getattr(params, "P", None),
+                           h_second or params._h_second)
+    return _seqset(params.n, np.concatenate(
+        [words[keys == _key(params.residues(), moduli)] for words, keys, moduli in blocks]))
 
 
 def build_all(n: int) -> SeqSet:
@@ -596,6 +599,8 @@ class VerifyResult:
 
 def verify_reconstruction_code(code: SeqSet, t: int, N: int) -> VerifyResult:
     """True iff the read coverage after t insertions is < N."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if N < 1:
         raise ValueError("N must be >= 1")
     if len(code) < 2:
@@ -606,69 +611,133 @@ def verify_reconstruction_code(code: SeqSet, t: int, N: int) -> VerifyResult:
     return VerifyResult(False, False, worst, classify_pair(worst[1], worst[2]))
 
 
+def _key(residues: Sequence, moduli: Sequence[int]):
+    """The mixed-radix key of residues, first residue most significant, so that
+    ascending keys are ascending residue tuples.  Arrays of residues give one
+    key per word: int64, or Python ints when the key space passes 2**63."""
+    if isinstance(residues[0], np.ndarray):
+        if math.prod(moduli) < 2**63:
+            residues = [residues[0].astype(np.int64), *residues[1:]]
+        else:
+            residues = [r.astype(object) for r in residues]
+    key = 0
+    for r, m in zip(residues, moduli):
+        key = key * m + r
+    return key
+
+
+def _keyed_blocks(cls: Type, n: int, P: Optional[int],
+                  h_second: str) -> Iterator[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]]:
+    """(ambient words, their keys, the moduli) of each block of {0,1}^n, ascending.
+
+    A ``_ws`` family keys a block without looking at its words: w and S are
+    linear in the bits, so a block's sums are those of its low parts, taken
+    once from one table, plus the weight w_h and the position sum S_h of its
+    high part h, shifted up by the block width k: w = w_low + w_h and
+    S = S_low + S_h + k * w_h.  Other families run their kernel on the block.
+    """
+    cls._check(n, P)
+    k = seqs._block_bits(n)
+    if cls._ws is not None:
+        low_w, low_s = _weight_and_sum(np.arange(1 << k), k)
+    for high, words in seqs._blocks(n):
+        keep = r_mask(words, n, *cls._r(P)) if cls._r is not None else slice(None)
+        words = words[keep]
+        if cls._ws is not None:
+            w = high.bit_count()
+            s = k * w + sum(b for b in range(n - k) if high >> b & 1)
+            residues, moduli = cls._ws((low_w + w)[keep], (low_s + s)[keep], n, P)
+        elif words.size or high == 0:
+            residues, moduli = cls._kernel(words, n, P, h_second)
+        else:  # no ambient word in this block, so no kernel call
+            residues = [words] * len(moduli)
+        yield words, _key(residues, moduli), moduli
+
+
 class CosetSweep(NamedTuple):
     """The nonempty cosets of one family at one length, from one keyed sweep.
 
-    ``keys`` are the distinct ``word_keys`` in ascending residue order, with
-    their word counts in ``sizes``; ``params(i)`` is the record of coset i.
+    ``keys`` are the distinct word keys (``_key``) in ascending order, with
+    their word counts in ``sizes``; ``params(i)`` is the record of coset i, and
+    ``blocks()`` walks the keyed ambient again to collect members.
     ``ambient_size`` stays at index 1, where perfbench/spans.py reads it.
     """
 
     n: int
     ambient_size: int
-    ambient: np.ndarray
-    word_keys: np.ndarray
     keys: np.ndarray
     sizes: np.ndarray
     params: Callable[[int], CodeParams]
+    blocks: Callable[[], Iterator[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]]]
 
     def best(self) -> int:
         """The largest coset; ties break to the smallest residues."""
         return int(np.argmax(self.sizes))
 
     def members(self, i: int) -> SeqSet:
-        return _seqset(self.n, self.ambient[self.word_keys == self.keys[i]])
+        key = self.keys[i]
+        return _seqset(self.n, np.concatenate([w[k == key] for w, k, _ in self.blocks()]))
 
     def partition(self) -> Dict[CodeParams, SeqSet]:
         if not self.keys.size:
             return {}
-        order = np.argsort(self.word_keys, kind="stable")
-        chunks = np.split(self.ambient[order], np.cumsum(self.sizes)[:-1])
+        words, keys, _ = zip(*self.blocks())
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")
+        chunks = np.split(np.concatenate(words)[order], np.cumsum(self.sizes)[:-1])
         return {self.params(i): _seqset(self.n, c) for i, c in enumerate(chunks)}
 
 
-def _coset_groups(family: str, n: int, P: Optional[int], h_second: Optional[str]) -> CosetSweep:
-    """Key every ambient word by its residues and count the words per key.
+def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """One sorted (keys, counts) from several sorted ones, adding the counts of
+    equal keys; a stable sort merges the sorted runs without sorting them again."""
+    keys, counts = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    first = np.flatnonzero(first)
+    return keys[first], np.add.reduceat(counts, first)
 
-    Mixed-radix int64 keys are counted by bincount when the key space is no
-    larger than the ambient, else by unique; residues too wide for one int64
-    (fiveread) are grouped as rows.  perfbench/spans.py traces sweeps through
-    this name, so the public entry point is ``coset_sweep``.
+
+def _coset_groups(family: str, n: int, P: Optional[int], h_second: Optional[str]) -> CosetSweep:
+    """Count the ambient words per key, one block at a time.
+
+    A key space no larger than a block is counted by bincount; a sparser one
+    by the unique keys of each block, merged whenever the unmerged ones
+    outnumber both the merged ones and the words of 64 blocks.
+    perfbench/spans.py traces sweeps through this name, so the public entry
+    point is ``coset_sweep``.
     """
     cls = FAMILIES.get(family)
     if cls is None:
         raise ValueError(f"unknown family {family!r}")
     if P is None and "P" in cls.__dataclass_fields__:
         raise ValueError(f"family {family} needs P")
-    ambient = cls._ambient(n, P)
-    residues, moduli = cls._kernel(ambient, n, P, h_second or cls._h_second)
-    if math.prod(moduli) < 2**63:
-        word_keys = np.ravel_multi_index(residues, moduli)
-        if math.prod(moduli) <= ambient.size:
-            counts = np.bincount(word_keys)
-            keys = np.flatnonzero(counts)
-            sizes = counts[keys]
+    blocks = lambda: _keyed_blocks(cls, n, P, h_second or cls._h_second)
+    counts, parts = 0, []
+    for words, keys, moduli in blocks():
+        if math.prod(moduli) <= 1 << seqs._BLOCK_BITS:
+            counts = counts + np.bincount(keys, minlength=math.prod(moduli))
         else:
-            keys, sizes = np.unique(word_keys, return_counts=True)
-        unpack = lambda i: np.unravel_index(keys[i], moduli)
+            parts.append(np.unique(keys, return_counts=True))
+            unmerged = sum(len(k) for k, _ in parts[1:])
+            if unmerged > max(len(parts[0][0]), 64 << seqs._BLOCK_BITS):
+                parts = [_merge(parts)]
+    if parts:
+        keys, sizes = parts[0] if len(parts) == 1 else _merge(parts)
     else:
-        rows, word_keys, sizes = np.unique(
-            np.column_stack(residues), axis=0, return_inverse=True, return_counts=True
-        )
-        keys = np.arange(len(rows))
-        unpack = lambda i: rows[i]
-    make = lambda i: cls._from_residues(n, P, tuple(int(r) for r in unpack(i)))
-    return CosetSweep(n, int(ambient.size), ambient, word_keys.ravel(), keys, sizes, make)
+        keys = np.flatnonzero(counts)
+        sizes = counts[keys]
+
+    def params(i: int) -> CodeParams:
+        key, residues = int(keys[i]), []
+        for m in reversed(moduli):
+            key, r = divmod(key, m)
+            residues.insert(0, r)
+        return cls._from_residues(n, P, tuple(residues))
+
+    return CosetSweep(n, int(sizes.sum()), keys, sizes, params, blocks)
 
 
 def coset_sweep(family: str, n: int, P: Optional[int] = None,

@@ -9,7 +9,7 @@ Public indexing follows the 1-based inclusive convention ``x[l..k]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -223,24 +223,38 @@ def r_mask(vals: np.ndarray, n: int, ell: int, t: int) -> np.ndarray:
     return ok
 
 
-def _enum_values(n: int) -> np.ndarray:
+# {0,1}^n is enumerated in blocks of at most 2**_BLOCK_BITS words
+_BLOCK_BITS = 16
+
+
+def _block_bits(n: int) -> int:
+    """The block width k = min(n, _BLOCK_BITS), after checking n against the cap."""
     if n < 0:
         raise ValueError(f"length n={n} must be >= 0")
     if n > ENUM_CAP:
         raise EnumerationCapError(f"2**{n} enumeration exceeds cap n <= {ENUM_CAP}")
-    return np.arange(1 << n, dtype=np.uint32 if n < 32 else np.uint64)
+    return min(n, _BLOCK_BITS)
+
+
+def _blocks(n: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """{0,1}^n in ascending blocks of 2**k words that share their top n - k bits.
+
+    Yields (high part h, words h * 2**k + low for low in 0..2**k - 1).
+    """
+    k = _block_bits(n)
+    low = np.arange(1 << k, dtype=np.uint32)
+    for high in range(1 << (n - k)):
+        yield high, low | np.uint32(high << k)
 
 
 def r_values(n: int, ell: int, t: int) -> np.ndarray:
     """Sorted packed values of all members of R(n, ell, t)."""
-    vals = _enum_values(n)
-    return vals[r_mask(vals, n, ell, t)]
+    return np.concatenate([w[r_mask(w, n, ell, t)] for _, w in _blocks(n)])
 
 
 def count_r(n: int, ell: int, t: int) -> int:
-    """|R(n, ell, t)| by full enumeration (refused above the cap)."""
-    vals = _enum_values(n)
-    return int(np.count_nonzero(r_mask(vals, n, ell, t)))
+    """|R(n, ell, t)| by enumeration in blocks (refused above the cap)."""
+    return sum(int(np.count_nonzero(r_mask(w, n, ell, t))) for _, w in _blocks(n))
 
 
 def inversions(x: BitSeq) -> int:

@@ -238,6 +238,7 @@ def test_simulate_read_heavy_and_one_insertion_records_are_pinned(
          "insertion ball of 72057594033711513 words exceeds cap 2**26"),
         (("simulate", "{code}", "--t", "-1", "--N", "2", "--trials", "3", "--seed", "1"),
          "t must be >= 0"),
+        (("verify", "{code}", "--t", "-2", "--N", "5"), "t must be >= 0"),
     ],
 )
 def test_oversized_or_negative_t_is_one_error_line(tmp_path, capsys, argv, message):

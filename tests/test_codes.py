@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from insrecon import codes
+from insrecon import codes, seqs
 from insrecon.balls import (
     SeqSet,
     coverage_argmax,
@@ -51,7 +51,7 @@ from insrecon.codes import (
     write_code_file,
 )
 from insrecon.confusability import classify_pair
-from insrecon.seqs import BitSeq, count_r, in_r, inversions, r_values
+from insrecon.seqs import BitSeq, count_r, in_r, inversions, r_mask, r_values
 
 
 def seqs_of(code):
@@ -396,6 +396,12 @@ def test_verify_vacuous_flag():
     assert bool(result)
 
 
+def test_verify_refuses_negative_t_before_the_vacuity_check():
+    for code in (SeqSet(5, []), SeqSet(5, [BitSeq("10110")]), build_vt(6, 0)):
+        with pytest.raises(ValueError, match=r"^t must be >= 0$"):
+            verify_reconstruction_code(code, -2, 5)
+
+
 def test_verify_names_worst_pair_on_failure():
     space = SeqSet(5, [BitSeq(s) for s in brute.all_seqs(5)])
     result = verify_reconstruction_code(space, 2, 10)
@@ -631,18 +637,37 @@ SWEEP_CASES = [
 ]
 
 
+# (ell, t) of R(n, ell, t) for the families whose scalar predicates test in_r
+AMBIENT_R = {"tworead": lambda P: (2, 2 * P), "np4": lambda P: (3, P // 3),
+             "np5": lambda P: (2, 2 * P // 3), "fiveread": lambda P: (3, P)}
+
+
+def scalar_ambient(family, n, P):
+    """The ambient words in ascending order, from the scalar in_r alone.
+
+    R(n, ell, t) is closed under taking prefixes, so its members of length j
+    are the members of length j - 1 with one symbol appended that stay in R.
+    """
+    words = [0]
+    for j in range(1, n + 1):
+        words = [2 * v + b for v in words for b in (0, 1)]
+        if family in AMBIENT_R:
+            words = [v for v in words if in_r(BitSeq.from_int(v, j), *AMBIENT_R[family](P))]
+    return words
+
+
 def reference_groups(family, n, P, h_second):
     """Plain dict of lists: scalar residue tuple -> ambient words, in order."""
-    ambient = codes.FAMILIES[family]._ambient(n, P)
     groups = {}
-    for v in ambient.tolist():
+    for v in scalar_ambient(family, n, P):
         x = BitSeq.from_int(v, n)
         groups.setdefault(scalar_syndrome(family, x, P, h_second or "m1"), []).append(v)
     return groups
 
 
-@pytest.mark.parametrize("family,P,h_second,lengths", SWEEP_CASES)
-def test_sweeps_match_dict_of_lists_reference(family, P, h_second, lengths):
+def check_sweeps_against_reference(family, P, h_second, lengths):
+    """Partition, best coset and build_code (under both h_second) against the
+    reference; returns how many lengths had a tie for the largest coset."""
     ties = 0
     for n in lengths:
         groups = reference_groups(family, n, P, h_second)
@@ -659,9 +684,70 @@ def test_sweeps_match_dict_of_lists_reference(family, P, h_second, lengths):
         params, code = best_coset(family, n, P=P, h_second=h_second)
         assert params.residues() == want
         assert sorted(code.values()) == groups[want]
-        assert code == codes.build_code(params, h_second)
+        for h in ("m0", "m1"):
+            other = groups if h == (h_second or "m1") else reference_groups(family, n, P, h)
+            built = codes.build_code(params, h)
+            assert sorted(built.values()) == other.get(want, [])
+    return ties
+
+
+@pytest.mark.parametrize("family,P,h_second,lengths", SWEEP_CASES)
+def test_sweeps_match_dict_of_lists_reference(family, P, h_second, lengths):
+    ties = check_sweeps_against_reference(family, P, h_second, lengths)
     if family in ("vt", "twoins"):
         assert ties > 0  # the tie-break was exercised
+
+
+def block_guards(monkeypatch, bits):
+    """Blocks of 2**bits words; returns the sizes of the arrays every kernel
+    and r_mask call of the sweep sees."""
+    seen = []
+
+    def guarded(fn):
+        def call(*args):
+            seen.append(max(a.size for a in args if isinstance(a, np.ndarray)))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(seqs, "_BLOCK_BITS", bits)
+    monkeypatch.setattr(codes, "r_mask", guarded(codes.r_mask))
+    for cls in codes.FAMILIES.values():
+        name = "_kernel" if cls._ws is None else "_ws"
+        monkeypatch.setattr(cls, name, staticmethod(guarded(getattr(cls, name))))
+    return seen
+
+
+# every case up to n = 12; the fiveread n = 23 cases already walk 2**7 blocks
+# at the default width, and would walk 2**20 blocks of 8 words here
+NARROW_CASES = [(bits, *case) for case in SWEEP_CASES if max(case[3]) <= 12
+                for bits in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("bits,family,P,h_second,lengths", NARROW_CASES)
+def test_sweeps_match_reference_in_narrow_blocks(monkeypatch, bits, family, P, h_second,
+                                                 lengths):
+    """n = 0, n < bits, n = bits and many blocks, with no call on more than a block."""
+    seen = block_guards(monkeypatch, bits)
+    check_sweeps_against_reference(family, P, h_second, lengths)
+    assert max(seen) == 2 ** min(bits, max(lengths))
+
+
+@pytest.mark.parametrize("family,P", (("vt", None), ("tworead", 3), ("np4", 18), ("np5", 9)))
+@pytest.mark.parametrize("n", (17, 18))
+def test_multi_block_sweep_sizes_equal_whole_space_bincount(family, P, n):
+    assert n > seqs._BLOCK_BITS
+    vals = np.arange(1 << n, dtype=np.uint32)
+    if family in AMBIENT_R:
+        vals = vals[r_mask(vals, n, *AMBIENT_R[family](P))]
+    residues, moduli = codes.FAMILIES[family]._kernel(vals, n, P, None)
+    keys = np.ravel_multi_index(residues, moduli)
+    counts = np.bincount(keys)
+    sweep = codes.coset_sweep(family, n, P)
+    assert sweep.keys.tolist() == np.flatnonzero(counts).tolist()
+    assert sweep.sizes.tolist() == counts[counts > 0].tolist()
+    assert sweep.ambient_size == vals.size
+    best = sweep.best()
+    assert sweep.members(best) == SeqSet._from_vals(n, vals[keys == sweep.keys[best]].tolist())
 
 
 @pytest.mark.parametrize("n", (0, 1, 31, 33, 64))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from insrecon import seqs
 from insrecon.seqs import (
     MAX_LEN,
     BitSeq,
@@ -161,6 +162,15 @@ def test_count_r_examples():
 def test_count_r_matches_oracle(n, ell, t):
     expected = sum(1 for s in brute.all_seqs(n) if brute.in_r(s, ell, t))
     assert count_r(n, ell, t) == expected
+
+
+@pytest.mark.parametrize("bits", (1, 3))
+def test_count_r_and_r_values_in_narrow_blocks(monkeypatch, bits):
+    monkeypatch.setattr(seqs, "_BLOCK_BITS", bits)
+    for n in range(0, 9):
+        members = [v for v in range(1 << n) if in_r(BitSeq.from_int(v, n), 2, 3)]
+        assert r_values(n, 2, 3).tolist() == members
+        assert count_r(n, 2, 3) == len(members)
 
 
 def test_count_r_cap():
