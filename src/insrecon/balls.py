@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,90 +18,92 @@ from .seqs import ENUM_CAP, MAX_LEN, BitSeq, EnumerationCapError, SequenceTooLon
 
 
 class SeqSet:
-    """A deduplicated set of equal-length sequences with sorted iteration."""
+    """A set of equal-length sequences, held as one sorted, deduplicated,
+    read-only array of packed values (`_word_dtype(n)`), so iteration is
+    lexicographic and set operations work on the sorted arrays."""
 
-    __slots__ = ("n", "_vals", "_sorted", "_arr")
+    __slots__ = ("n", "_arr")
 
     def __init__(self, n: int, seqs: Iterable[BitSeq] = ()) -> None:
-        vals = set()
+        vals = []
         for s in seqs:
             if s.n != n:
                 raise ValueError(f"member length {s.n} != common length {n}")
-            vals.add(s.val)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_vals", frozenset(vals))
-        object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_arr", None)
+            vals.append(s.val)
+        self._fill(n, vals)
 
     @classmethod
     def _from_vals(cls, n: int, vals: Iterable[int]) -> "SeqSet":
+        """The set of packed values: an integer array or any iterable of ints."""
         obj = cls.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "_vals", frozenset(vals))
-        object.__setattr__(obj, "_sorted", None)
-        object.__setattr__(obj, "_arr", None)
+        obj._fill(n, vals)
         return obj
+
+    def _fill(self, n: int, vals: Iterable[int]) -> None:
+        # dedupe by sort and an adjacent-difference mask: np.unique takes a
+        # hash path on numpy 2.4, far slower on the sorted arrays built here
+        arr = np.sort(np.asarray(vals if isinstance(vals, np.ndarray) else list(vals),
+                                 dtype=_word_dtype(n)))
+        fresh = arr[1:] != arr[:-1]
+        if not fresh.all():
+            arr = arr[np.concatenate([[True], fresh])]
+        arr.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_arr", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeqSet is immutable")
 
-    def values(self) -> frozenset:
-        """Packed member values (unordered)."""
-        return self._vals
-
-    def _ordered(self) -> Tuple[int, ...]:
-        if self._sorted is None:
-            object.__setattr__(self, "_sorted", tuple(sorted(self._vals)))
-        return self._sorted
+    def values(self) -> List[int]:
+        """Packed member values, ascending, as Python ints."""
+        return self._arr.tolist()
 
     def _array(self) -> np.ndarray:
-        """Member values as a sorted read-only uint64 array (n <= MAX_LEN)."""
-        if self._arr is None:
-            vals = np.fromiter(self._vals, dtype=np.uint64, count=len(self._vals))
-            vals.sort()
-            vals.flags.writeable = False
-            object.__setattr__(self, "_arr", vals)
+        """Member values as the sorted read-only array (uint64 for n <= 64)."""
         return self._arr
 
     def __len__(self) -> int:
-        return len(self._vals)
+        return len(self._arr)
 
     def __iter__(self) -> Iterator[BitSeq]:
-        for v in self._ordered():
+        for v in self._arr.tolist():
             yield BitSeq.from_int(v, self.n)
 
     def __contains__(self, s: BitSeq) -> bool:
-        return isinstance(s, BitSeq) and s.n == self.n and s.val in self._vals
+        return isinstance(s, BitSeq) and s.n == self.n and bool(_among(s.val, self._arr))
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, SeqSet) and self.n == other.n and self._vals == other._vals
+            isinstance(other, SeqSet) and self.n == other.n
+            and np.array_equal(self._arr, other._arr)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._vals))
+        arr = self._arr
+        return hash((self.n, arr.tobytes() if arr.dtype != object else tuple(arr.tolist())))
 
     def __and__(self, other: "SeqSet") -> "SeqSet":
         self._check_len(other)
-        return SeqSet._from_vals(self.n, self._vals & other._vals)
+        return SeqSet._from_vals(self.n, self._arr[_among(self._arr, other._arr)])
 
     def __or__(self, other: "SeqSet") -> "SeqSet":
         self._check_len(other)
-        return SeqSet._from_vals(self.n, self._vals | other._vals)
+        return SeqSet._from_vals(self.n, np.concatenate([self._arr, other._arr]))
 
     def __sub__(self, other: "SeqSet") -> "SeqSet":
         self._check_len(other)
-        return SeqSet._from_vals(self.n, self._vals - other._vals)
+        return SeqSet._from_vals(self.n, self._arr[~_among(self._arr, other._arr)])
 
     def isdisjoint(self, other: "SeqSet") -> bool:
-        return self._vals.isdisjoint(other._vals)
+        self._check_len(other)
+        return not _among(self._arr, other._arr).any()
 
     def _check_len(self, other: "SeqSet") -> None:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} != {other.n}")
 
     def __repr__(self) -> str:
-        return f"SeqSet(n={self.n}, size={len(self._vals)})"
+        return f"SeqSet(n={self.n}, size={len(self)})"
 
     def to_lines(self) -> str:
         """One sequence per line, lexicographically sorted, trailing newline;
@@ -144,11 +146,14 @@ class SeqSet:
         vals = np.zeros(rows, dtype=dt)
         for j in range(n):
             vals |= bits[:, j].astype(dt) << (n - 1 - j)
-        return cls._from_vals(n, vals.tolist())
+        return cls._from_vals(n, vals)
 
 
-def _deletion_vals(n: int, val: int, t: int) -> Set[int]:
-    return set(_deletion_table([val], n, t)[0].tolist())
+def _among(a, b: np.ndarray) -> np.ndarray:
+    """Which entries of a (an array or one value) occur in the sorted array b."""
+    if not len(b):
+        return np.zeros(np.shape(a), dtype=bool)
+    return b[np.minimum(np.searchsorted(b, a), len(b) - 1)] == a
 
 
 def _check_ball(n: int, t: int) -> int:
@@ -163,14 +168,14 @@ def _check_ball(n: int, t: int) -> int:
 def insertion_ball(x: BitSeq, t: int) -> SeqSet:
     """All supersequences of x of length n+t."""
     _check_ball(x.n, t)
-    return SeqSet._from_vals(x.n + t, _insertion_table([x.val], x.n, t)[0].tolist())
+    return SeqSet._from_vals(x.n + t, _insertion_table([x.val], x.n, t)[0])
 
 
 def deletion_ball(y: BitSeq, t: int) -> SeqSet:
     """All distinct subsequences of y of length n-t."""
     if t < 0 or t > y.n:
         raise ValueError(f"t must be in 0..{y.n}")
-    return SeqSet._from_vals(y.n - t, _deletion_vals(y.n, y.val, t))
+    return SeqSet._from_vals(y.n - t, _deletion_table([y.val], y.n, t)[0])
 
 
 def ball_size_formula(n: int, t: int) -> int:
@@ -322,7 +327,7 @@ def _deletion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
 _BLOCK = 1 << 18
 
 
-def _pair_blocks(vals: Sequence[int], n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def _pair_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Exact overlaps of the t-insertion balls of all pairs of vals that meet.
 
     Yields (keys, counts) block by block, where key a*rows+b (a < b) names
@@ -362,7 +367,7 @@ def _pair_blocks(vals: Sequence[int], n: int, t: int) -> Iterator[Tuple[np.ndarr
             yield np.unique(np.concatenate(keys), return_counts=True)
 
 
-def _close_blocks(vals: Sequence[int], n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def _close_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Like _pair_blocks, restricted to the pairs at d_L <= 1.
 
     Those pairs come from the engine at t = 1; each one's t-balls are then
@@ -377,13 +382,7 @@ def _close_blocks(vals: Sequence[int], n: int, t: int) -> Iterator[Tuple[np.ndar
     for lo in range(0, len(close), step):
         keys = close[lo : lo + step]
         a, b = np.divmod(keys, len(vals))
-        both = np.concatenate(
-            [
-                _insertion_table([vals[i] for i in a], n, t),
-                _insertion_table([vals[i] for i in b], n, t),
-            ],
-            axis=1,
-        )
+        both = np.concatenate([_insertion_table(vals[i], n, t) for i in (a, b)], axis=1)
         both.sort(axis=1)
         yield keys, (both[:, 1:] == both[:, :-1]).sum(axis=1)
 
@@ -395,7 +394,7 @@ def _worst_pair(code: SeqSet, t: int, close_only: bool) -> Tuple[int, BitSeq, Bi
     """
     if len(code) < 2:
         raise ValueError("read coverage needs at least two codewords")
-    vals = code._ordered()
+    vals = code._array()
     blocks = (
         _close_blocks(vals, code.n, t)
         if close_only
@@ -407,7 +406,7 @@ def _worst_pair(code: SeqSet, t: int, close_only: bool) -> Tuple[int, BitSeq, Bi
         if counts[i] > best:
             best, key = int(counts[i]), int(keys[i])
     a, b = divmod(key, len(vals))
-    return best, BitSeq.from_int(vals[a], code.n), BitSeq.from_int(vals[b], code.n)
+    return best, BitSeq.from_int(int(vals[a]), code.n), BitSeq.from_int(int(vals[b]), code.n)
 
 
 def read_coverage(code: SeqSet, t: int) -> int:

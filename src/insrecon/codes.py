@@ -512,10 +512,6 @@ def _five_read_residues(vals: np.ndarray, n: int, P: int, h_second: str):
     return [vt, *sums[0], *sums[1]], (n + 1, *moduli, *moduli)
 
 
-def _seqset(n: int, vals: np.ndarray) -> SeqSet:
-    return SeqSet._from_vals(n, vals.tolist())
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -524,7 +520,7 @@ def build_code(params: CodeParams, h_second: Optional[str] = None) -> SeqSet:
     """Materialize the coset described by a parameter record."""
     blocks = _keyed_blocks(type(params), params.n, getattr(params, "P", None),
                            h_second or params._h_second)
-    return _seqset(params.n, np.concatenate(
+    return SeqSet._from_vals(params.n, np.concatenate(
         [words[keys == _key(params.residues(), moduli)] for words, keys, moduli in blocks]))
 
 
@@ -676,7 +672,7 @@ class CosetSweep(NamedTuple):
 
     def members(self, i: int) -> SeqSet:
         key = self.keys[i]
-        return _seqset(self.n, np.concatenate([w[k == key] for w, k, _ in self.blocks()]))
+        return SeqSet._from_vals(self.n, np.concatenate([w[k == key] for w, k, _ in self.blocks()]))
 
     def partition(self) -> Dict[CodeParams, SeqSet]:
         if not self.keys.size:
@@ -685,7 +681,7 @@ class CosetSweep(NamedTuple):
         keys = np.concatenate(keys)
         order = np.argsort(keys, kind="stable")
         chunks = np.split(np.concatenate(words)[order], np.cumsum(self.sizes)[:-1])
-        return {self.params(i): _seqset(self.n, c) for i, c in enumerate(chunks)}
+        return {self.params(i): SeqSet._from_vals(self.n, c) for i, c in enumerate(chunks)}
 
 
 def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -810,12 +806,12 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     if not 0 <= code.n <= MAX_LEN:
         raise SequenceTooLongError(f"code length {code.n} out of range 0..{MAX_LEN}")
     if params is not None:
-        vals = np.fromiter(code.values(), dtype=np.uint64, count=len(code))
+        vals = code._array()
         ok = params._residues_equal(vals)
         if params._r is not None:
             ok &= r_mask(vals, code.n, *params._r(params.P))
         if not ok.all():
-            word = BitSeq.from_int(int(vals[~ok].min()), code.n)
+            word = BitSeq.from_int(int(vals[~ok][0]), code.n)
             raise ValueError(f"codeword {word} is not in the code of its header: "
                              f"{format_header(params)[2:]}")
     return params, code

@@ -15,7 +15,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .balls import SeqSet, _check_ball, _deletion_table, _insertion_table, ball_size_formula
+from .balls import (SeqSet, _among, _check_ball, _deletion_table, _insertion_table,
+                    ball_size_formula)
 from .seqs import BitSeq
 
 # Ball-table entries held at once: trials are drawn and decoded, and their
@@ -56,7 +57,7 @@ def sample_reads(x: BitSeq, t: int, count: int, seed: int) -> ReadBundle:
     """Draw `count` distinct elements of I_t(x), deterministically per seed."""
     picks = _pick(random.Random(seed), _check_ball(x.n, t), count)
     reads = _read_rows(np.array([x.val], dtype=np.uint64), x.n, t, np.array([picks], dtype=np.intp))
-    return ReadBundle(SeqSet._from_vals(x.n + t, reads[0].tolist()), x.n, t, source_hint=x)
+    return ReadBundle(SeqSet._from_vals(x.n + t, reads[0]), x.n, t, source_hint=x)
 
 
 def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -76,8 +77,7 @@ def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int) -> Tuple[n
     dels.sort(axis=1)
     first = np.ones(dels.shape, dtype=bool)
     first[:, 1:] = dels[:, 1:] != dels[:, :-1]
-    at = np.minimum(np.searchsorted(code, dels), len(code) - 1)
-    row, col = np.nonzero(first & (code[at] == dels))
+    row, col = np.nonzero(first & _among(dels, code))
     cands = dels[row, col]
     keep = np.zeros(len(cands), dtype=bool)
     step = max(1, _CHUNK // ball_size_formula(n, t))
@@ -123,7 +123,7 @@ def decode(bundle: ReadBundle, code: SeqSet, t: int) -> DecodeOutcome:
     candidates = code
     if len(bundle.reads) and len(code):
         _, vals = _decode_rows(bundle.reads._array()[None], code._array(), code.n, t)
-        candidates = SeqSet._from_vals(code.n, vals.tolist())
+        candidates = SeqSet._from_vals(code.n, vals)
     return DecodeOutcome(_status(len(candidates)), candidates)
 
 

@@ -4,6 +4,7 @@ import random
 from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,47 @@ def test_seqset_set_ops():
     assert as_strs(a - b) == ["00"]
     with pytest.raises(ValueError):
         a & SeqSet(3, [])
+
+
+@settings(max_examples=300)
+@given(data=st.data(), n=st.sampled_from([0, 1, 5, 64, 65]))
+def test_seqset_matches_frozenset_model(data, n):
+    """Every SeqSet operation against Python frozensets of packed values;
+    n = 65 holds its words as Python ints (dtype=object), the rest as uint64."""
+    words = st.integers(0, (1 << n) - 1)
+    xs = data.draw(st.lists(words, max_size=12))
+    ys = data.draw(st.lists(st.sampled_from(xs) | words if xs else words, max_size=12))
+    a, b = SeqSet._from_vals(n, xs), SeqSet._from_vals(n, ys)
+    fa, fb = frozenset(xs), frozenset(ys)
+    assert a._array().dtype == (np.uint64 if n <= 64 else object)
+    assert len(a) == len(fa)
+    assert a.values() == sorted(fa)
+    assert all(type(v) is int for v in a.values())
+    assert (a & b).values() == sorted(fa & fb)
+    assert (a | b).values() == sorted(fa | fb)
+    assert (a - b).values() == sorted(fa - fb)
+    assert a.isdisjoint(b) == fa.isdisjoint(fb)
+    assert (a == b) == (fa == fb)
+    same = SeqSet._from_vals(n, sorted(fa, reverse=True) + xs)
+    assert same == a and hash(same) == hash(a)
+    if fa == fb:
+        assert hash(a) == hash(b)
+    assert a != SeqSet._from_vals(n + 1, xs) and a != fa
+    for m in {n + 1, abs(n - 1)}:
+        for op in (a.__and__, a.__or__, a.__sub__, a.isdisjoint):
+            with pytest.raises(ValueError, match="length mismatch"):
+                op(SeqSet._from_vals(m, []))
+    assert BitSeq.from_int(0, 2 if n == 1 else 1) not in a and 0 not in a
+    if n <= 64:
+        assert [s.val for s in a] == sorted(fa)
+        for v in xs + ys:
+            assert (BitSeq.from_int(v, n) in a) == (v in fa)
+        assert SeqSet(n, [BitSeq.from_int(v, n) for v in xs]) == a
+        assert SeqSet._from_vals(n, np.array(xs, dtype=np.uint64)) == a
+    if n <= 32:
+        assert SeqSet._from_vals(n, np.array(xs, dtype=np.uint32)) == a
+    if n > 64:
+        assert SeqSet._from_vals(n, np.array(xs, dtype=object)) == a
 
 
 # ---------------------------------------------------------------------------

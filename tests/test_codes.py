@@ -750,10 +750,15 @@ def test_multi_block_sweep_sizes_equal_whole_space_bincount(family, P, n):
     assert sweep.members(best) == SeqSet._from_vals(n, vals[keys == sweep.keys[best]].tolist())
 
 
-@pytest.mark.parametrize("n", (0, 1, 31, 33, 64))
+@pytest.mark.parametrize("n", (0, 1, 31, 33, 64, 65))
 def test_to_lines_matches_per_word_format(n):
+    """Above 64 bits the words are Python ints; parse_lines reads them back."""
     rng = random.Random(n)
     vals = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(300)}
     want = "".join((format(v, f"0{n}b") if n else "") + "\n" for v in sorted(vals))
-    got = SeqSet._from_vals(n, vals).to_lines()
+    code = SeqSet._from_vals(n, vals)
+    got = code.to_lines()
     assert got == want
+    assert SeqSet.parse_lines(got, n) == code
+    if n:
+        assert SeqSet.parse_lines(got) == code
