@@ -19,8 +19,9 @@ from .seqs import ENUM_CAP, MAX_LEN, BitSeq, EnumerationCapError, SequenceTooLon
 
 class SeqSet:
     """A set of equal-length sequences, held as one sorted, deduplicated,
-    read-only array of packed values (`_word_dtype(n)`), so iteration is
-    lexicographic and set operations work on the sorted arrays."""
+    read-only uint64 array of packed values, so iteration is lexicographic
+    and set operations work on the sorted arrays.  Lengths outside
+    0..MAX_LEN are refused."""
 
     __slots__ = ("n", "_arr")
 
@@ -34,19 +35,25 @@ class SeqSet:
 
     @classmethod
     def _from_vals(cls, n: int, vals: Iterable[int]) -> "SeqSet":
-        """The set of packed values: an integer array or any iterable of ints."""
+        """The set of packed values: an integer array or any iterable of ints.
+
+        A strictly increasing uint64 array is kept as it is, not copied, and
+        made read-only."""
         obj = cls.__new__(cls)
         obj._fill(n, vals)
         return obj
 
     def _fill(self, n: int, vals: Iterable[int]) -> None:
-        # dedupe by sort and an adjacent-difference mask: np.unique takes a
-        # hash path on numpy 2.4, far slower on the sorted arrays built here
-        arr = np.sort(np.asarray(vals if isinstance(vals, np.ndarray) else list(vals),
-                                 dtype=_word_dtype(n)))
-        fresh = arr[1:] != arr[:-1]
-        if not fresh.all():
-            arr = arr[np.concatenate([[True], fresh])]
+        if not 0 <= n <= MAX_LEN:
+            raise SequenceTooLongError(f"code length {n} out of range 0..{MAX_LEN}")
+        arr = np.asarray(vals if isinstance(vals, np.ndarray) else list(vals), dtype=np.uint64)
+        if not (arr[1:] > arr[:-1]).all():
+            # dedupe by sort and an adjacent-difference mask: np.unique takes a
+            # hash path on numpy 2.4, far slower on the sorted arrays built here
+            arr = np.sort(arr)
+            fresh = arr[1:] != arr[:-1]
+            if not fresh.all():
+                arr = arr[np.concatenate([[True], fresh])]
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_arr", arr)
@@ -59,7 +66,7 @@ class SeqSet:
         return self._arr.tolist()
 
     def _array(self) -> np.ndarray:
-        """Member values as the sorted read-only array (uint64 for n <= 64)."""
+        """Member values as the sorted read-only uint64 array."""
         return self._arr
 
     def __len__(self) -> int:
@@ -79,8 +86,7 @@ class SeqSet:
         )
 
     def __hash__(self) -> int:
-        arr = self._arr
-        return hash((self.n, arr.tobytes() if arr.dtype != object else tuple(arr.tolist())))
+        return hash((self.n, self._arr.tobytes()))
 
     def __and__(self, other: "SeqSet") -> "SeqSet":
         self._check_len(other)
@@ -142,10 +148,9 @@ class SeqSet:
         if not ok:
             bad = next(ln for ln in lines if len(ln) != n or set(ln) - {"0", "1"})
             raise ValueError(f"bad sequence line: {bad!r}")
-        dt = _word_dtype(n)
-        vals = np.zeros(rows, dtype=dt)
+        vals = np.zeros(rows, dtype=np.uint64)
         for j in range(n):
-            vals |= bits[:, j].astype(dt) << (n - 1 - j)
+            vals |= bits[:, j].astype(np.uint64) << (n - 1 - j)
         return cls._from_vals(n, vals)
 
 

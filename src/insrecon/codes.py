@@ -15,14 +15,17 @@ Seven families, all realized as syndrome cosets of an ambient set:
 * ``fiveread`` -- VT + segmented indicator checks summed over even/odd windows
                   over R(n, 3, P); five reads suffice after two insertions.
 
+Each family's residues have one definition, its kernel in ``FAMILIES``.
 Builders materialize codes by exhaustive filtering (refused above the
-enumeration cap); the ``*_member`` predicates work at any length.
+enumeration cap); the scalar syndromes and the ``*_member`` predicates are
+one-word calls of the same kernels, for words of up to ``MAX_LEN`` bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -30,7 +33,7 @@ import numpy as np
 from . import seqs
 from .balls import SeqSet, coverage_at_least, coverage_less_than
 from .confusability import ConfusabilityVerdict, classify_pair
-from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, indicator, in_r, inversions, r_mask
+from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, r_mask
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +85,8 @@ def _parity_moduli(n: int) -> Tuple[int, int, int, int, int]:
     return (2 * n, n * n, n**3, 3, 2 * n)
 
 
-def _dot(ind: BitSeq, weights: Sequence[int]) -> int:
-    total = 0
-    L = ind.n
-    v = ind.val
-    for i in range(1, L + 1):
-        if (v >> (L - i)) & 1:
-            total += weights[i - 1]
-    return total
-
-
-def _checks(z: BitSeq, moduli: Tuple[int, int, int, int, int], h_second: str) -> ParityVector:
-    if h_second not in _H_WEIGHTS:
-        raise ValueError(f"h_second must be one of {_H_WEIGHTS}")
-    w = weight_vectors(z.n)
-    i10 = indicator(z, 1, 0)
-    i01 = indicator(z, 0, 1)
-    M1, M2, M3, M4, M5 = moduli
-    f = (_dot(i10, w.m0) % M1, _dot(i10, w.m1) % M2, _dot(i10, w.m2) % M3)
-    hw = w.m1 if h_second == "m1" else w.m0
-    h = (i01.weight() % M4, _dot(i01, hw) % M5)
-    return ParityVector(f, h, moduli)
+def _vector(residues: Sequence[int], moduli: Tuple[int, int, int, int, int]) -> ParityVector:
+    return ParityVector(tuple(residues[:3]), tuple(residues[3:]), moduli)
 
 
 def parity_checks(x: BitSeq, h_second: str = "m1") -> ParityVector:
@@ -113,10 +97,14 @@ def parity_checks(x: BitSeq, h_second: str = "m1") -> ParityVector:
     tests show only the m1 form preserves the two-insertion correction
     property (see README).
     """
-    n = x.n
-    if n < 2:
-        raise ValueError("parity checks need length >= 2")
-    return _checks(x, _parity_moduli(n), h_second)
+    return _vector(_parity_residues(x.val, x.n, h_second), _parity_moduli(x.n))
+
+
+def _segments(n: int, m: int) -> int:
+    """The number n/m of width-m segments of a length-n word; m must divide n."""
+    if m < 1 or n % m != 0:
+        raise ValueError(f"segment width {m} must divide n={n}")
+    return n // m
 
 
 def segment_checks(x: BitSeq, k: int, m: int, h_second: str = "m0") -> ParityVector:
@@ -126,14 +114,11 @@ def segment_checks(x: BitSeq, k: int, m: int, h_second: str = "m0") -> ParityVec
     the extracted window (those windows have length 2m, so the whole-sequence
     moduli specialize to exactly these), up to the h_second choice.
     """
-    n = x.n
-    if m < 1 or n % m != 0:
-        raise ValueError(f"segment width {m} must divide n={n}")
-    s = n // m
+    s = _segments(x.n, m)
     if not 0 <= k <= s - 2:
         raise ValueError(f"segment index {k} out of range 0..{s - 2}")
-    window = x.subword(k * m + 1, k * m + 2 * m)
-    return _checks(window, _parity_moduli(2 * m), h_second)
+    window = _window(x.val, x.n, m, k)
+    return _vector(_parity_residues(window, 2 * m, h_second), _parity_moduli(2 * m))
 
 
 @dataclass(frozen=True)
@@ -144,20 +129,129 @@ class TildeSums:
 
 def tilde_sums(x: BitSeq, m: int, h_second: str = "m0") -> TildeSums:
     """Componentwise modular sums of the window checks over even/odd k."""
-    n = x.n
-    if m < 1 or n % m != 0:
-        raise ValueError(f"segment width {m} must divide n={n}")
-    moduli = _parity_moduli(2 * m)
-    acc = {0: [0, 0, 0, 0, 0], 1: [0, 0, 0, 0, 0]}
-    for k in range(0, n // m - 1):
-        res = segment_checks(x, k, m, h_second).residues()
-        slot = acc[k % 2]
-        for idx in range(5):
-            slot[idx] = (slot[idx] + res[idx]) % moduli[idx]
-    def pack(slot: List[int]) -> ParityVector:
-        return ParityVector((slot[0], slot[1], slot[2]), (slot[3], slot[4]), moduli)
+    _segments(x.n, m)
+    sums, moduli = _window_sums(x.val, x.n, m, h_second), _parity_moduli(2 * m)
+    return TildeSums(even=_vector(sums[:5], moduli), odd=_vector(sums[5:], moduli))
 
-    return TildeSums(even=pack(acc[0]), odd=pack(acc[1]))
+
+# ---------------------------------------------------------------------------
+# syndrome kernels: the exact residues of packed words, from weighted bit
+# sums; each takes an array of words (one int array per residue) or one word
+# as a Python int (one int per residue), by the same arithmetic
+
+# _BYTE_BITS[v, j] is bit j (least significant first) of the byte v
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.int32)
+
+
+@lru_cache(maxsize=64)
+def _byte_tables(kind: str, nbits: int) -> Tuple[Tuple[np.ndarray, ...], Tuple[List[int], ...]]:
+    """Per byte i of an nbits-bit word, the table of sum_j w[8i + j] * (bit j
+    of v) over the 256 bytes v, for the weights w of ``kind``, LSB first:
+    "ones", the positions "pos", or the reversed weight_vectors(nbits + 1)
+    field of that name.  As read-only arrays, and as lists for one word."""
+    if kind in ("ones", "pos"):
+        weights = (1,) * nbits if kind == "ones" else tuple(range(nbits))
+    else:
+        weights = getattr(weight_vectors(nbits + 1), kind)[::-1]
+    tables = []
+    for lo in range(0, nbits, 8):
+        part = np.asarray(weights[lo : lo + 8], dtype=np.int32)
+        tables.append(_BYTE_BITS[:, : part.size] @ part)
+        tables[-1].flags.writeable = False
+    return tuple(tables), tuple(t.tolist() for t in tables)
+
+
+def _bit_sums(vals, nbits: int, *kinds: str) -> list:
+    """sum_b w[b] * (bit b of each word) for the weights w of each kind (see
+    _byte_tables), from one cached table per byte; every sum is < 2**31."""
+    if isinstance(vals, int):
+        sums = []
+        for kind in kinds:
+            total, v = 0, vals
+            for row in _byte_tables(kind, nbits)[1]:
+                total, v = total + row[v & 0xFF], v >> 8
+            sums.append(total)
+        return sums
+    tables = [_byte_tables(kind, nbits)[0] for kind in kinds]
+    sums = [np.zeros(vals.shape, dtype=np.int32) for _ in kinds]
+    for i, lo in enumerate(range(0, nbits, 8)):
+        byte = (vals >> lo) & 0xFF
+        for acc, arrays in zip(sums, tables):
+            acc += arrays[i][byte]
+    return sums
+
+
+def _weight_and_sum(vals, n: int) -> list:
+    """The weight w and the position sum S = sum_b b * bit_b of every word."""
+    return _bit_sums(vals, n, "ones", "pos")
+
+
+def _vt_residue(w, s, n: int):
+    """Bit b is x_{n-b}, so sum_i i * x_i = n*w - S."""
+    return (n * w - s) % (n + 1)
+
+
+def _inv_wt_residues(w, s, P: int) -> list:
+    """[inversions mod P+1, weight mod 2]: the one at bit b precedes b symbols,
+    and the ones among them make up w(w-1)/2 pairs, so inversions = S - w(w-1)/2.
+    """
+    return [(s - w * (w - 1) // 2) % (P + 1), w % 2]
+
+
+def _parity_residues(vals, n: int, h_second: str) -> list:
+    """The five parity_checks residues of every length-n word."""
+    if n < 2:
+        raise ValueError("parity checks need length >= 2")
+    if h_second not in _H_WEIGHTS:
+        raise ValueError(f"h_second must be one of {_H_WEIGHTS}")
+    # indicator position i = 1..n-1 is bit n-1-i, so the weights run reversed
+    low = (1 << (n - 1)) - 1
+    shifted = vals >> 1
+    sums = _bit_sums(shifted & ~vals & low, n - 1, "m0", "m1", "m2")
+    sums += _bit_sums(~shifted & vals & low, n - 1, "ones", h_second)
+    return [s % mod for s, mod in zip(sums, _parity_moduli(n))]
+
+
+def _window(vals, n: int, m: int, k: int):
+    """The window x[km+1 .. km+2m] of length-n words, as 2m-bit words."""
+    return (vals >> (n - (k + 2) * m)) & ((1 << 2 * m) - 1)
+
+
+def _window_sums(vals, n: int, m: int, h_second: str) -> list:
+    """The parity residues of the windows k = 0..n/m-2 of length-n words,
+    summed over even k, then over odd k, each mod the moduli of length 2m."""
+    moduli = _parity_moduli(2 * m)
+    zero = 0 if isinstance(vals, int) else np.zeros(vals.shape, dtype=np.int32)
+    sums = [[zero] * 5, [zero] * 5]
+    for k in range(n // m - 1):
+        side = sums[k % 2]
+        for idx, r in enumerate(_parity_residues(_window(vals, n, m, k), 2 * m, h_second)):
+            side[idx] = (side[idx] + r) % moduli[idx]
+    return sums[0] + sums[1]
+
+
+def _segment_width(n: int, P: int) -> int:
+    """The fiveread segment width m = 7P+1, after checking P >= 1 and m < n."""
+    if P < 1:
+        raise ValueError("P must be >= 1")
+    m = 7 * P + 1
+    if m >= n:
+        raise ValueError(f"requires segment width m=7P+1={m} < n={n}")
+    return m
+
+
+def _five_read_residues(vals, n: int, P: int, h_second: str):
+    """VT, even and odd window sums of every word; windows of the padded word."""
+    m = _segment_width(n, P)
+    nbar = -(-n // m) * m
+    if nbar > MAX_LEN:
+        raise SequenceTooLongError(f"padded length {nbar} exceeds MAX_LEN")
+    moduli = _parity_moduli(2 * m)
+    words = vals if isinstance(vals, int) else vals.astype(np.uint64)
+    sums = _window_sums(words << (nbar - n), nbar, m, h_second)
+    return [_vt_residue(*_weight_and_sum(vals, n), n), *sums], (n + 1, *moduli, *moduli)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +263,13 @@ class _Params:
 
     A family declares its ambient set as ``_r(P) -> (ell, t)``, meaning
     R(n, ell, t), or as the whole space by having no ``_r``; and a kernel,
-    ``_kernel(vals, n, P, h_second)``, giving the arrays of the
-    ``residues()`` of packed words, with their moduli.  A family whose
-    residues depend only on the weight w and the position sum S of a word
-    declares them as ``_ws(w, S, n, P)`` instead, and its kernel is that of
-    ``_weight_and_sum(vals)``.
+    ``_kernel(vals, n, P, h_second)``, giving the ``residues()`` of packed
+    words with their moduli.  A family whose residues depend only on the
+    weight w and the position sum S of a word declares them as
+    ``_ws(w, S, n, P)`` instead, and its kernel is that of
+    ``_weight_and_sum(vals)``.  ``_check(n, P)`` is the record's own check of
+    n and P, run before a sweep enumerates; ``_check_p(P)`` that of P alone,
+    run before a membership test.
     """
 
     _h_second = ""
@@ -181,15 +277,20 @@ class _Params:
     _ws = None
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, *r))
     _kernel = classmethod(lambda cls, vals, n, P, h: cls._ws(*_weight_and_sum(vals, n), n, P))
+    _check = classmethod(lambda cls, n, P: None)
+    _check_p = classmethod(lambda cls, P: None)
 
     @classmethod
-    def _check(cls, n: int, P: Optional[int]) -> None:
-        """The record's own checks of n and P, run before a sweep enumerates."""
-
-    def _residues_equal(self, vals: np.ndarray, h_second: Optional[str] = None) -> np.ndarray:
-        residues, _ = self._kernel(vals, self.n, getattr(self, "P", None),
-                                   h_second or self._h_second)
-        return np.logical_and.reduce([r == want for r, want in zip(residues, self.residues())])
+    def _member(cls, vals, n: int, P: Optional[int], want: Sequence[int],
+                h_second: Optional[str] = None):
+        """Which length-n words lie in the coset of the residues ``want``: in
+        the ambient set, with the kernel's residues equal to ``want``."""
+        cls._check_p(P)
+        residues, _ = cls._kernel(vals, n, P, cls._h_second if h_second is None else h_second)
+        ok = len(residues) == len(want) and (cls._r is None or r_mask(vals, n, *cls._r(P)))
+        for r, w in zip(residues, want):
+            ok = ok & (r == w)
+        return ok
 
     def _items(self) -> List[Tuple[str, object]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
@@ -251,10 +352,16 @@ class _InvWtParams(_Params):
     _ws = staticmethod(lambda w, s, n, P: (_inv_wt_residues(w, s, P), (P + 1, 2)))
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, *r))
     _check = classmethod(lambda cls, n, P: cls(n, P, 0, 0))
+    _p_ok = staticmethod(lambda P: P >= 1)
+    _p_rule = "P must be >= 1"
+
+    @classmethod
+    def _check_p(cls, P: int) -> None:
+        if not cls._p_ok(P):
+            raise ValueError(cls._p_rule)
 
     def __post_init__(self):
-        if self.P < 1:
-            raise ValueError("P must be >= 1")
+        self._check_p(self.P)
         if not 0 <= self.c <= self.P:
             raise ValueError(f"residue c={self.c} out of range 0..{self.P}")
         if self.d not in (0, 1):
@@ -269,24 +376,21 @@ class TwoReadParams(_InvWtParams):
 class Np4Params(_InvWtParams):
     family = "np4"
     _r = staticmethod(lambda P: (3, P // 3))
+    _p_ok = staticmethod(lambda P: P >= 6 and P % 3 == 0)
+    _p_rule = "np4 requires P >= 6 with 3 | P"
 
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("np4 requires n >= 4")
-        if self.P < 6 or self.P % 3 != 0:
-            raise ValueError("np4 requires P >= 6 with 3 | P")
         super().__post_init__()
 
 
 class Np5Params(_InvWtParams):
     family = "np5"
     _r = staticmethod(lambda P: (2, 2 * P // 3))
-
-    def __post_init__(self):
-        # 2P/3 must be integral; flooring would silently loosen the constraint
-        if self.P < 3 or self.P % 3 != 0:
-            raise ValueError("np5 requires P >= 3 with 3 | P")
-        super().__post_init__()
+    # 2P/3 must be integral; flooring would silently loosen the constraint
+    _p_ok = staticmethod(lambda P: P >= 3 and P % 3 == 0)
+    _p_rule = "np5 requires P >= 3 with 3 | P"
 
 
 @dataclass(frozen=True)
@@ -326,11 +430,7 @@ class FiveReadParams(_Params):
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, r[0], r[1:6], r[6:11]))
 
     def __post_init__(self):
-        if self.P < 1:
-            raise ValueError("P must be >= 1")
-        m = 7 * self.P + 1
-        if m >= self.n:
-            raise ValueError(f"requires segment width m=7P+1={m} < n={self.n}")
+        m = _segment_width(self.n, self.P)
         if not 0 <= self.a <= self.n:
             raise ValueError(f"VT residue a={self.a} out of range 0..{self.n}")
         bounds = _parity_moduli(2 * m)
@@ -356,160 +456,50 @@ FAMILIES: Dict[str, Type] = {cls.family: cls for cls in (
 
 
 # ---------------------------------------------------------------------------
-# syndromes and membership
+# syndromes and membership: one-word calls of the family kernels
 
 
 def vt_syndrome(x: BitSeq) -> int:
     """sum_i i * x_i mod (n + 1)."""
-    total = 0
-    for i, bit in enumerate(x, start=1):
-        if bit:
-            total += i
-    return total % (x.n + 1)
+    return VTParams._kernel(x.val, x.n, None, "")[0][0]
 
 
 def vt_member(x: BitSeq, a: int) -> bool:
-    return vt_syndrome(x) == a
-
-
-def _inv_wt_member(x: BitSeq, P: int, c: int, d: int) -> bool:
-    return inversions(x) % (1 + P) == c and x.weight() % 2 == d
+    return bool(VTParams._member(x.val, x.n, None, (a,)))
 
 
 def two_read_member(x: BitSeq, P: int, c: int, d: int) -> bool:
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    return in_r(x, 2, 2 * P) and _inv_wt_member(x, P, c, d)
+    return bool(TwoReadParams._member(x.val, x.n, P, (c, d)))
 
 
 def np4_member(x: BitSeq, P: int, c: int, d: int) -> bool:
-    if P < 6 or P % 3 != 0:
-        raise ValueError("np4 requires P >= 6 with 3 | P")
-    return in_r(x, 3, P // 3) and _inv_wt_member(x, P, c, d)
+    return bool(Np4Params._member(x.val, x.n, P, (c, d)))
 
 
 def np5_member(x: BitSeq, P: int, c: int, d: int) -> bool:
-    if P < 3 or P % 3 != 0:
-        raise ValueError("np5 requires P >= 3 with 3 | P")
-    return in_r(x, 2, 2 * P // 3) and _inv_wt_member(x, P, c, d)
+    return bool(Np5Params._member(x.val, x.n, P, (c, d)))
 
 
 def two_insertion_syndrome(x: BitSeq, h_second: str = "m1") -> Tuple[int, int, int, int, int]:
-    return parity_checks(x, h_second).residues()
+    return tuple(_parity_residues(x.val, x.n, h_second))
 
 
 def two_insertion_member(x: BitSeq, residues: Sequence[int], h_second: str = "m1") -> bool:
-    return two_insertion_syndrome(x, h_second) == tuple(residues)
+    return bool(TwoInsertionParams._member(x.val, x.n, None, tuple(residues), h_second))
 
 
-def _padded(x: BitSeq, m: int) -> BitSeq:
-    """x itself when m | n, else x with zeros appended to the next multiple."""
-    n = x.n
-    if n % m == 0:
-        return x
-    nbar = (n // m + 1) * m
-    return x + BitSeq.from_int(0, nbar - n)
-
-
-def five_read_syndrome(
-    x: BitSeq, P: int, h_second: str = "m0"
-) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+def five_read_syndrome(x: BitSeq, P: int,
+                       h_second: str = "m0") -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
     """(VT residue of x, even sums, odd sums); the sums run on the padded word."""
-    m = 7 * P + 1
-    if m >= x.n:
-        raise ValueError(f"requires m=7P+1={m} < n={x.n}")
-    sums = tilde_sums(_padded(x, m), m, h_second)
-    return vt_syndrome(x), sums.even.residues(), sums.odd.residues()
+    a, *sums = _five_read_residues(x.val, x.n, P, h_second)[0]
+    return a, tuple(sums[:5]), tuple(sums[5:])
 
 
-def five_read_member(
-    x: BitSeq,
-    P: int,
-    a: int,
-    avec: Sequence[int],
-    bvec: Sequence[int],
-    h_second: str = "m0",
-) -> bool:
-    if not in_r(x, 3, P):
-        return False
-    va, ve, vo = five_read_syndrome(x, P, h_second)
-    return va == a and ve == tuple(avec) and vo == tuple(bvec)
-
-
-# ---------------------------------------------------------------------------
-# vectorized syndrome kernels: the exact residues of a whole array of packed
-# words, one int array per residue, from weighted bit sums
-
-# _BYTE_BITS[v, j] is bit j (least significant first) of the byte v
-_BYTE_BITS = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
-).astype(np.int32)
-
-
-def _bit_sums(vals: np.ndarray, nbits: int, *weights: Sequence[int]) -> List[np.ndarray]:
-    """sum_b w[b] * (bit b of each word) for each weight vector w, LSB first.
-
-    One 256-entry table per byte and weight vector; every sum here is < 2**31.
-    """
-    sums = [np.zeros(vals.shape, dtype=np.int32) for _ in weights]
-    for lo in range(0, nbits, 8):
-        byte = (vals >> lo) & 0xFF
-        for acc, w in zip(sums, weights):
-            part = np.asarray(w[lo : lo + 8], dtype=np.int32)
-            acc += (_BYTE_BITS[:, : part.size] @ part)[byte]
-    return sums
-
-
-def _weight_and_sum(vals: np.ndarray, n: int) -> List[np.ndarray]:
-    """The weight w and the position sum S = sum_b b * bit_b of every word."""
-    return _bit_sums(vals, n, [1] * n, range(n))
-
-
-def _vt_residue(w: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
-    """Bit b is x_{n-b}, so sum_i i * x_i = n*w - S."""
-    return (n * w - s) % (n + 1)
-
-
-def _inv_wt_residues(w: np.ndarray, s: np.ndarray, P: int) -> List[np.ndarray]:
-    """[inversions mod P+1, weight mod 2]: the one at bit b precedes b symbols,
-    and the ones among them make up w(w-1)/2 pairs, so inversions = S - w(w-1)/2.
-    """
-    return [(s - w * (w - 1) // 2) % (P + 1), w % 2]
-
-
-def _parity_residues(vals: np.ndarray, n: int, h_second: str) -> List[np.ndarray]:
-    """The five parity_checks residues of every length-n word."""
-    if n < 2:
-        raise ValueError("parity checks need length >= 2")
-    if h_second not in _H_WEIGHTS:
-        raise ValueError(f"h_second must be one of {_H_WEIGHTS}")
-    # indicator position i = 1..n-1 is bit n-1-i, so the weights run reversed
-    m0, m1, m2 = (vec[::-1] for vec in astuple(weight_vectors(n)))
-    low = (1 << (n - 1)) - 1
-    shifted = vals >> 1
-    sums = _bit_sums(shifted & ~vals & low, n - 1, m0, m1, m2)
-    sums += _bit_sums(~shifted & vals & low, n - 1, [1] * (n - 1), m1 if h_second == "m1" else m0)
-    return [s % mod for s, mod in zip(sums, _parity_moduli(n))]
-
-
-def _five_read_residues(vals: np.ndarray, n: int, P: int, h_second: str):
-    """VT, even and odd window sums of every word; windows of the padded word."""
-    m = 7 * P + 1
-    if m >= n:
-        raise ValueError(f"requires m=7P+1={m} < n={n}")
-    nbar = -(-n // m) * m
-    if nbar > MAX_LEN:
-        raise SequenceTooLongError(f"padded length {nbar} exceeds MAX_LEN")
-    moduli = _parity_moduli(2 * m)
-    padded = vals.astype(np.uint64) << (nbar - n)
-    sums = [[np.zeros(vals.shape, dtype=np.int32)] * 5 for _ in range(2)]
-    for k in range(nbar // m - 1):
-        window = (padded >> (nbar - (k + 2) * m)) & ((1 << 2 * m) - 1)
-        side = sums[k % 2]
-        for idx, r in enumerate(_parity_residues(window, 2 * m, h_second)):
-            side[idx] = (side[idx] + r) % moduli[idx]
-    vt = _vt_residue(*_weight_and_sum(vals, n), n)
-    return [vt, *sums[0], *sums[1]], (n + 1, *moduli, *moduli)
+def five_read_member(x: BitSeq, P: int, a: int, avec: Sequence[int], bvec: Sequence[int],
+                     h_second: str = "m0") -> bool:
+    # eleven residues split as 1 + 5 + 5 only if avec and bvec have equal lengths
+    want = (a, *avec, *bvec) if len(avec) == len(bvec) else ()
+    return bool(FiveReadParams._member(x.val, x.n, P, want, h_second))
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +784,8 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     """Parse a code file; a missing header yields params=None.
 
     Under a header, every codeword must lie in the coset it names (with the
-    family's default h_second), by the membership test build_code uses.
+    family's default h_second), by the record test the ``*_member``
+    predicates make one word at a time.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines(keepends=True)
@@ -803,13 +794,9 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
         params = parse_header(lines[0])
         lines = lines[1:]
     code = SeqSet.parse_lines("".join(lines), None if params is None else params.n)
-    if not 0 <= code.n <= MAX_LEN:
-        raise SequenceTooLongError(f"code length {code.n} out of range 0..{MAX_LEN}")
     if params is not None:
         vals = code._array()
-        ok = params._residues_equal(vals)
-        if params._r is not None:
-            ok &= r_mask(vals, code.n, *params._r(params.P))
+        ok = params._member(vals, code.n, getattr(params, "P", None), params.residues())
         if not ok.all():
             word = BitSeq.from_int(int(vals[~ok][0]), code.n)
             raise ValueError(f"codeword {word} is not in the code of its header: "

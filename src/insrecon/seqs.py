@@ -205,20 +205,19 @@ def in_r(x: BitSeq, ell: int, t: int) -> bool:
     return True
 
 
-def r_mask(vals: np.ndarray, n: int, ell: int, t: int) -> np.ndarray:
-    """Vectorized in_r over packed length-n values, with the same edge cases."""
+def r_mask(vals, n: int, ell: int, t: int):
+    """Vectorized in_r over packed length-n values, with the same edge cases;
+    vals is an array, or one value as a Python int."""
     if ell < 1 or t < 1 or n < 0:
         raise ValueError("require n >= 0, ell >= 1, t >= 1")
     if n <= t or t < ell:
-        return np.full(vals.shape, n <= t)
-    dtype = vals.dtype.type
-    ok = np.ones(vals.shape, dtype=bool)
+        return np.full(np.shape(vals), n <= t)
+    ok = True
     for p in range(1, ell + 1):
-        zeros = ~(vals ^ (vals >> dtype(p))) & dtype(_mask(n - p))
         # a run of (t+1-p) agreeing shift-p positions marks a violating window
-        run = zeros
+        run = ~(vals ^ (vals >> p)) & _mask(n - p)
         for _ in range(t - p):
-            run = run & (run >> dtype(1))
+            run = run & (run >> 1)
         ok &= run == 0
     return ok
 

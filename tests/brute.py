@@ -4,7 +4,7 @@ Everything here is written from the definitions with no shortcuts so that the
 library's packed-word implementations have something honest to be checked
 against: balls by repeated single insertions plus dedup, confusability by
 literal split scans, parity checks by running-sum weights and direct dot
-products.
+products, five-read window sums from explicitly padded and sliced strings.
 """
 
 from itertools import accumulate, combinations
@@ -129,3 +129,23 @@ def parity_checks(s: str, moduli, h_second: str = "m1"):
 
 def all_seqs(n: int):
     return [format(v, f"0{n}b") if n else "" for v in range(1 << n)]
+
+
+def five_read_sums(s: str, P: int, h_second: str = "m0"):
+    """Even and odd window sums of the five-read code, from the definitions.
+
+    s is padded with zeros to a multiple of m = 7P + 1; window k is
+    padded[km : km + 2m] for k = 0 .. len/m - 2, checked by parity_checks
+    under the moduli of a length-2m word, (4m, 4m^2, 8m^3, 3, 4m); the
+    residues are summed over even k and over odd k, componentwise.
+    """
+    m = 7 * P + 1
+    padded = s + "0" * (-len(s) % m)
+    moduli = (4 * m, 4 * m * m, 8 * m**3, 3, 4 * m)
+    sums = ([0] * 5, [0] * 5)
+    for k in range(len(padded) // m - 1):
+        f, h = parity_checks(padded[k * m : k * m + 2 * m], moduli, h_second)
+        side = sums[k % 2]
+        for i, r in enumerate(f + h):
+            side[i] = (side[i] + r) % moduli[i]
+    return tuple(sums[0]), tuple(sums[1])

@@ -75,6 +75,8 @@ def _parse_per_line(text, n):
         if len(ln) != n or set(ln) - {"0", "1"}:
             return f"bad sequence line: {ln!r}"
         vals.add(int(ln, 2) if ln else 0)
+    if not 0 <= n <= 64:
+        return f"code length {n} out of range 0..64"
     return n, vals
 
 
@@ -88,7 +90,7 @@ _breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])
     n=st.one_of(st.none(), st.integers(-1, 7)),
 )
 @example(lines=["1" * 64, "0" * 63 + "1"], breaks=["\n"] * 8, n=None)  # the top bit of uint64
-@example(lines=["1" * 65, "0" * 65], breaks=["\n"] * 8, n=65)  # wider than a machine word
+@example(lines=["1" * 65, "0" * 65], breaks=["\n"] * 8, n=65)  # wider than a word: refused
 @example(lines=["", " ", ""], breaks=["\n"] * 8, n=0)  # each line the empty word
 @example(lines=["01", "1 0", "2"], breaks=["\n"] * 8, n=2)  # the first bad line is named
 def test_parse_lines_matches_per_line_reading(lines, breaks, n):
@@ -116,13 +118,18 @@ def test_seqset_set_ops():
 @given(data=st.data(), n=st.sampled_from([0, 1, 5, 64, 65]))
 def test_seqset_matches_frozenset_model(data, n):
     """Every SeqSet operation against Python frozensets of packed values;
-    n = 65 holds its words as Python ints (dtype=object), the rest as uint64."""
+    a set of 65-bit words is refused, however it is built."""
     words = st.integers(0, (1 << n) - 1)
     xs = data.draw(st.lists(words, max_size=12))
+    if n > 64:
+        for build in (lambda: SeqSet._from_vals(n, xs), lambda: SeqSet(n, [])):
+            with pytest.raises(SequenceTooLongError, match=f"^code length {n} out of range"):
+                build()
+        return
     ys = data.draw(st.lists(st.sampled_from(xs) | words if xs else words, max_size=12))
     a, b = SeqSet._from_vals(n, xs), SeqSet._from_vals(n, ys)
     fa, fb = frozenset(xs), frozenset(ys)
-    assert a._array().dtype == (np.uint64 if n <= 64 else object)
+    assert a._array().dtype == np.uint64
     assert len(a) == len(fa)
     assert a.values() == sorted(fa)
     assert all(type(v) is int for v in a.values())
@@ -135,22 +142,33 @@ def test_seqset_matches_frozenset_model(data, n):
     assert same == a and hash(same) == hash(a)
     if fa == fb:
         assert hash(a) == hash(b)
-    assert a != SeqSet._from_vals(n + 1, xs) and a != fa
-    for m in {n + 1, abs(n - 1)}:
+    # another length within 0..64
+    assert a != SeqSet._from_vals(n + 1 if n < 64 else n - 1, xs) and a != fa
+    for m in {n + 1, abs(n - 1)} - {65}:
         for op in (a.__and__, a.__or__, a.__sub__, a.isdisjoint):
             with pytest.raises(ValueError, match="length mismatch"):
                 op(SeqSet._from_vals(m, []))
     assert BitSeq.from_int(0, 2 if n == 1 else 1) not in a and 0 not in a
-    if n <= 64:
-        assert [s.val for s in a] == sorted(fa)
-        for v in xs + ys:
-            assert (BitSeq.from_int(v, n) in a) == (v in fa)
-        assert SeqSet(n, [BitSeq.from_int(v, n) for v in xs]) == a
-        assert SeqSet._from_vals(n, np.array(xs, dtype=np.uint64)) == a
+    assert [s.val for s in a] == sorted(fa)
+    for v in xs + ys:
+        assert (BitSeq.from_int(v, n) in a) == (v in fa)
+    assert SeqSet(n, [BitSeq.from_int(v, n) for v in xs]) == a
+    assert SeqSet._from_vals(n, np.array(xs, dtype=np.uint64)) == a
     if n <= 32:
         assert SeqSet._from_vals(n, np.array(xs, dtype=np.uint32)) == a
-    if n > 64:
-        assert SeqSet._from_vals(n, np.array(xs, dtype=object)) == a
+
+
+def test_seqset_keeps_a_strictly_increasing_array_without_a_copy():
+    inc = np.array([1, 4, 9], dtype=np.uint64)
+    kept = SeqSet._from_vals(4, inc)
+    assert kept._array() is inc and not inc.flags.writeable
+    for other in ([9, 4, 1], [1, 4, 4, 9]):  # unsorted, or not strictly increasing
+        arr = np.array(other, dtype=np.uint64)
+        got = SeqSet._from_vals(4, arr)
+        assert got == kept and not np.shares_memory(got._array(), arr)
+        assert arr.tolist() == other and arr.flags.writeable
+    with pytest.raises(ValueError):
+        kept._array()[0] = 2
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,7 @@ def test_length_zero_code_round_trip(tmp_path, capsys):
         ("# family=tworead n=4 params=P=1,c=0,d=0\n0110\n1111\n",
          "codeword 1111 is not in the code of its header: family=tworead n=4 params=P=1,c=0,d=0"),
         ("# family=vt n=70 params=a=0\n" + "0" * 70 + "\n", "code length 70 out of range 0..64"),
+        ("# family=tworead n=-1 params=P=1,c=0,d=0\n", "code length -1 out of range 0..64"),
         ("# family=fiveread n=40 params=P=5,a=0,avec=0|0|0|0|0,bvec=0|0|0|0|0\n" + "01" * 20 + "\n",
          "padded length 72 exceeds MAX_LEN"),
     ],

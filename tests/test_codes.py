@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -328,7 +328,7 @@ def test_two_insertion_cosets_partition():
     for params, code in groups.items():
         want = params.residues()
         for x in code:
-            assert two_insertion_syndrome(x) == want
+            assert oracle_syndrome("twoins", x, None, "m1") == want
 
 
 def test_two_insertion_build_matches_partition():
@@ -351,9 +351,8 @@ def test_five_read_members_satisfy_all_conditions():
     for params, code in groups.items():
         for x in code:
             assert in_r(x, 3, P)
-            assert vt_syndrome(x) == params.a
-            va, ve, vo = five_read_syndrome(x, P)
-            assert (va, ve, vo) == (params.a, params.avec, params.bvec)
+            assert brute.vt_syndrome(str(x)) == params.a
+            assert oracle_syndrome("fiveread", x, P, "m0") == params.residues()
             # padding: sums are computed on x extended by zeros to 2m | length
             assert n % m != 0  # this n exercises the padded branch
 
@@ -502,11 +501,43 @@ def test_headerless_file(tmp_path):
     assert seqs_of(code) == {"0101", "1010"}
 
 
-def scalar_member(params, x):
-    """Coset membership of x from the scalar predicates (default h_second)."""
-    family = params.family
+def oracle_syndrome(family, x, P, h_second):
+    """The residue tuple of x from code independent of the kernels: the
+    string oracles in brute and seqs.inversions."""
+    s = str(x)
     if family == "all":
-        return True
+        return (0,)
+    if family == "vt":
+        return (brute.vt_syndrome(s),)
+    if family in ("tworead", "np4", "np5"):
+        return (inversions(x) % (P + 1), s.count("1") % 2)
+    if family == "twoins":
+        n = len(s)
+        f, h = brute.parity_checks(s, (2 * n, n * n, n**3, 3, 2 * n), h_second)
+        return (*f, *h)
+    even, odd = brute.five_read_sums(s, P, h_second)
+    return (brute.vt_syndrome(s), *even, *odd)
+
+
+# (ell, t) of R(n, ell, t) for the families with a periodicity-limited ambient
+AMBIENT_R = {"tworead": lambda P: (2, 2 * P), "np4": lambda P: (3, P // 3),
+             "np5": lambda P: (2, 2 * P // 3), "fiveread": lambda P: (3, P)}
+
+# the h_second each family's records default to
+DEFAULT_H = {"twoins": "m1", "fiveread": "m0"}
+
+
+def oracle_member(params, x):
+    """Coset membership of x: seqs.in_r for the ambient set, oracle residues."""
+    family, P = params.family, getattr(params, "P", None)
+    if family in AMBIENT_R and not in_r(x, *AMBIENT_R[family](P)):
+        return False
+    return oracle_syndrome(family, x, P, DEFAULT_H.get(family)) == params.residues()
+
+
+def predicate_member(params, x):
+    """Coset membership of x from the public scalar predicates."""
+    family = params.family
     if family == "vt":
         return codes.vt_member(x, params.a)
     if family == "twoins":
@@ -534,17 +565,8 @@ def code_files(draw):
         x = BitSeq(("001110" * 12)[r : r + n])
     else:
         x = BitSeq.from_int(draw(word), n)
-    if family == "all":
-        params = codes.AllParams(n)
-    elif family == "vt":
-        params = VTParams(n, vt_syndrome(x))
-    elif family == "twoins":
-        params = TwoInsertionParams(n, *two_insertion_syndrome(x))
-    elif family == "fiveread":
-        a, even, odd = five_read_syndrome(x, P)
-        params = FiveReadParams(n, P, a, even, odd)
-    else:
-        params = codes.FAMILIES[family](n, P, inversions(x) % (P + 1), x.weight() % 2)
+    residues = oracle_syndrome(family, x, P, DEFAULT_H.get(family))
+    params = codes.FAMILIES[family]._from_residues(n, P, residues)
     others = draw(st.lists(word, max_size=4))
     return params, sorted({x.val, *others})
 
@@ -559,7 +581,7 @@ def test_code_file_load_check_matches_scalar_membership(case):
     with os.fdopen(fd, "w") as fh:
         fh.write(text if n else format_header(params) + "\n\n")
     try:
-        bad = [v for v in vals if not scalar_member(params, BitSeq.from_int(v, n))]
+        bad = [v for v in vals if not oracle_member(params, BitSeq.from_int(v, n))]
         if bad:
             word = format(bad[0], f"0{n}b") if n else ""
             with pytest.raises(ValueError, match=f"^codeword {word} is not in the code"):
@@ -576,18 +598,6 @@ def test_header_format_example():
 
 # ---------------------------------------------------------------------------
 # vectorized syndrome kernels and sweeps
-
-
-def scalar_syndrome(family, x, P, h_second):
-    """The residue tuple of x from the scalar syndromes."""
-    if family == "vt":
-        return (vt_syndrome(x),)
-    if family in ("tworead", "np4", "np5"):
-        return (inversions(x) % (P + 1), x.weight() % 2)
-    if family == "twoins":
-        return two_insertion_syndrome(x, h_second)
-    va, ve, vo = five_read_syndrome(x, P, h_second)
-    return (va, *ve, *vo)
 
 
 def kernel_residues(family, vals, n, P, h_second):
@@ -616,8 +626,88 @@ def kernel_inputs(draw):
 def test_kernel_keys_equal_scalar_syndromes(case):
     family, n, P, h_second, words = case
     got = kernel_residues(family, words, n, P, h_second)
-    want = [scalar_syndrome(family, BitSeq.from_int(v, n), P, h_second) for v in words]
+    want = [oracle_syndrome(family, BitSeq.from_int(v, n), P, h_second) for v in words]
     assert got == want
+    assert one_word_residues(family, words, n, P, h_second) == want
+
+
+def one_word_residues(family, words, n, P, h_second):
+    """The residue tuple of every word from the kernel, one Python int at a time."""
+    out = [codes.FAMILIES[family]._kernel(v, n, P, h_second)[0] for v in words]
+    assert all(type(r) is int for row in out for r in row)
+    return [tuple(row) for row in out]
+
+
+@st.composite
+def wide_kernel_inputs(draw):
+    """Words of 27..64 bits, beyond the uint32 blocks of the sweeps."""
+    family = draw(st.sampled_from(("vt", "tworead", "np4", "np5", "twoins", "fiveread")))
+    h_second = draw(st.sampled_from(("m0", "m1")))
+    if family == "fiveread":  # m < n, and the padded length stays <= 64
+        P = draw(st.integers(1, 4))
+        m = 7 * P + 1
+        n = draw(st.integers(max(27, m + 1), 64 // m * m))
+    else:
+        P = draw(st.sampled_from((3, 6, 9, 18)))
+        n = draw(st.integers(27, 64))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    return family, n, P, h_second, words
+
+
+EDGE_WORDS = [0, 1, 2**63, 2**64 - 1, 0xAAAA_AAAA_AAAA_AAAA, 0x0123_4567_89AB_CDEF]
+
+
+@given(wide_kernel_inputs())
+@example(("twoins", 64, None, "m1", EDGE_WORDS))
+@example(("twoins", 64, None, "m0", EDGE_WORDS))
+@example(("vt", 64, None, "m1", EDGE_WORDS))
+@example(("np5", 64, 9, "m1", EDGE_WORDS))
+@example(("fiveread", 64, 1, "m0", EDGE_WORDS))  # 8 | 64: no padding
+@example(("fiveread", 57, 1, "m1", [0, 1, 2**57 - 1, 2**56]))  # padded to exactly 64
+@settings(max_examples=300, deadline=None)
+def test_kernels_match_oracles_on_words_of_27_to_64_bits(case):
+    family, n, P, h_second, words = case
+    residues, moduli = codes.FAMILIES[family]._kernel(np.array(words, dtype=np.uint64), n, P,
+                                                      h_second)
+    got = list(zip(*(r.tolist() for r in residues)))
+    assert got == [oracle_syndrome(family, BitSeq.from_int(v, n), P, h_second) for v in words]
+    assert one_word_residues(family, words, n, P, h_second) == got
+    assert all(0 <= r < m for row in got for r, m in zip(row, moduli))
+
+
+@given(n=st.integers(2, 64), data=st.data(), h_second=st.sampled_from(("m0", "m1")))
+@settings(max_examples=300, deadline=None)
+def test_scalar_syndromes_match_oracles(n, data, h_second):
+    x = BitSeq.from_int(data.draw(st.integers(0, (1 << n) - 1)), n)
+    assert vt_syndrome(x) == brute.vt_syndrome(str(x))
+    want = oracle_syndrome("twoins", x, None, h_second)
+    assert two_insertion_syndrome(x, h_second) == want
+    assert parity_checks(x, h_second).residues() == want
+    for P in (1, 2, 3, 4):
+        m = 7 * P + 1
+        if m < n and -(-n // m) * m <= 64:
+            a, even, odd = five_read_syndrome(x, P, h_second)
+            assert (a, *even, *odd) == oracle_syndrome("fiveread", x, P, h_second)
+
+
+@given(code_files())
+@settings(max_examples=300, deadline=None)
+def test_member_predicates_match_oracle_membership(case):
+    params, vals = case
+    if params.family == "all":  # no predicate: every word is a member
+        return
+    for v in vals:
+        x = BitSeq.from_int(v, params.n)
+        got = predicate_member(params, x)
+        assert type(got) is bool and got == oracle_member(params, x)
+
+
+def test_five_read_member_checks_parameters_before_the_word():
+    # m = 7P+1 = 22 >= n = 10 whether or not the word lies in R(10, 3, 3)
+    assert in_r(BitSeq("0011100011"), 3, 3) and not in_r(BitSeq("0000000000"), 3, 3)
+    for word in ("0011100011", "0000000000"):
+        with pytest.raises(ValueError, match=r"m=7P\+1=22 < n=10"):
+            codes.five_read_member(BitSeq(word), 3, 0, (0,) * 5, (0,) * 5)
 
 
 # (family, P, h_second, lengths) of every sweep compared with the reference
@@ -637,13 +727,8 @@ SWEEP_CASES = [
 ]
 
 
-# (ell, t) of R(n, ell, t) for the families whose scalar predicates test in_r
-AMBIENT_R = {"tworead": lambda P: (2, 2 * P), "np4": lambda P: (3, P // 3),
-             "np5": lambda P: (2, 2 * P // 3), "fiveread": lambda P: (3, P)}
-
-
 def scalar_ambient(family, n, P):
-    """The ambient words in ascending order, from the scalar in_r alone.
+    """The ambient words in ascending order, from seqs.in_r alone.
 
     R(n, ell, t) is closed under taking prefixes, so its members of length j
     are the members of length j - 1 with one symbol appended that stay in R.
@@ -657,11 +742,11 @@ def scalar_ambient(family, n, P):
 
 
 def reference_groups(family, n, P, h_second):
-    """Plain dict of lists: scalar residue tuple -> ambient words, in order."""
+    """Plain dict of lists: oracle residue tuple -> ambient words, in order."""
     groups = {}
     for v in scalar_ambient(family, n, P):
         x = BitSeq.from_int(v, n)
-        groups.setdefault(scalar_syndrome(family, x, P, h_second or "m1"), []).append(v)
+        groups.setdefault(oracle_syndrome(family, x, P, h_second or "m1"), []).append(v)
     return groups
 
 
@@ -752,10 +837,15 @@ def test_multi_block_sweep_sizes_equal_whole_space_bincount(family, P, n):
 
 @pytest.mark.parametrize("n", (0, 1, 31, 33, 64, 65))
 def test_to_lines_matches_per_word_format(n):
-    """Above 64 bits the words are Python ints; parse_lines reads them back."""
+    """parse_lines reads the lines back; above 64 bits no set is built."""
     rng = random.Random(n)
     vals = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(300)}
     want = "".join((format(v, f"0{n}b") if n else "") + "\n" for v in sorted(vals))
+    if n > 64:
+        for build in (lambda: SeqSet._from_vals(n, vals), lambda: SeqSet.parse_lines(want)):
+            with pytest.raises(seqs.SequenceTooLongError, match=f"^code length {n} out of range"):
+                build()
+        return
     code = SeqSet._from_vals(n, vals)
     got = code.to_lines()
     assert got == want
