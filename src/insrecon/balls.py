@@ -44,8 +44,7 @@ class SeqSet:
         return obj
 
     def _fill(self, n: int, vals: Iterable[int]) -> None:
-        if not 0 <= n <= MAX_LEN:
-            raise SequenceTooLongError(f"code length {n} out of range 0..{MAX_LEN}")
+        _check_code_length(n)
         arr = np.asarray(vals if isinstance(vals, np.ndarray) else list(vals), dtype=np.uint64)
         if not (arr[1:] > arr[:-1]).all():
             # dedupe by sort and an adjacent-difference mask: np.unique takes a
@@ -131,12 +130,13 @@ class SeqSet:
         lines = list(map(str.strip, text.splitlines()))
         if n != 0:
             lines = list(filter(None, lines))
-        if not lines:
-            if n is None:
-                raise ValueError("cannot infer length from empty input")
-            return cls._from_vals(n, ())
         if n is None:
+            if not lines:
+                raise ValueError("cannot infer length from empty input")
             n = len(lines[0])
+        _check_code_length(n)  # before the byte matrix is built
+        if not lines:
+            return cls._from_vals(n, ())
         chars = np.frombuffer("\n".join([*lines, ""]).encode("ascii", "replace"), dtype=np.uint8)
         rows = len(lines)
         ok = chars.size == rows * (n + 1)
@@ -152,6 +152,11 @@ class SeqSet:
         for j in range(n):
             vals |= bits[:, j].astype(np.uint64) << (n - 1 - j)
         return cls._from_vals(n, vals)
+
+
+def _check_code_length(n: int) -> None:
+    if not 0 <= n <= MAX_LEN:
+        raise SequenceTooLongError(f"code length {n} out of range 0..{MAX_LEN}")
 
 
 def _among(a, b: np.ndarray) -> np.ndarray:

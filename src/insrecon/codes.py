@@ -233,24 +233,27 @@ def _window_sums(vals, n: int, m: int, h_second: str) -> list:
 
 
 def _segment_width(n: int, P: int) -> int:
-    """The fiveread segment width m = 7P+1, after checking P >= 1 and m < n."""
+    """The fiveread segment width m = 7P+1, after checking P >= 1, m < n and
+    that the word zero-padded to a multiple of m fits MAX_LEN."""
     if P < 1:
         raise ValueError("P must be >= 1")
     m = 7 * P + 1
     if m >= n:
         raise ValueError(f"requires segment width m=7P+1={m} < n={n}")
-    return m
-
-
-def _five_read_residues(vals, n: int, P: int, h_second: str):
-    """VT, even and odd window sums of every word; windows of the padded word."""
-    m = _segment_width(n, P)
     nbar = -(-n // m) * m
     if nbar > MAX_LEN:
         raise SequenceTooLongError(f"padded length {nbar} exceeds MAX_LEN")
+    return m
+
+
+def _five_read_residues(vals, n: int, P: int):
+    """VT, even and odd window sums (m0 weights) of every word; windows of the
+    padded word."""
+    m = _segment_width(n, P)
+    nbar = -(-n // m) * m
     moduli = _parity_moduli(2 * m)
     words = vals if isinstance(vals, int) else vals.astype(np.uint64)
-    sums = _window_sums(words << (nbar - n), nbar, m, h_second)
+    sums = _window_sums(words << (nbar - n), nbar, m, "m0")
     return [_vt_residue(*_weight_and_sum(vals, n), n), *sums], (n + 1, *moduli, *moduli)
 
 
@@ -263,7 +266,7 @@ class _Params:
 
     A family declares its ambient set as ``_r(P) -> (ell, t)``, meaning
     R(n, ell, t), or as the whole space by having no ``_r``; and a kernel,
-    ``_kernel(vals, n, P, h_second)``, giving the ``residues()`` of packed
+    ``_kernel(vals, n, P)``, giving the ``residues()`` of packed
     words with their moduli.  A family whose residues depend only on the
     weight w and the position sum S of a word declares them as
     ``_ws(w, S, n, P)`` instead, and its kernel is that of
@@ -272,21 +275,19 @@ class _Params:
     run before a membership test.
     """
 
-    _h_second = ""
     _r = None
     _ws = None
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, *r))
-    _kernel = classmethod(lambda cls, vals, n, P, h: cls._ws(*_weight_and_sum(vals, n), n, P))
+    _kernel = classmethod(lambda cls, vals, n, P: cls._ws(*_weight_and_sum(vals, n), n, P))
     _check = classmethod(lambda cls, n, P: None)
     _check_p = classmethod(lambda cls, P: None)
 
     @classmethod
-    def _member(cls, vals, n: int, P: Optional[int], want: Sequence[int],
-                h_second: Optional[str] = None):
+    def _member(cls, vals, n: int, P: Optional[int], want: Sequence[int]):
         """Which length-n words lie in the coset of the residues ``want``: in
         the ambient set, with the kernel's residues equal to ``want``."""
         cls._check_p(P)
-        residues, _ = cls._kernel(vals, n, P, cls._h_second if h_second is None else h_second)
+        residues, _ = cls._kernel(vals, n, P)
         ok = len(residues) == len(want) and (cls._r is None or r_mask(vals, n, *cls._r(P)))
         for r, w in zip(residues, want):
             ok = ok & (r == w)
@@ -316,7 +317,7 @@ class AllParams(_Params):
     n: int
 
     family = "all"
-    _kernel = staticmethod(lambda vals, n, P, h: ([np.zeros(vals.shape, dtype=np.uint8)], (1,)))
+    _kernel = staticmethod(lambda vals, n, P: ([np.zeros(vals.shape, dtype=np.uint8)], (1,)))
     _from_residues = classmethod(lambda cls, n, P, r: cls(n))
 
     def residues(self) -> Tuple[int, ...]:
@@ -403,8 +404,7 @@ class TwoInsertionParams(_Params):
     a5: int
 
     family = "twoins"
-    _h_second = "m1"
-    _kernel = staticmethod(lambda vals, n, P, h: (_parity_residues(vals, n, h), _parity_moduli(n)))
+    _kernel = staticmethod(lambda vals, n, P: (_parity_residues(vals, n, "m1"), _parity_moduli(n)))
 
     def __post_init__(self):
         if self.n < 2:
@@ -424,9 +424,8 @@ class FiveReadParams(_Params):
     bvec: Tuple[int, int, int, int, int]
 
     family = "fiveread"
-    _h_second = "m0"
     _r = staticmethod(lambda P: (3, P))
-    _kernel = staticmethod(lambda vals, n, P, h: _five_read_residues(vals, n, P, h))
+    _kernel = staticmethod(_five_read_residues)
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, r[0], r[1:6], r[6:11]))
 
     def __post_init__(self):
@@ -461,7 +460,7 @@ FAMILIES: Dict[str, Type] = {cls.family: cls for cls in (
 
 def vt_syndrome(x: BitSeq) -> int:
     """sum_i i * x_i mod (n + 1)."""
-    return VTParams._kernel(x.val, x.n, None, "")[0][0]
+    return VTParams._kernel(x.val, x.n, None)[0][0]
 
 
 def vt_member(x: BitSeq, a: int) -> bool:
@@ -480,36 +479,34 @@ def np5_member(x: BitSeq, P: int, c: int, d: int) -> bool:
     return bool(Np5Params._member(x.val, x.n, P, (c, d)))
 
 
-def two_insertion_syndrome(x: BitSeq, h_second: str = "m1") -> Tuple[int, int, int, int, int]:
-    return tuple(_parity_residues(x.val, x.n, h_second))
+def two_insertion_syndrome(x: BitSeq) -> Tuple[int, int, int, int, int]:
+    """The five whole-sequence parity_checks residues, with the m1 weights."""
+    return tuple(TwoInsertionParams._kernel(x.val, x.n, None)[0])
 
 
-def two_insertion_member(x: BitSeq, residues: Sequence[int], h_second: str = "m1") -> bool:
-    return bool(TwoInsertionParams._member(x.val, x.n, None, tuple(residues), h_second))
+def two_insertion_member(x: BitSeq, residues: Sequence[int]) -> bool:
+    return bool(TwoInsertionParams._member(x.val, x.n, None, tuple(residues)))
 
 
-def five_read_syndrome(x: BitSeq, P: int,
-                       h_second: str = "m0") -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+def five_read_syndrome(x: BitSeq, P: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
     """(VT residue of x, even sums, odd sums); the sums run on the padded word."""
-    a, *sums = _five_read_residues(x.val, x.n, P, h_second)[0]
+    a, *sums = _five_read_residues(x.val, x.n, P)[0]
     return a, tuple(sums[:5]), tuple(sums[5:])
 
 
-def five_read_member(x: BitSeq, P: int, a: int, avec: Sequence[int], bvec: Sequence[int],
-                     h_second: str = "m0") -> bool:
+def five_read_member(x: BitSeq, P: int, a: int, avec: Sequence[int], bvec: Sequence[int]) -> bool:
     # eleven residues split as 1 + 5 + 5 only if avec and bvec have equal lengths
     want = (a, *avec, *bvec) if len(avec) == len(bvec) else ()
-    return bool(FiveReadParams._member(x.val, x.n, P, want, h_second))
+    return bool(FiveReadParams._member(x.val, x.n, P, want))
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 
-def build_code(params: CodeParams, h_second: Optional[str] = None) -> SeqSet:
+def build_code(params: CodeParams) -> SeqSet:
     """Materialize the coset described by a parameter record."""
-    blocks = _keyed_blocks(type(params), params.n, getattr(params, "P", None),
-                           h_second or params._h_second)
+    blocks = _keyed_blocks(type(params), params.n, getattr(params, "P", None))
     return SeqSet._from_vals(params.n, np.concatenate(
         [words[keys == _key(params.residues(), moduli)] for words, keys, moduli in blocks]))
 
@@ -538,20 +535,19 @@ def build_np5_code(n: int, P: int, c: int, d: int) -> SeqSet:
     return build_code(Np5Params(n, P, c, d))
 
 
-def build_two_insertion_code(n: int, a1: int, a2: int, a3: int, a4: int, a5: int,
-                             h_second: str = "m1") -> SeqSet:
+def build_two_insertion_code(n: int, a1: int, a2: int, a3: int, a4: int, a5: int) -> SeqSet:
     """Coset of the higher-order parity checks over the full space."""
-    return build_code(TwoInsertionParams(n, a1, a2, a3, a4, a5), h_second)
+    return build_code(TwoInsertionParams(n, a1, a2, a3, a4, a5))
 
 
-def build_five_read_code(n: int, P: int, a: int, avec: Sequence[int], bvec: Sequence[int],
-                         h_second: str = "m0") -> SeqSet:
+def build_five_read_code(n: int, P: int, a: int, avec: Sequence[int],
+                         bvec: Sequence[int]) -> SeqSet:
     """VT + even/odd segment-sum coset of R(n, 3, P).
 
     When 7P+1 does not divide n, the segment sums are evaluated on the
     zero-padded word while the VT and R(n, 3, P) conditions stay on x itself.
     """
-    return build_code(FiveReadParams(n, P, a, tuple(avec), tuple(bvec)), h_second)
+    return build_code(FiveReadParams(n, P, a, tuple(avec), tuple(bvec)))
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +608,8 @@ def _key(residues: Sequence, moduli: Sequence[int]):
     return key
 
 
-def _keyed_blocks(cls: Type, n: int, P: Optional[int],
-                  h_second: str) -> Iterator[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]]:
+def _keyed_blocks(cls: Type, n: int,
+                  P: Optional[int]) -> Iterator[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]]:
     """(ambient words, their keys, the moduli) of each block of {0,1}^n, ascending.
 
     A ``_ws`` family keys a block without looking at its words: w and S are
@@ -634,7 +630,7 @@ def _keyed_blocks(cls: Type, n: int, P: Optional[int],
             s = k * w + sum(b for b in range(n - k) if high >> b & 1)
             residues, moduli = cls._ws((low_w + w)[keep], (low_s + s)[keep], n, P)
         elif words.size or high == 0:
-            residues, moduli = cls._kernel(words, n, P, h_second)
+            residues, moduli = cls._kernel(words, n, P)
         else:  # no ambient word in this block, so no kernel call
             residues = [words] * len(moduli)
         yield words, _key(residues, moduli), moduli
@@ -644,8 +640,9 @@ class CosetSweep(NamedTuple):
     """The nonempty cosets of one family at one length, from one keyed sweep.
 
     ``keys`` are the distinct word keys (``_key``) in ascending order, with
-    their word counts in ``sizes``; ``params(i)`` is the record of coset i, and
-    ``blocks()`` walks the keyed ambient again to collect members.
+    their word counts in ``sizes``; ``params(i)`` is the record of coset i,
+    whose members ``build_code`` collects, and ``blocks()`` walks the keyed
+    ambient again for ``partition``.
     ``ambient_size`` stays at index 1, where perfbench/spans.py reads it.
     """
 
@@ -661,8 +658,7 @@ class CosetSweep(NamedTuple):
         return int(np.argmax(self.sizes))
 
     def members(self, i: int) -> SeqSet:
-        key = self.keys[i]
-        return SeqSet._from_vals(self.n, np.concatenate([w[k == key] for w, k, _ in self.blocks()]))
+        return build_code(self.params(i))
 
     def partition(self) -> Dict[CodeParams, SeqSet]:
         if not self.keys.size:
@@ -686,7 +682,7 @@ def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.n
     return keys[first], np.add.reduceat(counts, first)
 
 
-def _coset_groups(family: str, n: int, P: Optional[int], h_second: Optional[str]) -> CosetSweep:
+def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
     """Count the ambient words per key, one block at a time.
 
     A key space no larger than a block is counted by bincount; a sparser one
@@ -700,7 +696,7 @@ def _coset_groups(family: str, n: int, P: Optional[int], h_second: Optional[str]
         raise ValueError(f"unknown family {family!r}")
     if P is None and "P" in cls.__dataclass_fields__:
         raise ValueError(f"family {family} needs P")
-    blocks = lambda: _keyed_blocks(cls, n, P, h_second or cls._h_second)
+    blocks = lambda: _keyed_blocks(cls, n, P)
     counts, parts = 0, []
     for words, keys, moduli in blocks():
         if math.prod(moduli) <= 1 << seqs._BLOCK_BITS:
@@ -726,22 +722,19 @@ def _coset_groups(family: str, n: int, P: Optional[int], h_second: Optional[str]
     return CosetSweep(n, int(sizes.sum()), keys, sizes, params, blocks)
 
 
-def coset_sweep(family: str, n: int, P: Optional[int] = None,
-                h_second: Optional[str] = None) -> CosetSweep:
+def coset_sweep(family: str, n: int, P: Optional[int] = None) -> CosetSweep:
     """Every nonempty coset of the family with its size, from one ambient sweep."""
-    return _coset_groups(family, n, P, h_second)
+    return _coset_groups(family, n, P)
 
 
-def coset_partition(family: str, n: int, P: Optional[int] = None,
-                    h_second: Optional[str] = None) -> Dict[CodeParams, SeqSet]:
+def coset_partition(family: str, n: int, P: Optional[int] = None) -> Dict[CodeParams, SeqSet]:
     """Every nonempty coset of the family, grouped in one ambient sweep."""
-    return coset_sweep(family, n, P, h_second).partition()
+    return coset_sweep(family, n, P).partition()
 
 
-def best_coset(family: str, n: int, P: Optional[int] = None,
-               h_second: Optional[str] = None) -> Tuple[CodeParams, SeqSet]:
+def best_coset(family: str, n: int, P: Optional[int] = None) -> Tuple[CodeParams, SeqSet]:
     """The largest coset; ties break to the smallest residue tuple."""
-    sweep = coset_sweep(family, n, P, h_second)
+    sweep = coset_sweep(family, n, P)
     if not sweep.keys.size:
         raise ValueError(f"all {family} cosets are empty at n={n}")
     best = sweep.best()
@@ -783,9 +776,9 @@ def write_code_file(path: str, params: CodeParams, code: SeqSet) -> None:
 def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     """Parse a code file; a missing header yields params=None.
 
-    Under a header, every codeword must lie in the coset it names (with the
-    family's default h_second), by the record test the ``*_member``
-    predicates make one word at a time.
+    Under a header, every codeword must lie in the coset it names, by the
+    record test the ``*_member`` predicates make one word at a time (so a
+    ``twoins`` body is checked with the m1 weights, a ``fiveread`` one with m0).
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines(keepends=True)

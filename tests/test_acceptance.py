@@ -221,18 +221,23 @@ def test_c07_np5_sweep_all_cosets():
 def test_c08_two_insertion_code_cosets_have_disjoint_balls():
     """n in [8, 10]: every coset of the parity-check code: empty I2 overlaps.
 
-    The printed whole-sequence checks use the m1 weights in the second h
-    component while the windowed variant prints m0; this test runs both and
-    identifies which one carries the two-insertion correction property.
+    The twoins code takes the m1 weights in the second h component, as the
+    printed whole-sequence checks do.  The windowed checks print m0; the
+    cosets of the whole-sequence checks with m0 are grouped here from
+    parity_checks(x, "m0"), and the test identifies which of the two carries
+    the two-insertion correction property.
     """
     violations = {"m0": 0, "m1": 0}
     pair_counts = {"m0": 0, "m1": 0}
-    for h_second in ("m1", "m0"):
-        for n in (8, 9, 10):
-            groups = coset_partition("twoins", n, h_second=h_second)
-            for params, code in groups.items():
-                members = list(code)
-                for x, y in combinations(members, 2):
+    for n in (8, 9, 10):
+        m0_cosets = {}
+        for v in range(1 << n):
+            x = BitSeq.from_int(v, n)
+            m0_cosets.setdefault(parity_checks(x, "m0").residues(), []).append(x)
+        cosets = {"m1": coset_partition("twoins", n).values(), "m0": m0_cosets.values()}
+        for h_second, groups in cosets.items():
+            for code in groups:
+                for x, y in combinations(list(code), 2):
                     pair_counts[h_second] += 1
                     if len(intersect_balls(x, y, 2)) > 0:
                         violations[h_second] += 1

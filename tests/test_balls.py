@@ -70,13 +70,13 @@ def _parse_per_line(text, n):
         if not lines:
             return "cannot infer length from empty input"
         n = len(lines[0])
+    if not 0 <= n <= 64:
+        return f"code length {n} out of range 0..64"
     vals = set()
     for ln in lines:
         if len(ln) != n or set(ln) - {"0", "1"}:
             return f"bad sequence line: {ln!r}"
         vals.add(int(ln, 2) if ln else 0)
-    if not 0 <= n <= 64:
-        return f"code length {n} out of range 0..64"
     return n, vals
 
 
@@ -102,6 +102,14 @@ def test_parse_lines_matches_per_line_reading(lines, breaks, n):
         assert str(exc) == want
     else:
         assert (got.n, set(got.values())) == want
+
+
+def test_parse_lines_refuses_a_length_above_64_before_reading_the_lines():
+    text = "1" * 65 + "\n" + "2" * 65
+    with mock.patch.object(np, "frombuffer", side_effect=AssertionError("lines were read")):
+        for n, width in ((None, 65), (65, 65), (-1, -1)):
+            with pytest.raises(SequenceTooLongError, match=f"^code length {width} out of range"):
+                SeqSet.parse_lines(text, n)
 
 
 def test_seqset_set_ops():

@@ -392,6 +392,26 @@ def test_header_body_mismatch_is_one_error_line(tmp_path, capsys, text, message,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_twoins_header_over_an_m0_variant_coset_is_one_error_line(tmp_path, capsys):
+    """twoins codes take the m1 weights: a coset of the whole-sequence checks
+    with the m0 weights, listed under a twoins header of its residues, fails
+    the load check at its first word with other m1 residues."""
+    n = 8
+    cosets = {}
+    for v in range(1 << n):
+        x = BitSeq.from_int(v, n)
+        cosets.setdefault(codes.parity_checks(x, "m0").residues(), []).append(x)
+    residues, words = max(cosets.items(), key=lambda item: len(item[1]))
+    wrong = [w for w in words if codes.parity_checks(w).residues() != residues]
+    assert len(words) > 1 and wrong
+    header = codes.format_header(codes.TwoInsertionParams(n, *residues))
+    path = tmp_path / "m0.code"
+    path.write_text(header + "\n" + "".join(f"{w}\n" for w in words))
+    code, out, err = run(capsys, "verify", str(path), "--t", "2", "--N", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: codeword {wrong[0]} is not in the code of its header: {header[2:]}\n"
+
+
 def test_table_above_enumeration_cap_reads_unavailable(capsys):
     code, out, err = run(capsys, "table", "--n-range=27:27", "--format", "records")
     assert (code, err) == (0, "")

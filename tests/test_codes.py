@@ -328,7 +328,7 @@ def test_two_insertion_cosets_partition():
     for params, code in groups.items():
         want = params.residues()
         for x in code:
-            assert oracle_syndrome("twoins", x, None, "m1") == want
+            assert oracle_syndrome("twoins", x, None) == want
 
 
 def test_two_insertion_build_matches_partition():
@@ -352,7 +352,7 @@ def test_five_read_members_satisfy_all_conditions():
         for x in code:
             assert in_r(x, 3, P)
             assert brute.vt_syndrome(str(x)) == params.a
-            assert oracle_syndrome("fiveread", x, P, "m0") == params.residues()
+            assert oracle_syndrome("fiveread", x, P) == params.residues()
             # padding: sums are computed on x extended by zeros to 2m | length
             assert n % m != 0  # this n exercises the padded branch
 
@@ -360,6 +360,15 @@ def test_five_read_members_satisfy_all_conditions():
 def test_five_read_rejects_wide_segments():
     with pytest.raises(ValueError):
         build_five_read_code(20, 3, 0, (0, 0, 0, 0, 0), (0, 0, 0, 0, 0))  # m=22 >= n
+
+
+def test_five_read_record_refuses_a_padded_length_above_64():
+    # m = 36 < n = 40, but the word padded to 2m = 72 bits does not fit a word
+    msg = "^padded length 72 exceeds MAX_LEN$"
+    with pytest.raises(seqs.SequenceTooLongError, match=msg):
+        FiveReadParams(40, 5, 0, (0,) * 5, (0,) * 5)
+    with pytest.raises(seqs.SequenceTooLongError, match=msg):
+        parse_header("# family=fiveread n=40 params=P=5,a=0,avec=0|0|0|0|0,bvec=0|0|0|0|0")
 
 
 def test_five_read_build_matches_syndrome_filter():
@@ -501,7 +510,12 @@ def test_headerless_file(tmp_path):
     assert seqs_of(code) == {"0101", "1010"}
 
 
-def oracle_syndrome(family, x, P, h_second):
+# the parity weights (second h component) that the definitions of twoins and
+# fiveread fix
+WEIGHTS = {"twoins": "m1", "fiveread": "m0"}
+
+
+def oracle_syndrome(family, x, P):
     """The residue tuple of x from code independent of the kernels: the
     string oracles in brute and seqs.inversions."""
     s = str(x)
@@ -513,9 +527,9 @@ def oracle_syndrome(family, x, P, h_second):
         return (inversions(x) % (P + 1), s.count("1") % 2)
     if family == "twoins":
         n = len(s)
-        f, h = brute.parity_checks(s, (2 * n, n * n, n**3, 3, 2 * n), h_second)
+        f, h = brute.parity_checks(s, (2 * n, n * n, n**3, 3, 2 * n), WEIGHTS[family])
         return (*f, *h)
-    even, odd = brute.five_read_sums(s, P, h_second)
+    even, odd = brute.five_read_sums(s, P, WEIGHTS[family])
     return (brute.vt_syndrome(s), *even, *odd)
 
 
@@ -523,16 +537,13 @@ def oracle_syndrome(family, x, P, h_second):
 AMBIENT_R = {"tworead": lambda P: (2, 2 * P), "np4": lambda P: (3, P // 3),
              "np5": lambda P: (2, 2 * P // 3), "fiveread": lambda P: (3, P)}
 
-# the h_second each family's records default to
-DEFAULT_H = {"twoins": "m1", "fiveread": "m0"}
-
 
 def oracle_member(params, x):
     """Coset membership of x: seqs.in_r for the ambient set, oracle residues."""
     family, P = params.family, getattr(params, "P", None)
     if family in AMBIENT_R and not in_r(x, *AMBIENT_R[family](P)):
         return False
-    return oracle_syndrome(family, x, P, DEFAULT_H.get(family)) == params.residues()
+    return oracle_syndrome(family, x, P) == params.residues()
 
 
 def predicate_member(params, x):
@@ -565,7 +576,7 @@ def code_files(draw):
         x = BitSeq(("001110" * 12)[r : r + n])
     else:
         x = BitSeq.from_int(draw(word), n)
-    residues = oracle_syndrome(family, x, P, DEFAULT_H.get(family))
+    residues = oracle_syndrome(family, x, P)
     params = codes.FAMILIES[family]._from_residues(n, P, residues)
     others = draw(st.lists(word, max_size=4))
     return params, sorted({x.val, *others})
@@ -600,9 +611,9 @@ def test_header_format_example():
 # vectorized syndrome kernels and sweeps
 
 
-def kernel_residues(family, vals, n, P, h_second):
+def kernel_residues(family, vals, n, P):
     """The residue tuple of every word from the vectorized kernel."""
-    residues, moduli = codes.FAMILIES[family]._kernel(np.array(vals, dtype=np.uint32), n, P, h_second)
+    residues, moduli = codes.FAMILIES[family]._kernel(np.array(vals, dtype=np.uint32), n, P)
     assert len(residues) == len(moduli)
     return list(zip(*(r.tolist() for r in residues)))
 
@@ -610,7 +621,6 @@ def kernel_residues(family, vals, n, P, h_second):
 @st.composite
 def kernel_inputs(draw):
     family = draw(st.sampled_from(("vt", "tworead", "np4", "np5", "twoins", "fiveread")))
-    h_second = draw(st.sampled_from(("m0", "m1")))
     if family == "fiveread":
         P = draw(st.integers(1, 3))
         n = draw(st.integers(7 * P + 2, 26))
@@ -618,22 +628,22 @@ def kernel_inputs(draw):
         P = draw(st.sampled_from((3, 6, 9, 18)))
         n = draw(st.integers(2 if family == "twoins" else 0, 26))
     words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
-    return family, n, P, h_second, words
+    return family, n, P, words
 
 
 @given(kernel_inputs())
 @settings(max_examples=300)
 def test_kernel_keys_equal_scalar_syndromes(case):
-    family, n, P, h_second, words = case
-    got = kernel_residues(family, words, n, P, h_second)
-    want = [oracle_syndrome(family, BitSeq.from_int(v, n), P, h_second) for v in words]
+    family, n, P, words = case
+    got = kernel_residues(family, words, n, P)
+    want = [oracle_syndrome(family, BitSeq.from_int(v, n), P) for v in words]
     assert got == want
-    assert one_word_residues(family, words, n, P, h_second) == want
+    assert one_word_residues(family, words, n, P) == want
 
 
-def one_word_residues(family, words, n, P, h_second):
+def one_word_residues(family, words, n, P):
     """The residue tuple of every word from the kernel, one Python int at a time."""
-    out = [codes.FAMILIES[family]._kernel(v, n, P, h_second)[0] for v in words]
+    out = [codes.FAMILIES[family]._kernel(v, n, P)[0] for v in words]
     assert all(type(r) is int for row in out for r in row)
     return [tuple(row) for row in out]
 
@@ -642,7 +652,6 @@ def one_word_residues(family, words, n, P, h_second):
 def wide_kernel_inputs(draw):
     """Words of 27..64 bits, beyond the uint32 blocks of the sweeps."""
     family = draw(st.sampled_from(("vt", "tworead", "np4", "np5", "twoins", "fiveread")))
-    h_second = draw(st.sampled_from(("m0", "m1")))
     if family == "fiveread":  # m < n, and the padded length stays <= 64
         P = draw(st.integers(1, 4))
         m = 7 * P + 1
@@ -651,43 +660,47 @@ def wide_kernel_inputs(draw):
         P = draw(st.sampled_from((3, 6, 9, 18)))
         n = draw(st.integers(27, 64))
     words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
-    return family, n, P, h_second, words
+    return family, n, P, words
 
 
 EDGE_WORDS = [0, 1, 2**63, 2**64 - 1, 0xAAAA_AAAA_AAAA_AAAA, 0x0123_4567_89AB_CDEF]
 
 
 @given(wide_kernel_inputs())
-@example(("twoins", 64, None, "m1", EDGE_WORDS))
-@example(("twoins", 64, None, "m0", EDGE_WORDS))
-@example(("vt", 64, None, "m1", EDGE_WORDS))
-@example(("np5", 64, 9, "m1", EDGE_WORDS))
-@example(("fiveread", 64, 1, "m0", EDGE_WORDS))  # 8 | 64: no padding
-@example(("fiveread", 57, 1, "m1", [0, 1, 2**57 - 1, 2**56]))  # padded to exactly 64
+@example(("twoins", 64, None, EDGE_WORDS))
+@example(("vt", 64, None, EDGE_WORDS))
+@example(("np5", 64, 9, EDGE_WORDS))
+@example(("fiveread", 64, 1, EDGE_WORDS))  # 8 | 64: no padding
+@example(("fiveread", 57, 1, [0, 1, 2**57 - 1, 2**56]))  # padded to exactly 64
 @settings(max_examples=300, deadline=None)
 def test_kernels_match_oracles_on_words_of_27_to_64_bits(case):
-    family, n, P, h_second, words = case
-    residues, moduli = codes.FAMILIES[family]._kernel(np.array(words, dtype=np.uint64), n, P,
-                                                      h_second)
+    family, n, P, words = case
+    residues, moduli = codes.FAMILIES[family]._kernel(np.array(words, dtype=np.uint64), n, P)
     got = list(zip(*(r.tolist() for r in residues)))
-    assert got == [oracle_syndrome(family, BitSeq.from_int(v, n), P, h_second) for v in words]
-    assert one_word_residues(family, words, n, P, h_second) == got
+    assert got == [oracle_syndrome(family, BitSeq.from_int(v, n), P) for v in words]
+    assert one_word_residues(family, words, n, P) == got
     assert all(0 <= r < m for row in got for r, m in zip(row, moduli))
 
 
 @given(n=st.integers(2, 64), data=st.data(), h_second=st.sampled_from(("m0", "m1")))
 @settings(max_examples=300, deadline=None)
 def test_scalar_syndromes_match_oracles(n, data, h_second):
-    x = BitSeq.from_int(data.draw(st.integers(0, (1 << n) - 1)), n)
-    assert vt_syndrome(x) == brute.vt_syndrome(str(x))
-    want = oracle_syndrome("twoins", x, None, h_second)
-    assert two_insertion_syndrome(x, h_second) == want
-    assert parity_checks(x, h_second).residues() == want
+    """The family syndromes with their own weights; the parity checks and the
+    window sums they are made of with both."""
+    s = format(data.draw(st.integers(0, (1 << n) - 1)), f"0{n}b")
+    x = BitSeq(s)
+    assert vt_syndrome(x) == brute.vt_syndrome(s)
+    assert two_insertion_syndrome(x) == oracle_syndrome("twoins", x, None)
+    f, h = brute.parity_checks(s, (2 * n, n * n, n**3, 3, 2 * n), h_second)
+    assert parity_checks(x, h_second).residues() == (*f, *h)
     for P in (1, 2, 3, 4):
         m = 7 * P + 1
         if m < n and -(-n // m) * m <= 64:
-            a, even, odd = five_read_syndrome(x, P, h_second)
-            assert (a, *even, *odd) == oracle_syndrome("fiveread", x, P, h_second)
+            a, even, odd = five_read_syndrome(x, P)
+            assert (a, *even, *odd) == oracle_syndrome("fiveread", x, P)
+            sums = tilde_sums(BitSeq(s + "0" * (-n % m)), m, h_second)
+            assert (sums.even.residues(), sums.odd.residues()) == brute.five_read_sums(
+                s, P, h_second)
 
 
 @given(code_files())
@@ -710,21 +723,27 @@ def test_five_read_member_checks_parameters_before_the_word():
             codes.five_read_member(BitSeq(word), 3, 0, (0,) * 5, (0,) * 5)
 
 
-# (family, P, h_second, lengths) of every sweep compared with the reference
+# (family, P, lengths) of every sweep compared with the reference
 SWEEP_CASES = [
-    ("vt", None, None, range(0, 13)),
-    ("tworead", 1, None, range(1, 13)),
-    ("tworead", 3, None, range(1, 13)),
-    ("np4", 9, None, range(4, 13)),
-    ("np4", 18, None, range(4, 13)),
-    ("np5", 3, None, range(1, 13)),
-    ("np5", 9, None, range(1, 13)),
-    ("twoins", None, "m1", range(2, 11)),
-    ("twoins", None, "m0", range(2, 11)),
-    ("fiveread", 1, "m0", range(9, 13)),
-    ("fiveread", 3, "m0", (23,)),
-    ("fiveread", 3, "m1", (23,)),
+    ("vt", None, range(0, 13)),
+    ("tworead", 1, range(1, 13)),
+    ("tworead", 3, range(1, 13)),
+    ("np4", 9, range(4, 13)),
+    ("np4", 18, range(4, 13)),
+    ("np5", 3, range(1, 13)),
+    ("np5", 9, range(1, 13)),
+    ("twoins", None, range(2, 11)),
+    ("all", None, range(0, 13)),
+    ("fiveread", 1, range(9, 13)),
+    ("fiveread", 3, (23,)),
 ]
+
+
+def case_ids(cases):
+    """The id of case i: its fields before the family's lengths, then the
+    family's parity weights and lengths<i>, as in vt-None-None-lengths0."""
+    return ["-".join(map(str, (*case[:-1], WEIGHTS.get(case[-3]), f"lengths{i}")))
+            for i, case in enumerate(cases)]
 
 
 def scalar_ambient(family, n, P):
@@ -741,44 +760,41 @@ def scalar_ambient(family, n, P):
     return words
 
 
-def reference_groups(family, n, P, h_second):
+def reference_groups(family, n, P):
     """Plain dict of lists: oracle residue tuple -> ambient words, in order."""
     groups = {}
     for v in scalar_ambient(family, n, P):
-        x = BitSeq.from_int(v, n)
-        groups.setdefault(oracle_syndrome(family, x, P, h_second or "m1"), []).append(v)
+        groups.setdefault(oracle_syndrome(family, BitSeq.from_int(v, n), P), []).append(v)
     return groups
 
 
-def check_sweeps_against_reference(family, P, h_second, lengths):
-    """Partition, best coset and build_code (under both h_second) against the
-    reference; returns how many lengths had a tie for the largest coset."""
+def check_sweeps_against_reference(family, P, lengths):
+    """Partition, best coset and build_code against the reference; returns
+    how many lengths had a tie for the largest coset."""
     ties = 0
     for n in lengths:
-        groups = reference_groups(family, n, P, h_second)
-        part = coset_partition(family, n, P=P, h_second=h_second)
+        groups = reference_groups(family, n, P)
+        part = coset_partition(family, n, P=P)
         assert [(p.residues(), sorted(c.values())) for p, c in part.items()] == sorted(
             groups.items()
         )
         if not groups:
             with pytest.raises(ValueError):
-                best_coset(family, n, P=P, h_second=h_second)
+                best_coset(family, n, P=P)
             continue
         want = min(groups, key=lambda k: (-len(groups[k]), k))
         ties += sum(len(g) == len(groups[want]) for g in groups.values()) > 1
-        params, code = best_coset(family, n, P=P, h_second=h_second)
+        params, code = best_coset(family, n, P=P)
         assert params.residues() == want
         assert sorted(code.values()) == groups[want]
-        for h in ("m0", "m1"):
-            other = groups if h == (h_second or "m1") else reference_groups(family, n, P, h)
-            built = codes.build_code(params, h)
-            assert sorted(built.values()) == other.get(want, [])
+        last = list(part)[-1]  # best_coset's members come from build_code; so another coset
+        assert sorted(codes.build_code(last).values()) == groups[last.residues()]
     return ties
 
 
-@pytest.mark.parametrize("family,P,h_second,lengths", SWEEP_CASES)
-def test_sweeps_match_dict_of_lists_reference(family, P, h_second, lengths):
-    ties = check_sweeps_against_reference(family, P, h_second, lengths)
+@pytest.mark.parametrize("family,P,lengths", SWEEP_CASES, ids=case_ids(SWEEP_CASES))
+def test_sweeps_match_dict_of_lists_reference(family, P, lengths):
+    ties = check_sweeps_against_reference(family, P, lengths)
     if family in ("vt", "twoins"):
         assert ties > 0  # the tie-break was exercised
 
@@ -804,16 +820,15 @@ def block_guards(monkeypatch, bits):
 
 # every case up to n = 12; the fiveread n = 23 cases already walk 2**7 blocks
 # at the default width, and would walk 2**20 blocks of 8 words here
-NARROW_CASES = [(bits, *case) for case in SWEEP_CASES if max(case[3]) <= 12
+NARROW_CASES = [(bits, *case) for case in SWEEP_CASES if max(case[2]) <= 12
                 for bits in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("bits,family,P,h_second,lengths", NARROW_CASES)
-def test_sweeps_match_reference_in_narrow_blocks(monkeypatch, bits, family, P, h_second,
-                                                 lengths):
+@pytest.mark.parametrize("bits,family,P,lengths", NARROW_CASES, ids=case_ids(NARROW_CASES))
+def test_sweeps_match_reference_in_narrow_blocks(monkeypatch, bits, family, P, lengths):
     """n = 0, n < bits, n = bits and many blocks, with no call on more than a block."""
     seen = block_guards(monkeypatch, bits)
-    check_sweeps_against_reference(family, P, h_second, lengths)
+    check_sweeps_against_reference(family, P, lengths)
     assert max(seen) == 2 ** min(bits, max(lengths))
 
 
@@ -824,7 +839,7 @@ def test_multi_block_sweep_sizes_equal_whole_space_bincount(family, P, n):
     vals = np.arange(1 << n, dtype=np.uint32)
     if family in AMBIENT_R:
         vals = vals[r_mask(vals, n, *AMBIENT_R[family](P))]
-    residues, moduli = codes.FAMILIES[family]._kernel(vals, n, P, None)
+    residues, moduli = codes.FAMILIES[family]._kernel(vals, n, P)
     keys = np.ravel_multi_index(residues, moduli)
     counts = np.bincount(keys)
     sweep = codes.coset_sweep(family, n, P)
