@@ -15,7 +15,8 @@ Seven families, all realized as syndrome cosets of an ambient set:
 * ``fiveread`` -- VT + segmented indicator checks summed over even/odd windows
                   over R(n, 3, P); five reads suffice after two insertions.
 
-Each family's residues have one definition, its kernel in ``FAMILIES``.
+Each family's residues have one definition, its kernel in ``FAMILIES``, and
+their moduli one, its ``_moduli(n, P)``, which also checks n and P.
 Builders materialize codes by exhaustive filtering (refused above the
 enumeration cap); the scalar syndromes and the ``*_member`` predicates are
 one-word calls of the same kernels, for words of up to ``MAX_LEN`` bits.
@@ -31,7 +32,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from . import seqs
-from .balls import SeqSet, coverage_at_least, coverage_less_than
+from .balls import SeqSet, coverage_at_least
 from .confusability import ConfusabilityVerdict, classify_pair
 from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, r_mask
 
@@ -246,15 +247,14 @@ def _segment_width(n: int, P: int) -> int:
     return m
 
 
-def _five_read_residues(vals, n: int, P: int):
+def _five_read_residues(vals, n: int, P: int) -> list:
     """VT, even and odd window sums (m0 weights) of every word; windows of the
     padded word."""
     m = _segment_width(n, P)
     nbar = -(-n // m) * m
-    moduli = _parity_moduli(2 * m)
     words = vals if isinstance(vals, int) else vals.astype(np.uint64)
     sums = _window_sums(words << (nbar - n), nbar, m, "m0")
-    return [_vt_residue(*_weight_and_sum(vals, n), n), *sums], (n + 1, *moduli, *moduli)
+    return [_vt_residue(*_weight_and_sum(vals, n), n), *sums]
 
 
 # ---------------------------------------------------------------------------
@@ -264,37 +264,54 @@ def _five_read_residues(vals, n: int, P: int):
 class _Params:
     """Header fields and residues come from the dataclass fields after ``n``.
 
-    A family declares its ambient set as ``_r(P) -> (ell, t)``, meaning
-    R(n, ell, t), or as the whole space by having no ``_r``; and a kernel,
-    ``_kernel(vals, n, P)``, giving the ``residues()`` of packed
-    words with their moduli.  A family whose residues depend only on the
-    weight w and the position sum S of a word declares them as
+    A family declares its residue space once, as ``_moduli(n, P)``: the
+    modulus of each residue, in field order, after checking n and P.  Every
+    record is checked against it when built, and a sweep or a membership
+    test calls it before it enumerates or reads a word.  The ambient set is
+    ``_r(P) -> (ell, t)``, meaning R(n, ell, t), or the whole space when there
+    is no ``_r``.  The kernel ``_kernel(vals, n, P)`` gives the residues of
+    packed words, one per modulus.  A family whose residues depend only on
+    the weight w and the position sum S of a word declares them as
     ``_ws(w, S, n, P)`` instead, and its kernel is that of
-    ``_weight_and_sum(vals)``.  ``_check(n, P)`` is the record's own check of
-    n and P, run before a sweep enumerates; ``_check_p(P)`` that of P alone,
-    run before a membership test.
+    ``_weight_and_sum(vals)``.
     """
 
     _r = None
     _ws = None
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, *r))
     _kernel = classmethod(lambda cls, vals, n, P: cls._ws(*_weight_and_sum(vals, n), n, P))
-    _check = classmethod(lambda cls, n, P: None)
-    _check_p = classmethod(lambda cls, P: None)
+
+    def __post_init__(self):
+        moduli = self._moduli(self.n, getattr(self, "P", None))
+        named = self._named_residues()
+        if len(named) != len(moduli):
+            raise ValueError(f"{self.family} takes {len(moduli)} residues, got {len(named)}")
+        for (name, r), m in zip(named, moduli):
+            if not 0 <= r < m:
+                raise ValueError(f"residue {name}={r} out of range 0..{m - 1}")
 
     @classmethod
     def _member(cls, vals, n: int, P: Optional[int], want: Sequence[int]):
         """Which length-n words lie in the coset of the residues ``want``: in
         the ambient set, with the kernel's residues equal to ``want``."""
-        cls._check_p(P)
-        residues, _ = cls._kernel(vals, n, P)
-        ok = len(residues) == len(want) and (cls._r is None or r_mask(vals, n, *cls._r(P)))
-        for r, w in zip(residues, want):
+        if len(want) != len(cls._moduli(n, P)):
+            return False
+        ok = cls._r is None or r_mask(vals, n, *cls._r(P))
+        for r, w in zip(cls._kernel(vals, n, P), want):
             ok = ok & (r == w)
         return ok
 
     def _items(self) -> List[Tuple[str, object]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
+
+    def _named_residues(self) -> List[Tuple[str, int]]:
+        """(name, value) of every residue; a tuple field's are avec[0], ..."""
+        out: List[Tuple[str, int]] = []
+        for k, v in self._items():
+            if k != "P":
+                out += [(k, v)] if isinstance(v, int) else [
+                    (f"{k}[{i}]", r) for i, r in enumerate(v)]
+        return out
 
     def params_dict(self) -> Dict[str, str]:
         return {
@@ -303,11 +320,7 @@ class _Params:
         }
 
     def residues(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        for k, v in self._items():
-            if k != "P":
-                out.extend((v,) if isinstance(v, int) else v)
-        return tuple(out)
+        return tuple(r for _, r in self._named_residues())
 
 
 @dataclass(frozen=True)
@@ -317,7 +330,8 @@ class AllParams(_Params):
     n: int
 
     family = "all"
-    _kernel = staticmethod(lambda vals, n, P: ([np.zeros(vals.shape, dtype=np.uint8)], (1,)))
+    _moduli = staticmethod(lambda n, P: (1,))
+    _kernel = staticmethod(lambda vals, n, P: [np.zeros(vals.shape, dtype=np.uint8)])
     _from_residues = classmethod(lambda cls, n, P, r: cls(n))
 
     def residues(self) -> Tuple[int, ...]:
@@ -334,11 +348,8 @@ class VTParams(_Params):
     a: int
 
     family = "vt"
-    _ws = staticmethod(lambda w, s, n, P: ([_vt_residue(w, s, n)], (n + 1,)))
-
-    def __post_init__(self):
-        if not 0 <= self.a <= self.n:
-            raise ValueError(f"VT residue a={self.a} out of range 0..{self.n}")
+    _moduli = staticmethod(lambda n, P: (n + 1,))
+    _ws = staticmethod(lambda w, s, n, P: [_vt_residue(w, s, n)])
 
 
 @dataclass(frozen=True)
@@ -350,23 +361,17 @@ class _InvWtParams(_Params):
     c: int
     d: int
 
-    _ws = staticmethod(lambda w, s, n, P: (_inv_wt_residues(w, s, P), (P + 1, 2)))
+    _ws = staticmethod(lambda w, s, n, P: _inv_wt_residues(w, s, P))
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, *r))
-    _check = classmethod(lambda cls, n, P: cls(n, P, 0, 0))
-    _p_ok = staticmethod(lambda P: P >= 1)
-    _p_rule = "P must be >= 1"
+    # (rule, test of n and P), checked in order
+    _rules = (("P must be >= 1", lambda n, P: P >= 1),)
 
     @classmethod
-    def _check_p(cls, P: int) -> None:
-        if not cls._p_ok(P):
-            raise ValueError(cls._p_rule)
-
-    def __post_init__(self):
-        self._check_p(self.P)
-        if not 0 <= self.c <= self.P:
-            raise ValueError(f"residue c={self.c} out of range 0..{self.P}")
-        if self.d not in (0, 1):
-            raise ValueError("parity d must be 0 or 1")
+    def _moduli(cls, n: int, P: int) -> Tuple[int, int]:
+        for rule, ok in cls._rules:
+            if not ok(n, P):
+                raise ValueError(rule)
+        return (P + 1, 2)
 
 
 class TwoReadParams(_InvWtParams):
@@ -377,21 +382,15 @@ class TwoReadParams(_InvWtParams):
 class Np4Params(_InvWtParams):
     family = "np4"
     _r = staticmethod(lambda P: (3, P // 3))
-    _p_ok = staticmethod(lambda P: P >= 6 and P % 3 == 0)
-    _p_rule = "np4 requires P >= 6 with 3 | P"
-
-    def __post_init__(self):
-        if self.n < 4:
-            raise ValueError("np4 requires n >= 4")
-        super().__post_init__()
+    _rules = (("np4 requires n >= 4", lambda n, P: n >= 4),
+              ("np4 requires P >= 6 with 3 | P", lambda n, P: P >= 6 and P % 3 == 0))
 
 
 class Np5Params(_InvWtParams):
     family = "np5"
     _r = staticmethod(lambda P: (2, 2 * P // 3))
     # 2P/3 must be integral; flooring would silently loosen the constraint
-    _p_ok = staticmethod(lambda P: P >= 3 and P % 3 == 0)
-    _p_rule = "np5 requires P >= 3 with 3 | P"
+    _rules = (("np5 requires P >= 3 with 3 | P", lambda n, P: P >= 3 and P % 3 == 0),)
 
 
 @dataclass(frozen=True)
@@ -404,15 +403,13 @@ class TwoInsertionParams(_Params):
     a5: int
 
     family = "twoins"
-    _kernel = staticmethod(lambda vals, n, P: (_parity_residues(vals, n, "m1"), _parity_moduli(n)))
+    _moduli = staticmethod(lambda n, P: _parity_moduli(n))
+    _kernel = staticmethod(lambda vals, n, P: _parity_residues(vals, n, "m1"))
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("twoins requires n >= 2")
-        names = ("a1", "a2", "a3", "a4", "a5")
-        for name, val, mod in zip(names, self.residues(), _parity_moduli(self.n)):
-            if not 0 <= val < mod:
-                raise ValueError(f"residue {name}={val} out of range 0..{mod - 1}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -425,24 +422,10 @@ class FiveReadParams(_Params):
 
     family = "fiveread"
     _r = staticmethod(lambda P: (3, P))
+    # the VT residue, then the even and the odd window sums of length 2m
+    _moduli = staticmethod(lambda n, P: (n + 1, *_parity_moduli(2 * _segment_width(n, P)) * 2))
     _kernel = staticmethod(_five_read_residues)
     _from_residues = classmethod(lambda cls, n, P, r: cls(n, P, r[0], r[1:6], r[6:11]))
-
-    def __post_init__(self):
-        m = _segment_width(self.n, self.P)
-        if not 0 <= self.a <= self.n:
-            raise ValueError(f"VT residue a={self.a} out of range 0..{self.n}")
-        bounds = _parity_moduli(2 * m)
-        for label, vec in (("avec", self.avec), ("bvec", self.bvec)):
-            if len(vec) != 5:
-                raise ValueError(f"{label} must have 5 residues")
-            for val, mod in zip(vec, bounds):
-                if not 0 <= val < mod:
-                    raise ValueError(f"{label} residue {val} out of range 0..{mod - 1}")
-
-    @property
-    def m(self) -> int:
-        return 7 * self.P + 1
 
 
 CodeParams = (
@@ -460,7 +443,7 @@ FAMILIES: Dict[str, Type] = {cls.family: cls for cls in (
 
 def vt_syndrome(x: BitSeq) -> int:
     """sum_i i * x_i mod (n + 1)."""
-    return VTParams._kernel(x.val, x.n, None)[0][0]
+    return VTParams._kernel(x.val, x.n, None)[0]
 
 
 def vt_member(x: BitSeq, a: int) -> bool:
@@ -481,7 +464,7 @@ def np5_member(x: BitSeq, P: int, c: int, d: int) -> bool:
 
 def two_insertion_syndrome(x: BitSeq) -> Tuple[int, int, int, int, int]:
     """The five whole-sequence parity_checks residues, with the m1 weights."""
-    return tuple(TwoInsertionParams._kernel(x.val, x.n, None)[0])
+    return tuple(TwoInsertionParams._kernel(x.val, x.n, None))
 
 
 def two_insertion_member(x: BitSeq, residues: Sequence[int]) -> bool:
@@ -490,7 +473,7 @@ def two_insertion_member(x: BitSeq, residues: Sequence[int]) -> bool:
 
 def five_read_syndrome(x: BitSeq, P: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
     """(VT residue of x, even sums, odd sums); the sums run on the padded word."""
-    a, *sums = _five_read_residues(x.val, x.n, P)[0]
+    a, *sums = _five_read_residues(x.val, x.n, P)
     return a, tuple(sums[:5]), tuple(sums[5:])
 
 
@@ -506,9 +489,10 @@ def five_read_member(x: BitSeq, P: int, a: int, avec: Sequence[int], bvec: Seque
 
 def build_code(params: CodeParams) -> SeqSet:
     """Materialize the coset described by a parameter record."""
-    blocks = _keyed_blocks(type(params), params.n, getattr(params, "P", None))
-    return SeqSet._from_vals(params.n, np.concatenate(
-        [words[keys == _key(params.residues(), moduli)] for words, keys, moduli in blocks]))
+    cls, n, P = type(params), params.n, getattr(params, "P", None)
+    key = _key(params.residues(), cls._moduli(n, P))
+    return SeqSet._from_vals(n, np.concatenate(
+        [words[keys == key] for words, keys in _keyed_blocks(cls, n, P)]))
 
 
 def build_all(n: int) -> SeqSet:
@@ -587,9 +571,9 @@ def verify_reconstruction_code(code: SeqSet, t: int, N: int) -> VerifyResult:
         raise ValueError("N must be >= 1")
     if len(code) < 2:
         return VerifyResult(True, True)
-    if coverage_less_than(code, t, N):
-        return VerifyResult(True, False)
     worst = coverage_at_least(code, t, N)
+    if worst is None:
+        return VerifyResult(True, False)
     return VerifyResult(False, False, worst, classify_pair(worst[1], worst[2]))
 
 
@@ -608,9 +592,8 @@ def _key(residues: Sequence, moduli: Sequence[int]):
     return key
 
 
-def _keyed_blocks(cls: Type, n: int,
-                  P: Optional[int]) -> Iterator[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]]:
-    """(ambient words, their keys, the moduli) of each block of {0,1}^n, ascending.
+def _keyed_blocks(cls: Type, n: int, P: Optional[int]) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(ambient words, their keys) of each block of {0,1}^n, ascending.
 
     A ``_ws`` family keys a block without looking at its words: w and S are
     linear in the bits, so a block's sums are those of its low parts, taken
@@ -618,7 +601,7 @@ def _keyed_blocks(cls: Type, n: int,
     high part h, shifted up by the block width k: w = w_low + w_h and
     S = S_low + S_h + k * w_h.  Other families run their kernel on the block.
     """
-    cls._check(n, P)
+    moduli = cls._moduli(n, P)
     k = seqs._block_bits(n)
     if cls._ws is not None:
         low_w, low_s = _weight_and_sum(np.arange(1 << k), k)
@@ -628,12 +611,12 @@ def _keyed_blocks(cls: Type, n: int,
         if cls._ws is not None:
             w = high.bit_count()
             s = k * w + sum(b for b in range(n - k) if high >> b & 1)
-            residues, moduli = cls._ws((low_w + w)[keep], (low_s + s)[keep], n, P)
-        elif words.size or high == 0:
-            residues, moduli = cls._kernel(words, n, P)
+            residues = cls._ws((low_w + w)[keep], (low_s + s)[keep], n, P)
+        elif words.size:
+            residues = cls._kernel(words, n, P)
         else:  # no ambient word in this block, so no kernel call
             residues = [words] * len(moduli)
-        yield words, _key(residues, moduli), moduli
+        yield words, _key(residues, moduli)
 
 
 class CosetSweep(NamedTuple):
@@ -651,7 +634,7 @@ class CosetSweep(NamedTuple):
     keys: np.ndarray
     sizes: np.ndarray
     params: Callable[[int], CodeParams]
-    blocks: Callable[[], Iterator[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]]]
+    blocks: Callable[[], Iterator[Tuple[np.ndarray, np.ndarray]]]
 
     def best(self) -> int:
         """The largest coset; ties break to the smallest residues."""
@@ -663,7 +646,7 @@ class CosetSweep(NamedTuple):
     def partition(self) -> Dict[CodeParams, SeqSet]:
         if not self.keys.size:
             return {}
-        words, keys, _ = zip(*self.blocks())
+        words, keys = zip(*self.blocks())
         keys = np.concatenate(keys)
         order = np.argsort(keys, kind="stable")
         chunks = np.split(np.concatenate(words)[order], np.cumsum(self.sizes)[:-1])
@@ -696,11 +679,13 @@ def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
         raise ValueError(f"unknown family {family!r}")
     if P is None and "P" in cls.__dataclass_fields__:
         raise ValueError(f"family {family} needs P")
+    moduli = cls._moduli(n, P)
+    space = math.prod(moduli)
     blocks = lambda: _keyed_blocks(cls, n, P)
     counts, parts = 0, []
-    for words, keys, moduli in blocks():
-        if math.prod(moduli) <= 1 << seqs._BLOCK_BITS:
-            counts = counts + np.bincount(keys, minlength=math.prod(moduli))
+    for _, keys in blocks():
+        if space <= 1 << seqs._BLOCK_BITS:
+            counts = counts + np.bincount(keys, minlength=space)
         else:
             parts.append(np.unique(keys, return_counts=True))
             unmerged = sum(len(k) for k, _ in parts[1:])

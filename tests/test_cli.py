@@ -430,6 +430,26 @@ def test_table_negative_length_reads_unavailable(capsys):
     assert rows[2].endswith("unavailable: np4 requires n >= 4")
 
 
+# sha256 of the table records at n = -1..14 per --P, taken when each record
+# wrote its own range checks; these rows reach every unavailable: text of the
+# record and sweep checks
+TABLE_DIGESTS = {
+    "0": "676776334a6957cd0db3ab57524588a556f8420f4a0fc913796e140a7bcdcd19",
+    "1": "fdb430ed11fe53c9be078c4f21992d73c8eb741c9c51aefe24bbd523b571ae84",
+    "3": "126b4ce3d4ff66dc9f0982726d2295728956be85acccba9d06470ff1ee0c4fc1",
+    "6": "add0d035a7eb1c4a10d7476a706631a7e7ae710e6f3a25f0a17003ce3dac11f8",
+    "9": "92d1adb869c8d271f508e77d5057d6c5a9d64ed5022c56852970f0d54300b947",
+    "18": "4c6b1c71e74bd97ad7fcc7cc2c289bf4ee526bd878006c1605736c15170dd575",
+}
+
+
+@pytest.mark.parametrize("P", TABLE_DIGESTS)
+def test_table_records_are_pinned(capsys, P):
+    code, out, err = run(capsys, "table", "--n-range=-1:14", "--P", P, "--format", "records")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[P]
+
+
 headers = st.builds(
     lambda family, n, params: f"# family={family} n={n} params={params}",
     st.sampled_from(sorted(codes.FAMILIES) + ["bogus"]),

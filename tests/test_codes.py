@@ -1,8 +1,10 @@
 """Construction, syndrome, coset-search, and code-file tests."""
 
+import dataclasses
 import math
 import os
 import random
+import re
 import tempfile
 from itertools import combinations
 
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from insrecon import codes, seqs
+from insrecon import balls, codes, seqs
 from insrecon.balls import (
     SeqSet,
     coverage_argmax,
@@ -297,6 +299,56 @@ def test_np4_parameter_validation():
         build_np4_code(3, 9, 0, 0)  # n < 4
 
 
+def test_np4_member_refuses_lengths_below_4_like_its_record():
+    with pytest.raises(ValueError, match=r"^np4 requires n >= 4$"):
+        Np4Params(3, 9, 0, 0)
+    for word in ("", "0", "010", "111"):
+        with pytest.raises(ValueError, match=r"^np4 requires n >= 4$"):
+            codes.np4_member(BitSeq(word), 9, 0, 0)
+
+
+# (n, P, residue names, moduli) of one record per family, the moduli written
+# from the definitions: VT mod n+1, inversions mod P+1 and weight mod 2,
+# parity checks (2n, n^2, n^3, 3, 2n), and fiveread's windows of 2m = 44 bits
+RECORDS = {
+    "vt": (6, None, ("a",), (7,)),
+    "tworead": (6, 3, ("c", "d"), (4, 2)),
+    "np4": (6, 9, ("c", "d"), (10, 2)),
+    "np5": (6, 9, ("c", "d"), (10, 2)),
+    "twoins": (6, None, ("a1", "a2", "a3", "a4", "a5"), (12, 36, 216, 3, 12)),
+    "fiveread": (23, 3, ("a", *(f"{v}[{i}]" for v in ("avec", "bvec") for i in range(5))),
+                 (24, *(88, 44**2, 44**3, 3, 88) * 2)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RECORDS))
+def test_records_check_every_residue_against_its_modulus(family):
+    n, P, names, moduli = RECORDS[family]
+    cls = codes.FAMILIES[family]
+    assert cls._moduli(n, P) == moduli
+    for i, (name, m) in enumerate(zip(names, moduli)):
+        residues = [0] * len(moduli)
+        residues[i] = m - 1
+        assert cls._from_residues(n, P, residues).residues() == tuple(residues)
+        for bad in (m, -1):
+            residues[i] = bad
+            msg = rf"^residue {re.escape(name)}={bad} out of range 0..{m - 1}$"
+            with pytest.raises(ValueError, match=msg):
+                cls._from_residues(n, P, residues)
+
+
+@pytest.mark.parametrize("family", sorted(RECORDS))
+def test_records_refuse_a_wrong_residue_count(family):
+    n, P, _, moduli = RECORDS[family]
+    record = codes.FAMILIES[family]._from_residues(n, P, [0] * len(moduli))
+    first = [f.name for f in dataclasses.fields(record) if f.name not in ("n", "P")][0]
+    value = getattr(record, first)
+    entries = (value,) if isinstance(value, int) else value
+    for wrong, count in ((entries[:-1], len(moduli) - 1), (entries + (0,), len(moduli) + 1)):
+        with pytest.raises(ValueError, match=f"^{family} takes {len(moduli)} residues, got {count}$"):
+            dataclasses.replace(record, **{first: wrong})
+
+
 def test_np5_membership_and_ambient_nesting():
     n, P = 10, 9
     np5_ambient = set(int(v) for v in r_values(n, 2, 2 * P // 3))
@@ -427,6 +479,15 @@ def test_verify_names_worst_pair_kind_on_failure():
     assert result.verdict == classify_pair(x, y)
     passing = verify_reconstruction_code(space, 2, 15)
     assert passing.worst is None and passing.verdict is None
+
+
+def test_failing_verify_scans_the_pairs_once(monkeypatch):
+    calls = []
+    worst_pair = balls._worst_pair
+    monkeypatch.setattr(balls, "_worst_pair", lambda *a, **k: calls.append(1) or worst_pair(*a, **k))
+    result = verify_reconstruction_code(build_vt(8, 0), 2, 3)
+    assert not result.ok and result.worst[0] >= 3
+    assert len(calls) == 1
 
 
 def test_verify_np4_best_coset():
@@ -613,8 +674,9 @@ def test_header_format_example():
 
 def kernel_residues(family, vals, n, P):
     """The residue tuple of every word from the vectorized kernel."""
-    residues, moduli = codes.FAMILIES[family]._kernel(np.array(vals, dtype=np.uint32), n, P)
-    assert len(residues) == len(moduli)
+    cls = codes.FAMILIES[family]
+    residues = cls._kernel(np.array(vals, dtype=np.uint32), n, P)
+    assert len(residues) == len(cls._moduli(n, P))
     return list(zip(*(r.tolist() for r in residues)))
 
 
@@ -625,8 +687,8 @@ def kernel_inputs(draw):
         P = draw(st.integers(1, 3))
         n = draw(st.integers(7 * P + 2, 26))
     else:
-        P = draw(st.sampled_from((3, 6, 9, 18)))
-        n = draw(st.integers(2 if family == "twoins" else 0, 26))
+        P = draw(st.sampled_from((6, 9, 18) if family == "np4" else (3, 6, 9, 18)))
+        n = draw(st.integers({"twoins": 2, "np4": 4}.get(family, 0), 26))
     words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
     return family, n, P, words
 
@@ -643,7 +705,7 @@ def test_kernel_keys_equal_scalar_syndromes(case):
 
 def one_word_residues(family, words, n, P):
     """The residue tuple of every word from the kernel, one Python int at a time."""
-    out = [codes.FAMILIES[family]._kernel(v, n, P)[0] for v in words]
+    out = [codes.FAMILIES[family]._kernel(v, n, P) for v in words]
     assert all(type(r) is int for row in out for r in row)
     return [tuple(row) for row in out]
 
@@ -657,7 +719,7 @@ def wide_kernel_inputs(draw):
         m = 7 * P + 1
         n = draw(st.integers(max(27, m + 1), 64 // m * m))
     else:
-        P = draw(st.sampled_from((3, 6, 9, 18)))
+        P = draw(st.sampled_from((6, 9, 18) if family == "np4" else (3, 6, 9, 18)))
         n = draw(st.integers(27, 64))
     words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
     return family, n, P, words
@@ -675,7 +737,8 @@ EDGE_WORDS = [0, 1, 2**63, 2**64 - 1, 0xAAAA_AAAA_AAAA_AAAA, 0x0123_4567_89AB_CD
 @settings(max_examples=300, deadline=None)
 def test_kernels_match_oracles_on_words_of_27_to_64_bits(case):
     family, n, P, words = case
-    residues, moduli = codes.FAMILIES[family]._kernel(np.array(words, dtype=np.uint64), n, P)
+    cls = codes.FAMILIES[family]
+    residues, moduli = cls._kernel(np.array(words, dtype=np.uint64), n, P), cls._moduli(n, P)
     got = list(zip(*(r.tolist() for r in residues)))
     assert got == [oracle_syndrome(family, BitSeq.from_int(v, n), P) for v in words]
     assert one_word_residues(family, words, n, P) == got
@@ -839,8 +902,8 @@ def test_multi_block_sweep_sizes_equal_whole_space_bincount(family, P, n):
     vals = np.arange(1 << n, dtype=np.uint32)
     if family in AMBIENT_R:
         vals = vals[r_mask(vals, n, *AMBIENT_R[family](P))]
-    residues, moduli = codes.FAMILIES[family]._kernel(vals, n, P)
-    keys = np.ravel_multi_index(residues, moduli)
+    cls = codes.FAMILIES[family]
+    keys = np.ravel_multi_index(cls._kernel(vals, n, P), cls._moduli(n, P))
     counts = np.bincount(keys)
     sweep = codes.coset_sweep(family, n, P)
     assert sweep.keys.tolist() == np.flatnonzero(counts).tolist()
