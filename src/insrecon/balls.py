@@ -377,12 +377,21 @@ def _pair_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray,
             yield np.unique(np.concatenate(keys), return_counts=True)
 
 
+def _row_overlaps(both: np.ndarray) -> np.ndarray:
+    """How many values the two halves of each row share, for two row-aligned
+    tables joined side by side with no value twice in a row of either: the
+    adjacent equal values of each row, sorted in place.  Callers hold the
+    join until their next block; freed here, its memory went back to the
+    system every block, and verify of the n = 18 np5 code ran ~30 % slower."""
+    both.sort(axis=1)
+    return (both[:, 1:] == both[:, :-1]).sum(axis=1)
+
+
 def _close_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Like _pair_blocks, restricted to the pairs at d_L <= 1.
 
     Those pairs come from the engine at t = 1; each one's t-balls are then
-    intersected row-wise by sorting their concatenation and counting
-    adjacent equal values.
+    intersected row-wise by _row_overlaps.
     """
     close = [keys for keys, _ in _pair_blocks(vals, n, 1)]
     if not close:
@@ -393,8 +402,7 @@ def _close_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray
         keys = close[lo : lo + step]
         a, b = np.divmod(keys, len(vals))
         both = np.concatenate([_insertion_table(vals[i], n, t) for i in (a, b)], axis=1)
-        both.sort(axis=1)
-        yield keys, (both[:, 1:] == both[:, :-1]).sum(axis=1)
+        yield keys, _row_overlaps(both)
 
 
 def _worst_pair(code: SeqSet, t: int, close_only: bool) -> Tuple[int, BitSeq, BitSeq]:

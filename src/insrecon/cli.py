@@ -116,7 +116,7 @@ def cmd_build(args) -> int:
         params = _build_params(args)
         code = codes.build_code(params)
     codes.write_code_file(args.out, params, code)
-    body = ",".join(f"{k}={v}" for k, v in params.params_dict().items())
+    body = codes.format_header(params).partition(" params=")[2]
     if args.format == "records":
         print(f"family={params.family} n={params.n} params={body} size={len(code)} out={args.out}")
     else:
@@ -191,7 +191,7 @@ def _table_rows(n: int, P: int):
             params, size = sweep.params(best), int(sweep.sizes[best])
             red = n - math.log2(size)
             bound = n - math.log2(sweep.ambient_size) + math.log2(sweep.keys.size)
-            body = ",".join(f"{k}={v}" for k, v in params.params_dict().items()) or "-"
+            body = codes.format_header(params).partition(" params=")[2] or "-"
             yield (n, n_range(n), family, body, size, f"{red:.3f}", f"{bound:.3f}")
         except ValueError as exc:
             yield (n, n_range(n), family, "-", "-", "-", f"unavailable: {exc}")

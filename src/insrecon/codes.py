@@ -331,7 +331,7 @@ class AllParams(_Params):
 
     family = "all"
     _moduli = staticmethod(lambda n, P: (1,))
-    _kernel = staticmethod(lambda vals, n, P: [np.zeros(vals.shape, dtype=np.uint8)])
+    _kernel = staticmethod(lambda vals, n, P: [vals & 0])
     _from_residues = classmethod(lambda cls, n, P, r: cls(n))
 
     def residues(self) -> Tuple[int, ...]:

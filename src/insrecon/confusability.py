@@ -5,11 +5,15 @@ a complemented alternating block (x = u w v, y = u w~ v with w alternating and
 nonempty), and *Type-B confusable* when {x, y} = {u a a~ v b w, u a~ v b b~ w}.
 Type-A is equivalent to the 1-insertion balls meeting twice, Type-B without
 Type-A to their meeting once, and the verdict pins the 2-insertion
-intersection size to 2n+4, [n+3, n+5], or <= 6 respectively.
+intersection size to 2n+4, [n+3, n+5], or <= 6 respectively.  Both tests
+read only the cores of the split x = u core_x w, y = u core_y w around the
+differing span.
 
 This module also classifies the boundary windows x = a a~ v b, y = a~ v b b~:
 their 2-insertion intersection is n'+3, n'+4 or n'+5 (n' = |v|+3), and the
-+4/+5 cases are recognized by explicit pattern families over v.
++4/+5 cases are recognized by explicit pattern families over v.  The form
+u a a~ v b w / u a~ v b b~ w is built in one place, ``TypeBWitness.assemble``;
+the window pair is its case u = w = empty.
 """
 
 from __future__ import annotations
@@ -82,12 +86,30 @@ class ConfusabilityVerdict:
     type_b_witness: Optional[TypeBWitness]
 
 
-def _diff_span(x: BitSeq, y: BitSeq) -> Tuple[int, int]:
-    """Leftmost and rightmost 1-based positions where x and y differ."""
+@dataclass(frozen=True)
+class WindowSplit:
+    """x = u + core_x + w and y = u + core_y + w with maximal u, w stripped."""
+
+    u: BitSeq
+    core_x: BitSeq
+    core_y: BitSeq
+    w: BitSeq
+    i: int
+    j: int
+
+
+def _cut(s: BitSeq, lo: int, hi: int) -> BitSeq:
+    """The subword s_{lo+1} ... s_hi, empty when lo == hi."""
+    return BitSeq.from_int((s.val >> (s.n - hi)) & ((1 << (hi - lo)) - 1), hi - lo)
+
+
+def _split(x: BitSeq, y: BitSeq) -> WindowSplit:
+    """Strip the maximal common prefix and suffix of distinct x, y of equal
+    length; i and j are the first and last differing positions, 1-based."""
     d = x.val ^ y.val
-    j = x.n - (d & -d).bit_length() + 1
-    i = x.n - d.bit_length() + 1
-    return i, j
+    i, j = x.n - d.bit_length() + 1, x.n - (d & -d).bit_length() + 1
+    return WindowSplit(_cut(x, 0, i - 1), _cut(x, i - 1, j), _cut(y, i - 1, j),
+                       _cut(x, j, x.n), i, j)
 
 
 def classify_pair(x: BitSeq, y: BitSeq) -> ConfusabilityVerdict:
@@ -96,58 +118,26 @@ def classify_pair(x: BitSeq, y: BitSeq) -> ConfusabilityVerdict:
     Any Type-A witness block must cover exactly the differing span (a
     complemented block disagrees everywhere), and in any Type-B witness the
     leading a/a~ and trailing b/b~ sit at the first and last differing
-    positions; so both tests reduce to checks on the stripped core.  The
-    equivalence with the literal definitional search is covered by
+    positions; so both tests read the cores of the split u core w alone.
+    The equivalence with the literal definitional search is covered by
     exhaustive tests.
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} != {y.n}")
     if x == y:
         raise ValueError("classification requires distinct sequences")
-    n = x.n
-    i, j = _diff_span(x, y)
-    core_x = x.subword(i, j)
-    core_y = y.subword(i, j)
-
-    type_a = False
-    a_wit: Optional[TypeAWitness] = None
-    if core_x == core_y.complement() and is_alternating(core_x):
-        type_a = True
-        a_wit = TypeAWitness(
-            u=x.subword(1, i - 1) if i > 1 else EMPTY,
-            w=core_x,
-            v=x.subword(j + 1, n) if j < n else EMPTY,
-        )
-
-    type_b = False
-    b_wit: Optional[TypeBWitness] = None
-    if n >= 3 and j >= i + 2:
-        for p, q in ((x, y), (y, x)):
-            # p = u a a~ v b w, q = u a~ v b b~ w with the forced anchors
-            if p.bit(i + 1) != p.bit(i) and q.bit(j - 1) == p.bit(j):
-                shift_ok = (
-                    j - 1 < i + 2
-                    or p.subword(i + 2, j - 1) == q.subword(i + 1, j - 2)
-                )
-                if shift_ok:
-                    type_b = True
-                    b_wit = TypeBWitness(
-                        u=p.subword(1, i - 1) if i > 1 else EMPTY,
-                        v=p.subword(i + 2, j - 1) if j - 1 >= i + 2 else EMPTY,
-                        w=p.subword(j + 1, n) if j < n else EMPTY,
-                        a=p.bit(i),
-                        b=p.bit(j),
-                    )
-                    break
-
-    if type_a and type_b:
-        kind = Confusability.BOTH
-    elif type_a:
-        kind = Confusability.TYPE_A_ONLY
-    elif type_b:
-        kind = Confusability.TYPE_B_ONLY
-    else:
-        kind = Confusability.NEITHER
+    split = _split(x, y)
+    a_wit = b_wit = None
+    if split.core_x == split.core_y.complement() and is_alternating(split.core_x):
+        a_wit = TypeAWitness(split.u, split.core_x, split.w)
+    for p, q in ((split.core_x, split.core_y), (split.core_y, split.core_x)):
+        # p = a a~ v b and q = a~ v b b~: p opens with a a~, and q is p moved
+        # one place left (the split already makes their last symbols differ)
+        if p.n >= 3 and p.bit(1) != p.bit(2) and _cut(q, 0, q.n - 1) == _cut(p, 1, p.n):
+            b_wit = TypeBWitness(split.u, _cut(p, 2, p.n - 1), split.w, p.bit(1), p.bit(p.n))
+            break
+    kind = (Confusability.NEITHER, Confusability.TYPE_A_ONLY, Confusability.TYPE_B_ONLY,
+            Confusability.BOTH)[(a_wit is not None) + 2 * (b_wit is not None)]
     return ConfusabilityVerdict(kind, a_wit, b_wit)
 
 
@@ -245,38 +235,14 @@ def classify_window(a: int, b: int, v: BitSeq) -> WindowClass:
 
 def window_pair(a: int, b: int, v: BitSeq) -> Tuple[BitSeq, BitSeq]:
     """The window sequences x = a a~ v b and y = a~ v b b~."""
-    sa, sb = symbol(a), symbol(b)
-    x = sa + sa.complement() + v + sb
-    y = sa.complement() + v + sb + sb.complement()
-    return x, y
-
-
-@dataclass(frozen=True)
-class WindowSplit:
-    """x = u + core_x + w and y = u + core_y + w with maximal u, w stripped."""
-
-    u: BitSeq
-    core_x: BitSeq
-    core_y: BitSeq
-    w: BitSeq
-    i: int
-    j: int
+    return TypeBWitness(EMPTY, v, EMPTY, a, b).assemble()
 
 
 def locate_window(x: BitSeq, y: BitSeq) -> WindowSplit:
     """Strip the maximal common prefix and suffix (requires d_H >= 2)."""
     if hamming_distance(x, y) < 2:
         raise ValueError("window location requires Hamming distance >= 2")
-    n = x.n
-    i, j = _diff_span(x, y)
-    return WindowSplit(
-        u=x.subword(1, i - 1) if i > 1 else EMPTY,
-        core_x=x.subword(i, j),
-        core_y=y.subword(i, j),
-        w=x.subword(j + 1, n) if j < n else EMPTY,
-        i=i,
-        j=j,
-    )
+    return _split(x, y)
 
 
 def localization_bound_holds(x: BitSeq, y: BitSeq, P: int) -> bool:
@@ -302,16 +268,13 @@ def intersect2_decomposed(u: BitSeq, a: int, v: BitSeq, b: int, w: BitSeq) -> Se
 
     Rejects Type-A confusable pairs (there the decomposition does not apply).
     """
-    sa, sb = symbol(a), symbol(b)
-    x = u + sa + sa.complement() + v + sb + w
-    y = u + sa.complement() + v + sb + sb.complement() + w
+    x, y = TypeBWitness(u, v, w, a, b).assemble()
     if classify_pair(x, y).kind.type_a:
         raise ValueError("pair is Type-A confusable; decomposition requires otherwise")
-    z = u + sa + sa.complement() + v + sb + sb.complement() + w
     core_x, core_y = window_pair(a, b, v)
-    core_z = sa + sa.complement() + v + sb + sb.complement()
-    inner = (intersect_balls(core_x, core_y, 2)) - insertion_ball(core_z, 1)
-    outer = insertion_ball(z, 1)
+    core_z = core_x + symbol(b).complement()
+    inner = intersect_balls(core_x, core_y, 2) - insertion_ball(core_z, 1)
+    outer = insertion_ball(u + core_z + w, 1)
     wrapped = SeqSet(outer.n, (u + s + w for s in inner))
     if not outer.isdisjoint(wrapped):
         raise AssertionError("decomposition parts overlap; implementation bug")

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .balls import (SeqSet, _among, _check_ball, _deletion_table, _insertion_table,
-                    ball_size_formula)
+                    _row_overlaps, ball_size_formula)
 from .seqs import BitSeq
 
 # Ball-table entries held at once: trials are drawn and decoded, and their
@@ -70,8 +70,7 @@ def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int) -> Tuple[n
     found by searchsorted.  A candidate c survives iff every read lies in
     I_t(c) (c in D_t(r) iff r in I_t(c)); its ball-table row holds distinct
     values and the reads are distinct, so that is iff the row and the reads
-    share N values, counted as adjacent equal values of their sorted
-    concatenation.
+    share N values (_row_overlaps).
     """
     dels = _deletion_table(reads.min(axis=1), n + t, t)
     dels.sort(axis=1)
@@ -84,8 +83,7 @@ def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int) -> Tuple[n
     for lo in range(0, len(cands), step):
         part = slice(lo, lo + step)
         both = np.concatenate([_insertion_table(cands[part], n, t), reads[row[part]]], axis=1)
-        both.sort(axis=1)
-        keep[part] = (both[:, 1:] == both[:, :-1]).sum(axis=1) == reads.shape[1]
+        keep[part] = _row_overlaps(both) == reads.shape[1]
     return row[keep], cands[keep]
 
 

@@ -1,14 +1,16 @@
 """End-to-end CLI tests through main(argv)."""
 
+import ast
 import hashlib
 import os
+import pathlib
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from insrecon import codes
+from insrecon import cli, codes
 from insrecon.balls import read_coverage
 from insrecon.cli import main
 from insrecon.codes import build_np4_code, read_code_file
@@ -481,3 +483,21 @@ def test_code_file_fuzz_exits_zero_or_one_error_line(capsys, header, body, comma
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_reaches_no_private_helper():
+    """The CLI is a thin adapter: it reads no ``_name`` of an insrecon module
+    and imports none."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = {"insrecon"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("insrecon")):
+            assert not [a.name for a in node.names if a.name.startswith("_")], ast.dump(node)
+            if node.level and node.module is None:  # from . import balls, codes
+                modules |= {a.asname or a.name for a in node.names}
+    private = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert private == []

@@ -682,7 +682,7 @@ def kernel_residues(family, vals, n, P):
 
 @st.composite
 def kernel_inputs(draw):
-    family = draw(st.sampled_from(("vt", "tworead", "np4", "np5", "twoins", "fiveread")))
+    family = draw(st.sampled_from(("vt", "tworead", "np4", "np5", "twoins", "fiveread", "all")))
     if family == "fiveread":
         P = draw(st.integers(1, 3))
         n = draw(st.integers(7 * P + 2, 26))

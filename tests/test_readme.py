@@ -1,8 +1,10 @@
-"""The README's library tour runs, and the values in its comments hold."""
+"""The README's library tour and CLI block run, and the values in their
+comments hold."""
 
 import ast
 import pathlib
 
+from insrecon import cli
 from insrecon.confusability import Confusability
 from insrecon.recon import DecodeStatus
 from insrecon.seqs import BitSeq
@@ -37,3 +39,27 @@ def test_library_tour_runs_and_its_comments_hold():
         else:
             exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
     assert {line: values[line] for line in values if "#" in line} == CLAIMS
+
+
+# the whole stdout, split on whitespace, of each CLI line whose comment quotes it
+CLI_CLAIMS = {
+    "ball 10 --t 1": ["010", "100", "101", "110"],
+    "ball 10 --t 1 --size-only": ["4"],
+    "classify 0011 1110": ["kind=neither", "i1=0", "i2_class=<=6", "i2_lo=0", "i2_hi=6"],
+}
+
+
+def cli_block():
+    text = README.read_text(encoding="utf-8")
+    return text.split("## CLI", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+
+
+def test_cli_block_runs_and_its_comments_hold(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the block writes its code files to the working directory
+    outputs = {}
+    for line in cli_block().splitlines():
+        program, *argv = line.split("#", 1)[0].split()
+        assert program == "insrecon", line
+        assert cli.main(argv) == 0, line
+        outputs[" ".join(argv)] = capsys.readouterr().out.split()
+    assert {command: outputs[command] for command in CLI_CLAIMS} == CLI_CLAIMS
