@@ -18,8 +18,10 @@ Seven families, all realized as syndrome cosets of an ambient set:
 Each family's residues have one definition, its kernel in ``FAMILIES``, and
 their moduli one, its ``_moduli(n, P)``, which also checks n and P.
 Builders materialize codes by exhaustive filtering (refused above the
-enumeration cap); the scalar syndromes and the ``*_member`` predicates are
-one-word calls of the same kernels, for words of up to ``MAX_LEN`` bits.
+enumeration cap); the coset sizes of the families keyed by weight and
+position sum come from a transfer matrix instead (``_ws_sizes``).  The
+scalar syndromes and the ``*_member`` predicates are one-word calls of the
+same kernels, for words of up to ``MAX_LEN`` bits.
 """
 
 from __future__ import annotations
@@ -201,8 +203,8 @@ def _inv_wt_residues(w, s, P: int) -> list:
     return [(s - w * (w - 1) // 2) % (P + 1), w % 2]
 
 
-def _parity_residues(vals, n: int, h_second: str) -> list:
-    """The five parity_checks residues of every length-n word."""
+def _parity_residues(vals, n: int, h_second: str, first_only: bool = False) -> list:
+    """The five parity_checks residues of every length-n word, or the first."""
     if n < 2:
         raise ValueError("parity checks need length >= 2")
     if h_second not in _H_WEIGHTS:
@@ -210,8 +212,10 @@ def _parity_residues(vals, n: int, h_second: str) -> list:
     # indicator position i = 1..n-1 is bit n-1-i, so the weights run reversed
     low = (1 << (n - 1)) - 1
     shifted = vals >> 1
-    sums = _bit_sums(shifted & ~vals & low, n - 1, "m0", "m1", "m2")
-    sums += _bit_sums(~shifted & vals & low, n - 1, "ones", h_second)
+    kinds = ("m0",) if first_only else ("m0", "m1", "m2")
+    sums = _bit_sums(shifted & ~vals & low, n - 1, *kinds)
+    if not first_only:
+        sums += _bit_sums(~shifted & vals & low, n - 1, "ones", h_second)
     return [s % mod for s, mod in zip(sums, _parity_moduli(n))]
 
 
@@ -247,14 +251,16 @@ def _segment_width(n: int, P: int) -> int:
     return m
 
 
-def _five_read_residues(vals, n: int, P: int) -> list:
-    """VT, even and odd window sums (m0 weights) of every word; windows of the
-    padded word."""
+def _five_read_residues(vals, n: int, P: int, first_only: bool = False) -> list:
+    """VT, even and odd window sums (m0 weights) of every word, or the VT
+    residue alone; windows of the padded word."""
     m = _segment_width(n, P)
+    vt = _vt_residue(*_weight_and_sum(vals, n), n)
+    if first_only:
+        return [vt]
     nbar = -(-n // m) * m
     words = vals if isinstance(vals, int) else vals.astype(np.uint64)
-    sums = _window_sums(words << (nbar - n), nbar, m, "m0")
-    return [_vt_residue(*_weight_and_sum(vals, n), n), *sums]
+    return [vt, *_window_sums(words << (nbar - n), nbar, m, "m0")]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +279,9 @@ class _Params:
     packed words, one per modulus.  A family whose residues depend only on
     the weight w and the position sum S of a word declares them as
     ``_ws(w, S, n, P)`` instead, and its kernel is that of
-    ``_weight_and_sum(vals)``.
+    ``_weight_and_sum(vals)``; they must depend only on w mod 2m and S mod m,
+    for the first modulus m, which is what ``_ws_sizes`` counts.  Any other
+    kernel also takes ``first_only``, to give the first residue alone.
     """
 
     _r = None
@@ -331,7 +339,7 @@ class AllParams(_Params):
 
     family = "all"
     _moduli = staticmethod(lambda n, P: (1,))
-    _kernel = staticmethod(lambda vals, n, P: [vals & 0])
+    _ws = staticmethod(lambda w, s, n, P: [w * 0])
     _from_residues = classmethod(lambda cls, n, P, r: cls(n))
 
     def residues(self) -> Tuple[int, ...]:
@@ -404,7 +412,8 @@ class TwoInsertionParams(_Params):
 
     family = "twoins"
     _moduli = staticmethod(lambda n, P: _parity_moduli(n))
-    _kernel = staticmethod(lambda vals, n, P: _parity_residues(vals, n, "m1"))
+    _kernel = staticmethod(lambda vals, n, P, first_only=False:
+                           _parity_residues(vals, n, "m1", first_only))
 
     def __post_init__(self):
         if self.n < 2:
@@ -492,7 +501,7 @@ def build_code(params: CodeParams) -> SeqSet:
     cls, n, P = type(params), params.n, getattr(params, "P", None)
     key = _key(params.residues(), cls._moduli(n, P))
     return SeqSet._from_vals(n, np.concatenate(
-        [words[keys == key] for words, keys in _keyed_blocks(cls, n, P)]))
+        [words for words, _ in _keyed_blocks(cls, n, P, key)]))
 
 
 def build_all(n: int) -> SeqSet:
@@ -592,40 +601,56 @@ def _key(residues: Sequence, moduli: Sequence[int]):
     return key
 
 
-def _keyed_blocks(cls: Type, n: int, P: Optional[int]) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(ambient words, their keys) of each block of {0,1}^n, ascending.
+def _keyed_blocks(cls: Type, n: int, P: Optional[int],
+                  key=None) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(ambient words, their keys) of each block of {0,1}^n, ascending; with
+    ``key``, only the ambient words of that key.
 
     A ``_ws`` family keys a block without looking at its words: w and S are
     linear in the bits, so a block's sums are those of its low parts, taken
     once from one table, plus the weight w_h and the position sum S_h of its
     high part h, shifted up by the block width k: w = w_low + w_h and
-    S = S_low + S_h + k * w_h.  Other families run their kernel on the block.
+    S = S_low + S_h + k * w_h.  It keys the whole block, keeps the words of
+    ``key``, and runs ``r_mask`` on those only.  Other families run
+    ``r_mask``, then their kernel on the ambient words; with ``key``, they
+    first keep the words whose first residue matches it.
     """
     moduli = cls._moduli(n, P)
     k = seqs._block_bits(n)
+    ambient = lambda words: r_mask(words, n, *cls._r(P)) if cls._r else slice(None)
     if cls._ws is not None:
         low_w, low_s = _weight_and_sum(np.arange(1 << k), k)
     for high, words in seqs._blocks(n):
-        keep = r_mask(words, n, *cls._r(P)) if cls._r is not None else slice(None)
-        words = words[keep]
         if cls._ws is not None:
             w = high.bit_count()
             s = k * w + sum(b for b in range(n - k) if high >> b & 1)
-            residues = cls._ws((low_w + w)[keep], (low_s + s)[keep], n, P)
-        elif words.size:
-            residues = cls._kernel(words, n, P)
-        else:  # no ambient word in this block, so no kernel call
-            residues = [words] * len(moduli)
-        yield words, _key(residues, moduli)
+            keys = _key(cls._ws(low_w + w, low_s + s, n, P), moduli)
+            if key is not None:
+                hit = np.flatnonzero(keys == key)  # one scan of the mask, not one per array
+                words, keys = words[hit], keys[hit]
+            keep = ambient(words)
+            words, keys = words[keep], keys[keep]
+        else:
+            words = words[ambient(words)]
+            if key is not None and words.size:
+                first = key // math.prod(moduli[1:])
+                words = words[cls._kernel(words, n, P, first_only=True)[0] == first]
+            # no ambient word left in this block, so no kernel call
+            keys = _key(cls._kernel(words, n, P) if words.size else [words], moduli)
+            if key is not None:
+                hit = keys == key
+                words, keys = words[hit], keys[hit]
+        yield words, keys
 
 
 class CosetSweep(NamedTuple):
-    """The nonempty cosets of one family at one length, from one keyed sweep.
+    """The nonempty cosets of one family at one length.
 
     ``keys`` are the distinct word keys (``_key``) in ascending order, with
-    their word counts in ``sizes``; ``params(i)`` is the record of coset i,
-    whose members ``build_code`` collects, and ``blocks()`` walks the keyed
-    ambient again for ``partition``.
+    their word counts in ``sizes``: from ``_ws_sizes`` for a ``_ws`` family,
+    and from one keyed walk of the blocks for twoins and fiveread.
+    ``params(i)`` is the record of coset i, whose members ``build_code``
+    collects, and ``blocks()`` walks the keyed ambient for ``partition``.
     ``ambient_size`` stays at index 1, where perfbench/spans.py reads it.
     """
 
@@ -665,25 +690,14 @@ def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.n
     return keys[first], np.add.reduceat(counts, first)
 
 
-def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
-    """Count the ambient words per key, one block at a time.
-
-    A key space no larger than a block is counted by bincount; a sparser one
-    by the unique keys of each block, merged whenever the unmerged ones
-    outnumber both the merged ones and the words of 64 blocks.
-    perfbench/spans.py traces sweeps through this name, so the public entry
-    point is ``coset_sweep``.
-    """
-    cls = FAMILIES.get(family)
-    if cls is None:
-        raise ValueError(f"unknown family {family!r}")
-    if P is None and "P" in cls.__dataclass_fields__:
-        raise ValueError(f"family {family} needs P")
-    moduli = cls._moduli(n, P)
-    space = math.prod(moduli)
-    blocks = lambda: _keyed_blocks(cls, n, P)
+def _counted_sizes(blocks: Iterator[Tuple[np.ndarray, np.ndarray]],
+                   space: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(keys, sizes) of the nonempty cosets, from the keyed words of every
+    block.  A key space no larger than a block is counted by bincount; a
+    sparser one by the unique keys of each block, merged whenever the
+    unmerged ones outnumber both the merged ones and the words of 64 blocks."""
     counts, parts = 0, []
-    for _, keys in blocks():
+    for _, keys in blocks:
         if space <= 1 << seqs._BLOCK_BITS:
             counts = counts + np.bincount(keys, minlength=space)
         else:
@@ -692,10 +706,77 @@ def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
             if unmerged > max(len(parts[0][0]), 64 << seqs._BLOCK_BITS):
                 parts = [_merge(parts)]
     if parts:
-        keys, sizes = parts[0] if len(parts) == 1 else _merge(parts)
+        return parts[0] if len(parts) == 1 else _merge(parts)
+    keys = np.flatnonzero(counts)
+    return keys, counts[keys]
+
+
+# the ambient automaton of the whole space: one state, every step allowed
+_WHOLE_SPACE = np.zeros((1, 2), dtype=np.intp)
+
+
+def _ws_sizes(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(keys, sizes) of the nonempty cosets of a ``_ws`` family, exactly, from
+    a transfer matrix over the ambient automaton; no word is enumerated.
+
+    The residues depend only on w mod 2m and S mod m, for the first modulus
+    m: n+1 for vt, P+1 for the inversion/weight families, whose w(w-1)/2
+    mod m is fixed by w mod 2m.  So the count of words per (automaton state,
+    w mod 2m, S mod m) is carried bit by bit: appending bit b maps S to S + w
+    and w to w + b.  A step gathers, for every transition s -> s', the source
+    cell of every target cell of s', in rounds that each reach a target state
+    at most once, so that every round is one gather and one add.  The final
+    (w, S) grid is keyed by one ``_ws`` call.
+    """
+    moduli = cls._moduli(n, P)
+    m = moduli[0]
+    table = seqs._r_automaton(*cls._r(P)) if cls._r is not None else _WHOLE_SPACE
+    cells = 2 * m * m
+    w, s = np.divmod(np.arange(cells), m)
+    # the source of target cell (w, s) under bit b is (w - b, s - (w - b))
+    source = np.stack([(w - b) % (2 * m) * m + (s - w + b) % m for b in (0, 1)])
+    states, bits = np.nonzero(table >= 0)
+    targets = table[states, bits]
+    order = np.argsort(targets, kind="stable")
+    states, bits, targets = states[order], bits[order], targets[order]
+    gather = states[:, None] * cells + source[bits]
+    slot = np.arange(len(targets)) - np.searchsorted(targets, targets)
+    rounds = [(targets[slot == j], gather[slot == j]) for j in range(slot.max() + 1)]
+    counts = np.zeros((len(table), cells), dtype=np.int64)
+    counts[0, 0] = 1
+    for _ in range(n):
+        step = np.zeros_like(counts)
+        for dest, sources in rounds:
+            step[dest] += counts.take(sources)
+        counts = step
+    keys = _key(cls._ws(*np.indices((2 * m, m)), n, P), moduli)
+    sizes = np.zeros(math.prod(moduli), dtype=np.int64)
+    np.add.at(sizes, keys.ravel(), counts.sum(axis=0))
+    keys = np.flatnonzero(sizes)
+    return keys, sizes[keys]
+
+
+def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
+    """The nonempty cosets of a family and their sizes.
+
+    A ``_ws`` family's sizes come from ``_ws_sizes``, with no word
+    enumerated; twoins and fiveread count their keyed ambient words, one
+    block at a time (``_counted_sizes``).  Either way n is checked against
+    the enumeration cap, after the moduli.  perfbench/spans.py traces sweeps
+    through this name, so the public entry point is ``coset_sweep``.
+    """
+    cls = FAMILIES.get(family)
+    if cls is None:
+        raise ValueError(f"unknown family {family!r}")
+    if P is None and "P" in cls.__dataclass_fields__:
+        raise ValueError(f"family {family} needs P")
+    moduli = cls._moduli(n, P)
+    seqs._block_bits(n)  # the enumeration cap holds for the counted sizes too
+    blocks = lambda: _keyed_blocks(cls, n, P)
+    if cls._ws is not None:
+        keys, sizes = _ws_sizes(cls, n, P)
     else:
-        keys = np.flatnonzero(counts)
-        sizes = counts[keys]
+        keys, sizes = _counted_sizes(blocks(), math.prod(moduli))
 
     def params(i: int) -> CodeParams:
         key, residues = int(keys[i]), []

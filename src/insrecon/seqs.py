@@ -9,6 +9,7 @@ Public indexing follows the 1-based inclusive convention ``x[l..k]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
@@ -220,6 +221,42 @@ def r_mask(vals, n: int, ell: int, t: int):
             run = run & (run >> 1)
         ok &= run == 0
     return ok
+
+
+@lru_cache(maxsize=None)
+def _r_automaton(ell: int, t: int) -> np.ndarray:
+    """The transition table ``next[state, bit]`` of R(., ell, t), -1 for a
+    forbidden step; state 0 is the empty word, and a word is in R(n, ell, t)
+    iff its n steps from state 0 are all allowed.
+
+    A state is the last ell bits (fewer while the word is shorter) and, for
+    each p <= ell, the length of the current run of positions i with
+    x_i = x_{i-p}; a run that reaches t+1-p is a length-(t+1) subword of
+    period p.  As in r_mask, a word of length <= t is always in R, and when
+    t < ell no longer word is.  States are numbered in breadth-first order.
+    """
+    if ell < 1 or t < 1:
+        raise ValueError("require ell >= 1 and t >= 1")
+    states = [((), (0,) * ell)]
+    index, rows = {states[0]: 0}, []
+    for tail, runs in states:  # the list grows while it is walked
+        row = []
+        for b in (0, 1):
+            runs_b = tuple(runs[p - 1] + 1 if len(tail) >= p and tail[-p] == b else 0
+                           for p in range(1, ell + 1))
+            if len(tail) == t < ell or any(
+                    len(tail) >= p and r > t - p for p, r in enumerate(runs_b, 1)):
+                row.append(-1)
+                continue
+            state = ((*tail, b)[-ell:], runs_b)
+            if state not in index:
+                index[state] = len(states)
+                states.append(state)
+            row.append(index[state])
+        rows.append(row)
+    table = np.array(rows, dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 # {0,1}^n is enumerated in blocks of at most 2**_BLOCK_BITS words

@@ -863,14 +863,14 @@ def test_sweeps_match_dict_of_lists_reference(family, P, lengths):
 
 
 def block_guards(monkeypatch, bits):
-    """Blocks of 2**bits words; returns the sizes of the arrays every kernel
-    and r_mask call of the sweep sees."""
+    """Blocks of 2**bits words; returns the shape of the largest array that
+    every kernel, _ws and r_mask call of the sweep sees."""
     seen = []
 
     def guarded(fn):
-        def call(*args):
-            seen.append(max(a.size for a in args if isinstance(a, np.ndarray)))
-            return fn(*args)
+        def call(*args, **kwargs):
+            seen.append(max((a.shape for a in args if isinstance(a, np.ndarray)), key=math.prod))
+            return fn(*args, **kwargs)
         return call
 
     monkeypatch.setattr(seqs, "_BLOCK_BITS", bits)
@@ -889,10 +889,16 @@ NARROW_CASES = [(bits, *case) for case in SWEEP_CASES if max(case[2]) <= 12
 
 @pytest.mark.parametrize("bits,family,P,lengths", NARROW_CASES, ids=case_ids(NARROW_CASES))
 def test_sweeps_match_reference_in_narrow_blocks(monkeypatch, bits, family, P, lengths):
-    """n = 0, n < bits, n = bits and many blocks, with no call on more than a block."""
+    """n = 0, n < bits, n = bits and many blocks, with no enumerating call on
+    more than a block.  A _ws family's sizes come from one _ws call per sweep
+    on exactly the (w mod 2m, S mod m) grid of its first modulus m: two
+    sweeps per length, the partition and the best coset."""
     seen = block_guards(monkeypatch, bits)
     check_sweeps_against_reference(family, P, lengths)
-    assert max(seen) == 2 ** min(bits, max(lengths))
+    assert max(math.prod(shape) for shape in seen if len(shape) == 1) == 2 ** min(bits, max(lengths))
+    cls = codes.FAMILIES[family]
+    grids = [(2 * m, m) for n in lengths for m in [cls._moduli(n, P)[0]] * 2] if cls._ws else []
+    assert [shape for shape in seen if len(shape) != 1] == grids
 
 
 @pytest.mark.parametrize("family,P", (("vt", None), ("tworead", 3), ("np4", 18), ("np5", 9)))
@@ -911,6 +917,34 @@ def test_multi_block_sweep_sizes_equal_whole_space_bincount(family, P, n):
     assert sweep.ambient_size == vals.size
     best = sweep.best()
     assert sweep.members(best) == SeqSet._from_vals(n, vals[keys == sweep.keys[best]].tolist())
+
+
+WS_SIZE_CASES = [("vt", None)] + [
+    (family, P) for family in ("tworead", "np4", "np5") for P in (1, 2, 3, 6, 9, 12, 18)
+    if family == "tworead" or P % 3 == 0 and P >= (6 if family == "np4" else 3)]
+
+
+@pytest.mark.parametrize("family,P", WS_SIZE_CASES)
+def test_ws_sizes_equal_whole_space_bincount(family, P):
+    """The transfer-matrix counts against the kernel on every ambient word,
+    for n = 0..20; np4 P=6 is R(n, 3, 2), where t < ell."""
+    cls = codes.FAMILIES[family]
+    for n in range(0, 21):
+        try:
+            moduli = cls._moduli(n, P)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                codes._ws_sizes(cls, n, P)
+            continue
+        vals = np.arange(1 << n, dtype=np.uint32)
+        if family in AMBIENT_R:
+            vals = vals[r_mask(vals, n, *AMBIENT_R[family](P))]
+        counts = np.bincount(np.ravel_multi_index(cls._kernel(vals, n, P), moduli),
+                             minlength=math.prod(moduli))
+        keys, sizes = codes._ws_sizes(cls, n, P)
+        assert keys.tolist() == np.flatnonzero(counts).tolist(), n
+        assert sizes.tolist() == counts[keys].tolist(), n
+        assert sizes.dtype == np.int64
 
 
 @pytest.mark.parametrize("n", (0, 1, 31, 33, 64, 65))

@@ -195,6 +195,28 @@ def test_r_mask_matches_in_r(n, ell, t, data):
     assert count_r(n, ell, t) == sum(in_r(BitSeq.from_int(v, n), ell, t) for v in range(1 << n))
 
 
+@pytest.mark.parametrize("ell", (1, 2, 3))
+def test_r_automaton_walks_exactly_the_words_of_r(ell):
+    """For t = 1..12, the first n bits of a 16-bit word walk the automaton of
+    R(., ell, t) without a forbidden step iff r_mask admits them, for every
+    n <= 16: so n <= t (all in) and t < ell (none longer than t in) too."""
+    words = np.arange(1 << 16)
+    for t in range(1, 13):
+        table = seqs._r_automaton(ell, t)
+        state = np.zeros(words.size, dtype=np.intp)
+        for n in range(17):
+            assert np.array_equal(state >= 0, r_mask(words >> (16 - n), n, ell, t)), (t, n)
+            if n < 16:
+                state = np.where(state >= 0, table[state, words >> (15 - n) & 1], -1)
+    with pytest.raises(ValueError, match="require ell >= 1 and t >= 1"):
+        seqs._r_automaton(ell, 0)
+
+
+def test_r_automaton_state_count_for_ell_2():
+    """4t - 1 states, against 2**t tails of t bits."""
+    assert [len(seqs._r_automaton(2, t)) for t in range(1, 19)] == [4 * t - 1 for t in range(1, 19)]
+
+
 # ---------------------------------------------------------------------------
 # inversions
 
