@@ -111,15 +111,21 @@ class SeqSet:
         return f"SeqSet(n={self.n}, size={len(self)})"
 
     def to_lines(self) -> str:
-        """One sequence per line, lexicographically sorted, trailing newline;
-        written into a (size, n+1) byte matrix one bit column at a time."""
+        """One sequence per line, lexicographically sorted, trailing newline."""
+        return self._line_matrix().tobytes().decode("ascii")
+
+    def _line_matrix(self) -> np.ndarray:
+        """The lines of to_lines as one (size, n+1) uint8 matrix: row i is the
+        bits of member i as '0' and '1', then a newline.  The words are
+        shifted to the top of their bytes, so one unpackbits of their
+        big-endian bytes gives the n bits and one more column for the newline."""
         n = self.n
-        vals = self._array()
-        chars = np.full((vals.size, n + 1), ord("\n"), dtype=np.uint8)
-        for j in range(n):
-            chars[:, j] = (vals >> (n - 1 - j)) & 1
-            chars[:, j] += ord("0")
-        return chars.tobytes().decode("ascii")
+        width = -(-n // 8)  # the bytes that hold an n-bit word
+        big_endian = (self._arr << (8 * width - n)).astype(">u8").view(np.uint8)
+        chars = np.unpackbits(big_endian.reshape(-1, 8)[:, 8 - width:], axis=1, count=n + 1)
+        chars += ord("0")
+        chars[:, n] = ord("\n")
+        return chars
 
     @classmethod
     def parse_lines(cls, text: str, n: Optional[int] = None) -> "SeqSet":

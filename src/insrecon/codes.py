@@ -18,8 +18,9 @@ Seven families, all realized as syndrome cosets of an ambient set:
 Each family's residues have one definition, its kernel in ``FAMILIES``, and
 their moduli one, its ``_moduli(n, P)``, which also checks n and P.
 Builders materialize codes by exhaustive filtering (refused above the
-enumeration cap); the coset sizes of the families keyed by weight and
-position sum come from a transfer matrix instead (``_ws_sizes``).  The
+enumeration cap); the coset sizes and members of the families keyed by
+weight and position sum come from their cell automaton instead
+(``_ws_sizes``, ``_ws_members``).  The
 scalar syndromes and the ``*_member`` predicates are one-word calls of the
 same kernels, for words of up to ``MAX_LEN`` bits.
 """
@@ -500,8 +501,11 @@ def build_code(params: CodeParams) -> SeqSet:
     """Materialize the coset described by a parameter record."""
     cls, n, P = type(params), params.n, getattr(params, "P", None)
     key = _key(params.residues(), cls._moduli(n, P))
-    return SeqSet._from_vals(n, np.concatenate(
-        [words for words, _ in _keyed_blocks(cls, n, P, key)]))
+    if cls._ws is None:
+        return SeqSet._from_vals(n, np.concatenate(
+            [words for words, _ in _keyed_blocks(cls, n, P, key)]))
+    seqs._block_bits(n)  # the enumeration cap holds for the members too
+    return SeqSet._from_vals(n, _ws_members(cls, n, P, key))
 
 
 def build_all(n: int) -> SeqSet:
@@ -604,16 +608,17 @@ def _key(residues: Sequence, moduli: Sequence[int]):
 def _keyed_blocks(cls: Type, n: int, P: Optional[int],
                   key=None) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(ambient words, their keys) of each block of {0,1}^n, ascending; with
-    ``key``, only the ambient words of that key.
+    ``key``, which only twoins and fiveread take, only the ambient words of
+    that key.
 
     A ``_ws`` family keys a block without looking at its words: w and S are
     linear in the bits, so a block's sums are those of its low parts, taken
     once from one table, plus the weight w_h and the position sum S_h of its
     high part h, shifted up by the block width k: w = w_low + w_h and
-    S = S_low + S_h + k * w_h.  It keys the whole block, keeps the words of
-    ``key``, and runs ``r_mask`` on those only.  Other families run
-    ``r_mask``, then their kernel on the ambient words; with ``key``, they
-    first keep the words whose first residue matches it.
+    S = S_low + S_h + k * w_h.  It keys the whole block, then runs
+    ``r_mask``.  Other families run ``r_mask``, then their kernel on the
+    ambient words; with ``key``, they first keep the words whose first
+    residue matches it.
     """
     moduli = cls._moduli(n, P)
     k = seqs._block_bits(n)
@@ -625,9 +630,6 @@ def _keyed_blocks(cls: Type, n: int, P: Optional[int],
             w = high.bit_count()
             s = k * w + sum(b for b in range(n - k) if high >> b & 1)
             keys = _key(cls._ws(low_w + w, low_s + s, n, P), moduli)
-            if key is not None:
-                hit = np.flatnonzero(keys == key)  # one scan of the mask, not one per array
-                words, keys = words[hit], keys[hit]
             keep = ambient(words)
             words, keys = words[keep], keys[keep]
         else:
@@ -650,7 +652,9 @@ class CosetSweep(NamedTuple):
     their word counts in ``sizes``: from ``_ws_sizes`` for a ``_ws`` family,
     and from one keyed walk of the blocks for twoins and fiveread.
     ``params(i)`` is the record of coset i, whose members ``build_code``
-    collects, and ``blocks()`` walks the keyed ambient for ``partition``.
+    collects: from ``_ws_members`` for a ``_ws`` family, from a keyed walk
+    of the blocks otherwise.  ``blocks()`` walks the keyed ambient for
+    ``partition``.
     ``ambient_size`` stays at index 1, where perfbench/spans.py reads it.
     """
 
@@ -695,7 +699,7 @@ def _counted_sizes(blocks: Iterator[Tuple[np.ndarray, np.ndarray]],
     """(keys, sizes) of the nonempty cosets, from the keyed words of every
     block.  A key space no larger than a block is counted by bincount; a
     sparser one by the unique keys of each block, merged whenever the
-    unmerged ones outnumber both the merged ones and the words of 64 blocks."""
+    unmerged ones outnumber both the merged ones and the words of one block."""
     counts, parts = 0, []
     for _, keys in blocks:
         if space <= 1 << seqs._BLOCK_BITS:
@@ -703,7 +707,7 @@ def _counted_sizes(blocks: Iterator[Tuple[np.ndarray, np.ndarray]],
         else:
             parts.append(np.unique(keys, return_counts=True))
             unmerged = sum(len(k) for k, _ in parts[1:])
-            if unmerged > max(len(parts[0][0]), 64 << seqs._BLOCK_BITS):
+            if unmerged > max(len(parts[0][0]), 1 << seqs._BLOCK_BITS):
                 parts = [_merge(parts)]
     if parts:
         return parts[0] if len(parts) == 1 else _merge(parts)
@@ -715,45 +719,128 @@ def _counted_sizes(blocks: Iterator[Tuple[np.ndarray, np.ndarray]],
 _WHOLE_SPACE = np.zeros((1, 2), dtype=np.intp)
 
 
-def _ws_sizes(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """(keys, sizes) of the nonempty cosets of a ``_ws`` family, exactly, from
-    a transfer matrix over the ambient automaton; no word is enumerated.
+def _ws_cells(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The cell automaton of a ``_ws`` family: ``(child, grid)``.
 
     The residues depend only on w mod 2m and S mod m, for the first modulus
     m: n+1 for vt, P+1 for the inversion/weight families, whose w(w-1)/2
-    mod m is fixed by w mod 2m.  So the count of words per (automaton state,
-    w mod 2m, S mod m) is carried bit by bit: appending bit b maps S to S + w
-    and w to w + b.  A step gathers, for every transition s -> s', the source
-    cell of every target cell of s', in rounds that each reach a target state
-    at most once, so that every round is one gather and one add.  The final
-    (w, S) grid is keyed by one ``_ws`` call.
+    mod m is fixed by w mod 2m.  A cell is (ambient automaton state,
+    w mod 2m, S mod m), numbered in that row-major order, and cell 0 is the
+    empty word.  Appending bit b maps S to S + w and w to w + b, so
+    ``child[b, c]`` is the cell after bit b, or -1 for a step the ambient
+    automaton forbids.  ``grid`` holds the key of every (w mod 2m, S mod m),
+    from one ``_ws`` call; cell c has the key ``grid[c % grid.size]``.
     """
     moduli = cls._moduli(n, P)
     m = moduli[0]
     table = seqs._r_automaton(*cls._r(P)) if cls._r is not None else _WHOLE_SPACE
-    cells = 2 * m * m
-    w, s = np.divmod(np.arange(cells), m)
-    # the source of target cell (w, s) under bit b is (w - b, s - (w - b))
-    source = np.stack([(w - b) % (2 * m) * m + (s - w + b) % m for b in (0, 1)])
-    states, bits = np.nonzero(table >= 0)
-    targets = table[states, bits]
+    w, s = np.indices((2 * m, m))
+    grid = _key(cls._ws(w, s, n, P), moduli).ravel()
+    # the grid entry after bit b, and the state after bit b, of every cell
+    entry = np.stack([((w + b) % (2 * m) * m + (s + w) % m).ravel() for b in (0, 1)])
+    state = table.T[:, :, None]
+    return np.where(state >= 0, state * grid.size + entry[:, None, :], -1).reshape(2, -1), grid
+
+
+def _ws_sizes(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(keys, sizes) of the nonempty cosets of a ``_ws`` family, exactly, from
+    a transfer matrix over its cell automaton (``_ws_cells``); no word is
+    enumerated.
+
+    The count of words per cell is carried bit by bit, one row of grid
+    entries per automaton state.  The cells of one state and one bit step
+    to the cells of one state, so a step gathers, for every allowed state
+    step s -> s', the source cell of every cell of s', in rounds that each
+    reach a target state at most once: every round is one gather and one
+    add.  The counts of the final grid are then summed under their keys.
+    """
+    child, grid = _ws_cells(cls, n, P)
+    n_states = child.shape[1] // grid.size
+    rows = child.reshape(-1, grid.size)  # row b * n_states + s: the cells of s after bit b
+    allowed = np.flatnonzero(rows[:, 0] >= 0)
+    rows, states = rows[allowed], allowed % n_states
+    targets, entries = np.divmod(rows, grid.size)
+    targets = targets[:, 0]
+    gather = np.empty_like(rows)
+    gather[np.arange(len(rows))[:, None], entries] = states[:, None] * grid.size + np.arange(grid.size)
     order = np.argsort(targets, kind="stable")
-    states, bits, targets = states[order], bits[order], targets[order]
-    gather = states[:, None] * cells + source[bits]
+    targets, gather = targets[order], gather[order]
     slot = np.arange(len(targets)) - np.searchsorted(targets, targets)
     rounds = [(targets[slot == j], gather[slot == j]) for j in range(slot.max() + 1)]
-    counts = np.zeros((len(table), cells), dtype=np.int64)
+    counts = np.zeros((n_states, grid.size), dtype=np.int64)
     counts[0, 0] = 1
     for _ in range(n):
         step = np.zeros_like(counts)
         for dest, sources in rounds:
             step[dest] += counts.take(sources)
         counts = step
-    keys = _key(cls._ws(*np.indices((2 * m, m)), n, P), moduli)
-    sizes = np.zeros(math.prod(moduli), dtype=np.int64)
-    np.add.at(sizes, keys.ravel(), counts.sum(axis=0))
+    sizes = np.zeros(math.prod(cls._moduli(n, P)), dtype=np.int64)
+    np.add.at(sizes, grid, counts.sum(axis=0))
     keys = np.flatnonzero(sizes)
     return keys, sizes[keys]
+
+
+# the member walk takes the last _SUFFIX_BITS bits of every word from one
+# sorted suffix list per distinct cell
+_SUFFIX_BITS = 8
+_BIT_PAIR = np.arange(2, dtype=np.uint64)
+
+
+def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
+    """The ambient words of ``key`` of a ``_ws`` family, strictly ascending,
+    as uint64, from its cell automaton (``_ws_cells``); no other word is
+    enumerated.
+
+    ``reach[r, c]`` says that some allowed r-bit suffix leads from cell c to
+    a cell of ``key``.  The top n - L bits are walked forward from the empty
+    word, keeping only the prefixes whose cell reaches ``key`` in the bits
+    left, so there are never more of them than members.  Each distinct cell
+    at depth n - L is walked L = min(n, _SUFFIX_BITS) bits for its sorted
+    list of suffixes, and every prefix is expanded with its cell's list by
+    one repeat and one gather; the words come out ascending, with no sort.
+    """
+    child, grid = _ws_cells(cls, n, P)
+    tail_bits = min(n, _SUFFIX_BITS)
+    # the last column stands for the forbidden step (-1), which reaches nothing
+    reach = np.zeros((n + 1, child.shape[1] + 1), dtype=bool)
+    reach[0, :-1] = np.tile(grid == key, child.shape[1] // grid.size)
+    for r in range(1, n + 1):
+        np.logical_or(reach[r - 1].take(child[0]), reach[r - 1].take(child[1]), out=reach[r, :-1])
+
+    def grow(words, cells, r):
+        """Every live one-bit extension of the words in the cells, in order."""
+        words = ((words << 1)[:, None] | _BIT_PAIR).ravel()
+        cells = child[:, cells].T.ravel()
+        live = reach[r, cells]
+        return words[live], cells[live], live
+
+    words = np.zeros(int(reach[n, 0]), dtype=np.uint64)
+    cells = np.zeros(words.size, dtype=np.intp)
+    for r in range(n - 1, tail_bits - 1, -1):
+        words, cells, _ = grow(words, cells, r)
+    roots, root_of = np.unique(cells, return_inverse=True)
+    tails, tail_cells, owner = np.zeros(roots.size, dtype=np.uint64), roots, np.arange(roots.size)
+    for r in range(tail_bits - 1, -1, -1):
+        tails, tail_cells, live = grow(tails, tail_cells, r)
+        owner = np.repeat(owner, 2)[live]
+    per_root = np.bincount(owner, minlength=roots.size)
+    first_tail = np.cumsum(per_root) - per_root
+    per_word = per_root[root_of]
+    ends = np.cumsum(per_word)
+    members = np.empty(int(per_word.sum()), dtype=np.uint64)
+    # whole prefixes, about a block of members at a time, so that the
+    # temporaries stay at a block's size
+    block = 1 << seqs._BLOCK_BITS
+    bounds = [0, *np.searchsorted(ends, np.arange(block, members.size, block), "right"), words.size]
+    at = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        count = per_word[lo:hi]
+        # member j of prefix i takes tails[first_tail[root_of[i]] + j]
+        index = np.repeat(first_tail[root_of[lo:hi]] - np.cumsum(count) + count, count)
+        index += np.arange(index.size)
+        members[at:at + index.size] = np.repeat(words[lo:hi] << tail_bits, count) | tails[index]
+        at += index.size
+    return members
 
 
 def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
@@ -834,9 +921,11 @@ def parse_header(line: str) -> CodeParams:
 
 
 def write_code_file(path: str, params: CodeParams, code: SeqSet) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_header(params) + "\n")
-        fh.write(code.to_lines())
+    """The header line, then the lines of ``code.to_lines()``, written as the
+    bytes of its line matrix with no text copy."""
+    with open(path, "wb") as fh:
+        fh.write((format_header(params) + "\n").encode("ascii"))
+        fh.write(code._line_matrix())
 
 
 def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:

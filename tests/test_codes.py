@@ -890,14 +890,15 @@ NARROW_CASES = [(bits, *case) for case in SWEEP_CASES if max(case[2]) <= 12
 @pytest.mark.parametrize("bits,family,P,lengths", NARROW_CASES, ids=case_ids(NARROW_CASES))
 def test_sweeps_match_reference_in_narrow_blocks(monkeypatch, bits, family, P, lengths):
     """n = 0, n < bits, n = bits and many blocks, with no enumerating call on
-    more than a block.  A _ws family's sizes come from one _ws call per sweep
-    on exactly the (w mod 2m, S mod m) grid of its first modulus m: two
-    sweeps per length, the partition and the best coset."""
+    more than a block.  A _ws family's sizes and members come from one _ws
+    call each on exactly the (w mod 2m, S mod m) grid of its first modulus
+    m, and from no call on words: per length, the partition's and the best
+    coset's sweeps, and the members of the best and of the last coset."""
     seen = block_guards(monkeypatch, bits)
     check_sweeps_against_reference(family, P, lengths)
     assert max(math.prod(shape) for shape in seen if len(shape) == 1) == 2 ** min(bits, max(lengths))
     cls = codes.FAMILIES[family]
-    grids = [(2 * m, m) for n in lengths for m in [cls._moduli(n, P)[0]] * 2] if cls._ws else []
+    grids = [(2 * m, m) for n in lengths for m in [cls._moduli(n, P)[0]] * 4] if cls._ws else []
     assert [shape for shape in seen if len(shape) != 1] == grids
 
 
@@ -947,7 +948,42 @@ def test_ws_sizes_equal_whole_space_bincount(family, P):
         assert sizes.dtype == np.int64
 
 
-@pytest.mark.parametrize("n", (0, 1, 31, 33, 64, 65))
+@pytest.mark.parametrize("family,P", WS_SIZE_CASES + [("all", None)])
+def test_ws_members_equal_enumeration(monkeypatch, family, P):
+    """The automaton's members of every key, n = 0..16, against the ambient
+    words of that key from the block walk: equal, as a strictly ascending
+    uint64 array, and empty for a key with no word.  The walk makes one
+    _ws call, on the grid, and no call on words."""
+    cls = codes.FAMILIES[family]
+    seen = block_guards(monkeypatch, seqs._BLOCK_BITS)
+    for n in range(0, 17):
+        try:
+            moduli = cls._moduli(n, P)
+        except ValueError:
+            continue
+        words, keys = (np.concatenate(a) for a in zip(*codes._keyed_blocks(cls, n, P)))
+        before = len(seen)
+        for key in range(math.prod(moduli)):
+            got = codes._ws_members(cls, n, P, key)
+            assert got.dtype == np.uint64 and (got[1:] > got[:-1]).all(), (n, key)
+            assert got.tolist() == words[keys == key].tolist(), (n, key)
+        assert seen[before:] == [(2 * moduli[0], moduli[0])] * math.prod(moduli)
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 22, 63, 64))
+def test_code_file_bytes_are_the_header_and_the_lines(tmp_path, n):
+    """The file is the header line, then to_lines, byte for byte, for an
+    empty and a random code, and reads back as the same record and set."""
+    rng = random.Random(n)
+    params, path = codes.AllParams(n), tmp_path / "code.txt"
+    for vals in ((), {rng.getrandbits(n) for _ in range(200)}):
+        code = SeqSet._from_vals(n, vals)
+        write_code_file(str(path), params, code)
+        assert path.read_bytes() == (format_header(params) + "\n" + code.to_lines()).encode("ascii")
+        assert read_code_file(str(path)) == (params, code)
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 22, 31, 33, 63, 64, 65))
 def test_to_lines_matches_per_word_format(n):
     """parse_lines reads the lines back; above 64 bits no set is built."""
     rng = random.Random(n)
