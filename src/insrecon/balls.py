@@ -128,11 +128,29 @@ class SeqSet:
         return chars
 
     @classmethod
+    def _from_line_matrix(cls, n: int, data: bytes) -> Optional["SeqSet"]:
+        """The set whose lines, as in to_lines, are exactly the bytes data:
+        a (rows, n+1) matrix of '0' and '1' with a newline in its last
+        column.  None for anything else, or n outside 0..MAX_LEN.  The
+        mirror of _line_matrix: one packbits of the bit columns gives each
+        word's big-endian bytes, with the word at their top."""
+        if not 0 <= n <= MAX_LEN or len(data) % (n + 1):
+            return None
+        chars = np.frombuffer(data, dtype=np.uint8).reshape(-1, n + 1)
+        bits = chars[:, :n] - ord("0")
+        if not ((bits <= 1).all() and (chars[:, n] == ord("\n")).all()):
+            return None
+        width = -(-n // 8)  # the bytes that hold an n-bit word
+        big_endian = np.zeros((len(chars), 8), dtype=np.uint8)
+        big_endian[:, 8 - width :] = np.packbits(bits, axis=1)
+        words = big_endian.view(">u8").ravel().astype(np.uint64)
+        return cls._from_vals(n, words >> (8 * width - n))
+
+    @classmethod
     def parse_lines(cls, text: str, n: Optional[int] = None) -> "SeqSet":
         """One sequence per line, stripped; blank lines are skipped, except at
-        n = 0, where each line is the empty word.  The mirror of to_lines: the
-        lines, each ended by a newline, are read as one (rows, n+1) byte
-        matrix and the values are built from its bit columns."""
+        n = 0, where each line is the empty word.  The lines, each ended by a
+        newline, are read as one line matrix (_from_line_matrix)."""
         lines = list(map(str.strip, text.splitlines()))
         if n != 0:
             lines = list(filter(None, lines))
@@ -141,23 +159,11 @@ class SeqSet:
                 raise ValueError("cannot infer length from empty input")
             n = len(lines[0])
         _check_code_length(n)  # before the byte matrix is built
-        if not lines:
-            return cls._from_vals(n, ())
-        chars = np.frombuffer("\n".join([*lines, ""]).encode("ascii", "replace"), dtype=np.uint8)
-        rows = len(lines)
-        ok = chars.size == rows * (n + 1)
-        if ok:
-            # each line ends in a newline, so with the size right all of them
-            # sit in the last column iff no bit column holds one
-            bits = chars.reshape(rows, n + 1)[:, :n] - ord("0")
-            ok = (bits <= 1).all()
-        if not ok:
+        code = cls._from_line_matrix(n, "\n".join([*lines, ""]).encode("ascii", "replace"))
+        if code is None:
             bad = next(ln for ln in lines if len(ln) != n or set(ln) - {"0", "1"})
             raise ValueError(f"bad sequence line: {bad!r}")
-        vals = np.zeros(rows, dtype=np.uint64)
-        for j in range(n):
-            vals |= bits[:, j].astype(np.uint64) << (n - 1 - j)
-        return cls._from_vals(n, vals)
+        return code
 
 
 def _check_code_length(n: int) -> None:
@@ -386,56 +392,109 @@ def _pair_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray,
 def _row_overlaps(both: np.ndarray) -> np.ndarray:
     """How many values the two halves of each row share, for two row-aligned
     tables joined side by side with no value twice in a row of either: the
-    adjacent equal values of each row, sorted in place.  Callers hold the
-    join until their next block; freed here, its memory went back to the
-    system every block, and verify of the n = 18 np5 code ran ~30 % slower."""
+    adjacent equal values of each row, sorted in place.  The decoder joins
+    each candidate's insertion ball with the reads of its trial, so the
+    count is N exactly when the candidate explains every read.  Callers
+    hold the join until their next block, so that its memory is not handed
+    back to the system and requested again every block."""
     both.sort(axis=1)
     return (both[:, 1:] == both[:, :-1]).sum(axis=1)
+
+
+def _common_supersequences(x: np.ndarray, y: np.ndarray, n: int, t: int) -> np.ndarray:
+    """Exact |I_t(x[k]) cap I_t(y[k])| for every k, for n-bit uint64 words.
+
+    z of length n+t lies in I_t(x) iff greedily embedding x into z (take the
+    next symbol of x whenever z shows it) uses up x.  That embedding is
+    deterministic, so each z in both balls is one path through (i, j), the
+    symbols of x and of y matched so far.  After s symbols of z only
+    i >= s - t can still finish, so the state is a pair of offsets
+    i - s + t and j - s + t in 0..t.  On symbol b an offset stays if the
+    next bit of its word is b and drops by one if not (or if the word is
+    used up); a path that drops below 0 ends.  ``cnt[ox, oy]`` counts the
+    prefixes of z in each state, and after n + t symbols the paths that
+    used up both words are ``cnt[0, 0]``.  No count exceeds |I_t(x)|, so
+    they are held in the smallest unsigned type that holds it, and in
+    Python ints past 64 bits.
+    """
+    dt = np.min_scalar_type(ball_size_formula(n, t))
+
+    def bits(words):
+        # row t + k holds bit k of every word; 2 marks no bit, before or after
+        out = np.full((n + 2 * t, len(words)), 2, dtype=np.uint8)
+        shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None]
+        out[t : t + n] = (words >> shifts) & np.uint64(1)
+        return out
+
+    xb, yb = bits(x), bits(y)
+    cnt = np.zeros((t + 1, t + 1, len(x)), dtype=dt)
+    cnt[t, t] = 1
+    for s in range(n + t):
+        step = np.zeros_like(cnt)
+        for b in (0, 1):
+            # the next bit at offset o is bit s - t + o of the word
+            mx, my = xb[s : s + t + 1, None] == b, yb[None, s : s + t + 1] == b
+            moved = cnt * mx
+            moved[:-1] += cnt[1:] * ~mx[1:]
+            step += moved * my
+            step[:, :-1] += moved[:, 1:] * ~my[:, 1:]
+        cnt = step
+    return cnt[0, 0]
+
+
+# Pairs per slice of the close-pair count; bounds its (t+1, t+1, pairs) arrays.
+_PAIRS = 1 << 14
 
 
 def _close_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Like _pair_blocks, restricted to the pairs at d_L <= 1.
 
-    Those pairs come from the engine at t = 1; each one's t-balls are then
-    intersected row-wise by _row_overlaps.
+    Those pairs come from the engine at t = 1, block by block, and are
+    counted by _common_supersequences in slices of _PAIRS pairs.
     """
-    close = [keys for keys, _ in _pair_blocks(vals, n, 1)]
-    if not close:
-        return
-    close = np.concatenate(close)
-    step = max(1, _BLOCK // (2 * ball_size_formula(n, t)))
-    for lo in range(0, len(close), step):
-        keys = close[lo : lo + step]
-        a, b = np.divmod(keys, len(vals))
-        both = np.concatenate([_insertion_table(vals[i], n, t) for i in (a, b)], axis=1)
-        yield keys, _row_overlaps(both)
+    for close, _ in _pair_blocks(vals, n, 1):
+        for lo in range(0, len(close), _PAIRS):
+            keys = close[lo : lo + _PAIRS]
+            a, b = np.divmod(keys, len(vals))
+            yield keys, _common_supersequences(vals[a], vals[b], n, t)
 
 
-def _worst_pair(code: SeqSet, t: int, close_only: bool) -> Tuple[int, BitSeq, BitSeq]:
-    """(overlap, x, y) for the lexicographically first pair of largest overlap.
-
-    When no pair overlaps, that is (0, the two smallest words).
-    """
-    if len(code) < 2:
-        raise ValueError("read coverage needs at least two codewords")
-    vals = code._array()
-    blocks = (
-        _close_blocks(vals, code.n, t)
-        if close_only
-        else _pair_blocks(vals, code.n, t)
-    )
+def _max_pair(blocks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> Tuple[int, int]:
+    """(count, key) of the first largest count of ascending-key blocks; (0, 1)
+    when no count is positive."""
     best, key = 0, 1
     for keys, counts in blocks:
         i = int(counts.argmax())
         if counts[i] > best:
             best, key = int(counts[i]), int(keys[i])
+    return best, key
+
+
+def _worst_pair(code: SeqSet, t: int, bound: int = 0) -> Tuple[int, BitSeq, BitSeq]:
+    """(overlap, x, y) for the lexicographically first pair of largest overlap;
+    when that overlap is below bound, a pair below bound may come instead.
+
+    When no pair overlaps, that is (0, the two smallest words).  For t = 2
+    (and n >= 4) the pairs at d_L <= 1 are counted first: any other pair
+    shares at most nplus_ell_formula(n, 2, 2) = 6 supersequences, so a close
+    pair above 6 is the worst pair overall.  Every pair is scanned only when
+    neither the close pairs' maximum nor the bound is above 6.  (At t = 1
+    only close pairs overlap at all, and the full scan finds just them.)
+    """
+    if len(code) < 2:
+        raise ValueError("read coverage needs at least two codewords")
+    vals, n = code._array(), code.n
+    close_first = t == 2 and n >= 4
+    best, key = _max_pair(_close_blocks(vals, n, t)) if close_first else (0, 1)
+    if not close_first or max(best, bound) <= nplus_ell_formula(n, 2, 2):
+        best, key = _max_pair(_pair_blocks(vals, n, t))
     a, b = divmod(key, len(vals))
-    return best, BitSeq.from_int(int(vals[a]), code.n), BitSeq.from_int(int(vals[b]), code.n)
+    return best, BitSeq.from_int(int(vals[a]), n), BitSeq.from_int(int(vals[b]), n)
 
 
 def read_coverage(code: SeqSet, t: int) -> int:
-    """Exact max |I_t(x) cap I_t(y)| over distinct codewords (no pair skipped)."""
-    return _worst_pair(code, t, False)[0]
+    """Exact max |I_t(x) cap I_t(y)| over distinct codewords."""
+    return _worst_pair(code, t)[0]
 
 
 def coverage_argmax(code: SeqSet, t: int) -> Tuple[int, BitSeq, BitSeq]:
@@ -443,21 +502,18 @@ def coverage_argmax(code: SeqSet, t: int) -> Tuple[int, BitSeq, BitSeq]:
 
     Ties go to the lexicographically smallest (x, y) with x < y.
     """
-    return _worst_pair(code, t, False)
+    return _worst_pair(code, t)
 
 
 def coverage_at_least(code: SeqSet, t: int, bound: int) -> Optional[Tuple[int, BitSeq, BitSeq]]:
     """The worst pair (overlap, x, y) if the read coverage is >= bound, else None.
 
-    For t = 2 with bound > 6 (and n >= 4), only pairs whose 1-insertion balls
-    meet can reach the bound, so only those are intersected.  Every skipped
-    pair has intersection at most 6, so when the worst intersected pair
-    reaches the bound it is the worst pair overall.  (At t = 1 only such
-    pairs overlap at all, and the full scan finds just them.)
+    For t = 2 with bound > 6 (and n >= 4), only pairs at d_L <= 1 can reach
+    the bound, so only those are counted (_worst_pair).
     """
     if len(code) < 2 or nplus_formula(code.n, t) < bound:
         return None
-    worst = _worst_pair(code, t, close_only=t == 2 and bound > 6 and code.n >= 4)
+    worst = _worst_pair(code, t, bound)
     return worst if worst[0] >= bound else None
 
 

@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import fields
+from functools import lru_cache
 from typing import List, Optional
 
 from . import balls, codes, confusability, recon
@@ -218,7 +219,10 @@ def cmd_table(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand runs the
+    ``cmd_<name>`` function of this module, looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="insrecon",
         description="Binary two-insertion reconstruction codes: balls, confusability, codes, decoding.",
@@ -229,13 +233,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=_bitseq, help="center sequence over {0,1}")
     p.add_argument("--t", type=int, required=True, help="number of insertions")
     p.add_argument("--size-only", action="store_true", help="print only |I_t(x)|")
-    p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("classify", help="confusability verdict for a pair")
     p.add_argument("x", type=_bitseq)
     p.add_argument("y", type=_bitseq)
     p.add_argument("--verify", action="store_true", help="add brute-force ball intersections")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("window", help="classify a boundary window (a, b, v)")
     p.add_argument("a", type=int, choices=(0, 1))
@@ -243,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("v", type=_bitseq, nargs="?", default=BitSeq(""),
                    help="inner sequence; omit for the empty one")
     p.add_argument("--verify", action="store_true", help="add the brute-force size")
-    p.set_defaults(func=cmd_window)
 
     p = sub.add_parser("build", help="materialize a code coset into a file")
     p.add_argument("family", choices=sorted(codes.FAMILIES))
@@ -257,20 +258,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--best", action="store_true", help="pick the largest coset instead of explicit residues")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("human", "records"), default="human")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="check the reconstruction-code property")
     p.add_argument("code_file")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--format", choices=("human", "records"), default="human")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("coverage", help="exact read coverage of a code file")
     p.add_argument("code_file")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--format", choices=("human", "records"), default="human")
-    p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("simulate", help="seeded sample-and-decode experiment")
     p.add_argument("code_file")
@@ -279,14 +277,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=("human", "records"), default="human")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("table", help="redundancy table across the read regimes")
     p.add_argument("--n-range", required=True, help="inclusive range LO:HI")
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--P", type=int, default=9)
     p.add_argument("--format", choices=("human", "records"), default="human")
-    p.set_defaults(func=cmd_table)
 
     return parser
 
@@ -294,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

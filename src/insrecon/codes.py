@@ -738,8 +738,12 @@ def _ws_cells(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarr
     grid = _key(cls._ws(w, s, n, P), moduli).ravel()
     # the grid entry after bit b, and the state after bit b, of every cell
     entry = np.stack([((w + b) % (2 * m) * m + (s + w) % m).ravel() for b in (0, 1)])
-    state = table.T[:, :, None]
-    return np.where(state >= 0, state * grid.size + entry[:, None, :], -1).reshape(2, -1), grid
+    # from a contiguous copy of the table: on its strided transpose the same
+    # arrays took about 7 times as long for tworead P = 18
+    state = np.ascontiguousarray(table.T)
+    child = state[:, :, None] * grid.size + entry[:, None, :]
+    child[state < 0] = -1
+    return child.reshape(2, -1), grid
 
 
 def _ws_sizes(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -792,20 +796,36 @@ def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
     enumerated.
 
     ``reach[r, c]`` says that some allowed r-bit suffix leads from cell c to
-    a cell of ``key``.  The top n - L bits are walked forward from the empty
-    word, keeping only the prefixes whose cell reaches ``key`` in the bits
-    left, so there are never more of them than members.  Each distinct cell
-    at depth n - L is walked L = min(n, _SUFFIX_BITS) bits for its sorted
-    list of suffixes, and every prefix is expanded with its cell's list by
-    one repeat and one gather; the words come out ascending, with no sort.
+    a cell of ``key``; it is filled only on the cells reachable at depth
+    n - r, while those are few.  The top n - L bits are walked forward from
+    the empty word, keeping only the prefixes whose cell reaches ``key`` in
+    the bits left, so there are never more of them than members.  Each
+    distinct cell at depth n - L is walked L = min(n, _SUFFIX_BITS) bits for
+    its sorted list of suffixes, and every prefix is expanded with its
+    cell's list by one repeat and one gather; the words come out ascending,
+    with no sort.
     """
     child, grid = _ws_cells(cls, n, P)
     tail_bits = min(n, _SUFFIX_BITS)
-    # the last column stands for the forbidden step (-1), which reaches nothing
-    reach = np.zeros((n + 1, child.shape[1] + 1), dtype=bool)
-    reach[0, :-1] = np.tile(grid == key, child.shape[1] // grid.size)
+    n_cells = child.shape[1]
+    # the cells reached from the empty word by d bits, for each depth d, with
+    # repeats, while there are fewer than an eighth of all cells; past that,
+    # every cell
+    every = slice(0, n_cells)
+    fronts = [np.zeros(1, dtype=np.intp)]
+    while len(fronts) <= n:
+        front = fronts[-1]
+        if front is not every:
+            front = child[:, front].ravel()
+            front = front[front >= 0] if 8 * front.size < n_cells else every
+        fronts.append(front)
+    # reach[r] is filled on the cells of depth n - r only; the last column
+    # stands for the forbidden step (-1), which reaches nothing
+    reach = np.zeros((n + 1, n_cells + 1), dtype=bool)
+    reach[0, fronts[n]] = np.tile(grid == key, n_cells // grid.size)[fronts[n]]
     for r in range(1, n + 1):
-        np.logical_or(reach[r - 1].take(child[0]), reach[r - 1].take(child[1]), out=reach[r, :-1])
+        cells = fronts[n - r]
+        reach[r, cells] = reach[r - 1].take(child[0, cells]) | reach[r - 1].take(child[1, cells])
 
     def grow(words, cells, r):
         """Every live one-bit extension of the words in the cells, in order."""
@@ -935,13 +955,23 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     record test the ``*_member`` predicates make one word at a time (so a
     ``twoins`` body is checked with the m1 weights, a ``fiveread`` one with m0).
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    params: Optional[CodeParams] = None
-    if lines and lines[0].startswith("#"):
-        params = parse_header(lines[0])
-        lines = lines[1:]
-    code = SeqSet.parse_lines("".join(lines), None if params is None else params.n)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # a header line, then exactly the lines write_code_file writes: read as
+    # one byte matrix, with no text copy
+    head, _, body = data.partition(b"\n")
+    head = head.decode("ascii", "replace")
+    code = None
+    if data.isascii() and head.startswith("#") and len(head.splitlines()) == 1:
+        params = parse_header(head)
+        code = SeqSet._from_line_matrix(params.n, body)
+    if code is None:  # anything else is read as text, line by line
+        lines = data.decode("ascii").splitlines(keepends=True)
+        params = None
+        if lines and lines[0].startswith("#"):
+            params = parse_header(lines[0])
+            lines = lines[1:]
+        code = SeqSet.parse_lines("".join(lines), None if params is None else params.n)
     if params is not None:
         vals = code._array()
         ok = params._member(vals, code.n, getattr(params, "P", None), params.residues())

@@ -1,6 +1,7 @@
 """Ball enumeration, formulas, intersections, and coverage tests."""
 
 import random
+from itertools import product
 from math import comb
 from unittest import mock
 
@@ -102,6 +103,13 @@ def test_parse_lines_matches_per_line_reading(lines, breaks, n):
         assert str(exc) == want
     else:
         assert (got.n, set(got.values())) == want
+
+
+def test_parse_lines_refuses_a_line_as_long_as_two_words():
+    # "000010110" and its newline fill two 5-byte rows: "00001" and "0110\n"
+    for text in ("000010110\n", "0000\n000010110\n"):
+        with pytest.raises(ValueError, match="^bad sequence line: '000010110'$"):
+            SeqSet.parse_lines(text, 4)
 
 
 def test_parse_lines_refuses_a_length_above_64_before_reading_the_lines():
@@ -468,6 +476,119 @@ def test_coverage_of_words_wider_than_a_machine_word(n):
     assert coverage_argmax(code, 2) == worst
     assert not coverage_less_than(code, 2, value)
     assert coverage_less_than(code, 2, value + 1)
+
+
+# ---------------------------------------------------------------------------
+# the banded common-supersequence count of the close pairs
+
+
+def test_common_supersequences_equal_brute_balls_for_every_pair():
+    for n in range(8):
+        words = brute.all_seqs(n)
+        x, y = (np.array(v, dtype=np.uint64) for v in zip(*product(range(1 << n), repeat=2)))
+        for t in range(4):
+            ball = [brute.insertion_ball(w, t) for w in words]
+            want = [len(ball[i] & ball[j]) for i, j in zip(x.tolist(), y.tolist())]
+            assert balls._common_supersequences(x, y, n, t).tolist() == want, (n, t)
+
+
+def one_edit(rng, v, n):
+    """v with one symbol deleted and one inserted, so at d_L <= 1 from v."""
+    s = word_str(v, n)
+    i, j = rng.randrange(n), rng.randrange(n)
+    s = s[:i] + s[i + 1 :]
+    return int(s[:j] + rng.choice("01") + s[j:], 2)
+
+
+@pytest.mark.parametrize("t", (0, 1, 2, 3))
+def test_common_supersequences_equal_ball_tables(t):
+    rng = random.Random(t)
+    for n in range(1, 41):
+        xs = [rng.getrandbits(n) for _ in range(12)]
+        ys = [rng.getrandbits(n) for _ in xs]
+        ys += [v ^ (1 << rng.randrange(n)) for v in xs]  # one substitution
+        ys += [one_edit(rng, v, n) for v in xs]
+        x, y = np.array(xs * 3, dtype=np.uint64), np.array(ys, dtype=np.uint64)
+        both = np.concatenate([_insertion_table(x, n, t), _insertion_table(y, n, t)], axis=1)
+        assert (balls._common_supersequences(x, y, n, t) == balls._row_overlaps(both)).all(), n
+
+
+@pytest.mark.parametrize("n", (63, 64))
+def test_common_supersequences_of_the_widest_words(n):
+    # n + 2 > 64 bits: the supersequences no longer fit a machine word
+    rng = random.Random(n)
+    xs = [rng.getrandbits(n) for _ in range(3)]
+    ys = [rng.getrandbits(n), xs[1] ^ (1 << 40), one_edit(rng, xs[2], n)]
+    want = [
+        len(brute.insertion_ball(word_str(a, n), 2) & brute.insertion_ball(word_str(b, n), 2))
+        for a, b in zip(xs, ys)
+    ]
+    x, y = np.array(xs, dtype=np.uint64), np.array(ys, dtype=np.uint64)
+    assert balls._common_supersequences(x, y, n, 2).tolist() == want
+    assert want[1] > 6 and want[2] > 6
+
+
+def test_common_supersequences_count_past_64_bits():
+    # a word shares its whole ball with itself: sum C(90, i), i <= 30, > 2**64
+    x = np.array([(1 << 60) // 3], dtype=np.uint64)
+    size = ball_size_formula(60, 30)
+    assert size >= 1 << 64
+    assert balls._common_supersequences(x, x, 60, 30).tolist() == [size]
+
+
+def test_close_blocks_never_build_ball_tables():
+    rng = random.Random(5)
+    n = 12
+    vals = np.array(sorted({one_edit(rng, v, n) for v in range(0, 1 << n, 9)}), dtype=np.uint64)
+    with mock.patch.object(balls, "_BLOCK", 1 << 10):
+        close = list(balls._pair_blocks(vals, n, 1))
+    keys = np.concatenate([k for k, _ in close])
+    assert len(close) > 1 and keys.size > 100
+    a, b = np.divmod(keys, len(vals))
+    want = balls._row_overlaps(np.concatenate([_insertion_table(vals[i], n, 2) for i in (a, b)], axis=1))
+    with mock.patch.object(balls, "_pair_blocks", side_effect=lambda v, n, t: iter(close)) as engine, \
+            mock.patch.object(balls, "_insertion_table", side_effect=AssertionError("ball table")), \
+            mock.patch.object(balls, "_PAIRS", 7):
+        got = list(balls._close_blocks(vals, n, 2))
+    assert engine.call_args.args[2] == 1
+    assert np.array_equal(np.concatenate([k for k, _ in got]), keys)
+    assert np.array_equal(np.concatenate([c for _, c in got]), want)
+
+
+# Every close pair at t = 2 shares at least 8 supersequences at these
+# lengths, and every other pair at most nplus_ell_formula(n, 2, 2) = 6, so
+# no code has a close maximum of exactly 6 or 7.  The cut is moved instead,
+# so that the close maximum (9) sits on it, just above it or below it.
+@pytest.mark.parametrize("cut, full_scan", ((10, True), (9, True), (8, False), (6, False)))
+def test_close_pairs_decide_only_above_the_far_bound(cut, full_scan):
+    words = ["000000", "000011", "001100", "011001"]  # two far pairs at 6, then a close one at 9
+    code = SeqSet(6, [BitSeq(w) for w in words])
+    worst = brute_worst(words, 2)
+    assert worst == (9, BitSeq("001100"), BitSeq("011001"))
+    for view in (read_coverage, coverage_argmax):
+        with mock.patch.object(balls, "nplus_ell_formula", return_value=cut), \
+                mock.patch.object(balls, "_pair_blocks", wraps=balls._pair_blocks) as engine:
+            got = view(code, 2)
+        assert got == (worst[0] if view is read_coverage else worst)
+        assert [c.args[2] for c in engine.call_args_list] == ([1, 2] if full_scan else [1])
+
+
+def test_coverage_of_codes_without_close_pairs():
+    # the close pairs' maximum is 0, so the full scan decides, ties included
+    for n in (4, 5, 6):
+        words = []
+        for s in brute.all_seqs(n):
+            if all(insertion_distance(BitSeq(s), BitSeq(w)) >= 2 for w in words):
+                words.append(s)
+        code = SeqSet(n, [BitSeq(w) for w in words])
+        worst = brute_worst(words, 2)
+        assert len(words) > 2 and worst[0] == 6
+        assert read_coverage(code, 2) == worst[0]
+        assert coverage_argmax(code, 2) == worst
+        # a threshold above 6 needs only the close pairs
+        with mock.patch.object(balls, "_pair_blocks", wraps=balls._pair_blocks) as engine:
+            assert coverage_less_than(code, 2, 7)
+        assert [c.args[2] for c in engine.call_args_list] == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Construction, syndrome, coset-search, and code-file tests."""
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -7,6 +8,7 @@ import random
 import re
 import tempfile
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1000,3 +1002,53 @@ def test_to_lines_matches_per_word_format(n):
     assert SeqSet.parse_lines(got, n) == code
     if n:
         assert SeqSet.parse_lines(got) == code
+
+
+def read_as_text(path):
+    """A code file read line by line as text, with no load check."""
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    params = None
+    if lines and lines[0].startswith("#"):
+        params = parse_header(lines[0])
+        lines = lines[1:]
+    return params, SeqSet.parse_lines("".join(lines), None if params is None else params.n)
+
+
+HEAD = b"# family=vt n=4 params=a=0\n"  # VT syndrome 0 at n = 4: 0000, 1001, 0110, 1111
+
+
+@pytest.mark.parametrize("data, matrix", [
+    (HEAD + b"0000\n0110\n1001\n1111\n", True),
+    (HEAD + b"1111\n0000\n1111\n", True),
+    (HEAD, True),
+    (b"# family=vt n=0 params=a=0\n\n", True),
+    (HEAD + b"0000\r\n0110\r\n", False),
+    (HEAD[:-1] + b"\r\n0000\n0110\n", False),
+    (HEAD + b"0000\n\n0110\n", False),
+    (HEAD + b"0000\n0110", False),
+    (HEAD + b" 0000\n0110\n", False),
+    (HEAD + b"0000\n0120\n", False),
+    (HEAD + b"0000\n01\xff0\n", False),
+    (HEAD + b"00000\n0110\n", False),
+    (HEAD + b"000010110\n", False),
+    (b"0000\n0110\n", False),
+    (b"# family=vt\x0b n=4 params=a=0\n0000\n", False),
+])
+def test_code_file_byte_matrix_reads_as_the_text_lines(tmp_path, data, matrix):
+    # only a header and an exact line matrix skip the text path; every other
+    # file gives what the text path gives, value or error text
+    path = tmp_path / "code.txt"
+    path.write_bytes(data)
+    try:
+        want = read_as_text(str(path))
+    except ValueError as exc:
+        want = exc
+    spy = mock.patch.object(SeqSet, "parse_lines", side_effect=AssertionError("text path"))
+    with spy if matrix else contextlib.nullcontext():
+        if isinstance(want, ValueError):
+            with pytest.raises(type(want)) as got:
+                read_code_file(str(path))
+            assert str(got.value) == str(want)
+        else:
+            assert read_code_file(str(path)) == want
