@@ -389,18 +389,6 @@ def _pair_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray,
             yield np.unique(np.concatenate(keys), return_counts=True)
 
 
-def _row_overlaps(both: np.ndarray) -> np.ndarray:
-    """How many values the two halves of each row share, for two row-aligned
-    tables joined side by side with no value twice in a row of either: the
-    adjacent equal values of each row, sorted in place.  The decoder joins
-    each candidate's insertion ball with the reads of its trial, so the
-    count is N exactly when the candidate explains every read.  Callers
-    hold the join until their next block, so that its memory is not handed
-    back to the system and requested again every block."""
-    both.sort(axis=1)
-    return (both[:, 1:] == both[:, :-1]).sum(axis=1)
-
-
 def _common_supersequences(x: np.ndarray, y: np.ndarray, n: int, t: int) -> np.ndarray:
     """Exact |I_t(x[k]) cap I_t(y[k])| for every k, for n-bit uint64 words.
 

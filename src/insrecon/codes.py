@@ -204,10 +204,14 @@ def _inv_wt_residues(w, s, P: int) -> list:
     return [(s - w * (w - 1) // 2) % (P + 1), w % 2]
 
 
-def _parity_residues(vals, n: int, h_second: str, first_only: bool = False) -> list:
-    """The five parity_checks residues of every length-n word, or the first."""
+def _check_parity_length(n: int) -> None:
     if n < 2:
         raise ValueError("parity checks need length >= 2")
+
+
+def _parity_residues(vals, n: int, h_second: str, first_only: bool = False) -> list:
+    """The five parity_checks residues of every length-n word, or the first."""
+    _check_parity_length(n)
     if h_second not in _H_WEIGHTS:
         raise ValueError(f"h_second must be one of {_H_WEIGHTS}")
     # indicator position i = 1..n-1 is bit n-1-i, so the weights run reversed
@@ -417,8 +421,7 @@ class TwoInsertionParams(_Params):
                            _parity_residues(vals, n, "m1", first_only))
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("twoins requires n >= 2")
+        _check_parity_length(self.n)
         super().__post_init__()
 
 

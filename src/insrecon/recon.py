@@ -2,8 +2,9 @@
 
 A channel use inserts exactly t symbols, so a read is a uniform draw (without
 replacement) from the insertion ball of the transmitted word.  The decoder
-returns the codewords in the deletion balls of all reads; whenever the number
-of distinct reads exceeds the code's read coverage the survivor is unique.
+returns the codewords in the deletion balls of all reads, that is their common
+subsequences in the code, tested by greedy embedding; whenever the number of
+distinct reads exceeds the code's read coverage the survivor is unique.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .balls import (SeqSet, _among, _check_ball, _deletion_table, _insertion_table,
-                    _row_overlaps, ball_size_formula)
+from .balls import SeqSet, _among, _check_ball, _deletion_table, _insertion_table
 from .seqs import BitSeq
 
-# Ball-table entries held at once: trials are drawn and decoded, and their
-# candidates checked, _CHUNK // |I_t| rows at a time, so peak memory grows
-# with neither the number of trials nor the number of candidates.
-_CHUNK = 1 << 13
+# Table entries held at once: trials are drawn and decoded _CHUNK // |I_t| at
+# a time, and their candidates tested _CHUNK // N at a time, so peak memory
+# grows with neither the number of trials, N nor the number of candidates.
+# A slice's test costs 8(n + t) numpy calls whatever its size, hence 2^15.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,28 @@ def sample_reads(x: BitSeq, t: int, count: int, seed: int) -> ReadBundle:
     return ReadBundle(SeqSet._from_vals(x.n + t, reads[0]), x.n, t, source_hint=x)
 
 
+def _embeds(c: np.ndarray, z: np.ndarray, n: int, t: int) -> np.ndarray:
+    """Whether each n-bit word of c is a subsequence of the (n + t)-bit word
+    of z beside it, that is lies in D_t(z); the two arrays broadcast.
+
+    Greedy embedding: walk z from its top bit, and take the next unmatched
+    bit of c whenever z shows it; c embeds iff that uses it up.  The
+    unmatched suffix of c is kept left-aligned in the uint64 `rest` and its
+    length in `left`; a hit shifts the matched bit out.  n + t <= 64, so
+    every shift is below 64.
+    """
+    left = np.full(np.broadcast(c, z).shape, n, dtype=np.int8)
+    if n == 0:
+        return left == 0
+    rest = np.broadcast_to(c << np.uint64(64 - n), left.shape).copy()
+    for s in range(n + t - 1, -1, -1):
+        hit = ((z >> np.uint64(s)) & np.uint64(1)) == (rest >> np.uint64(63))
+        hit &= left > 0
+        rest <<= hit
+        left -= hit
+    return left == 0
+
+
 def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int) -> Tuple[np.ndarray, np.ndarray]:
     """(row, codeword) pairs, rows ascending: the codewords whose t-deletion
     balls hold every read of their row.
@@ -67,23 +90,22 @@ def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int) -> Tuple[n
     `reads` is a (rows, N >= 1) uint64 array of distinct reads per row and
     `code` the sorted uint64 codewords, at least one.  A row's candidates
     are the distinct codewords in the deletion ball of its smallest read,
-    found by searchsorted.  A candidate c survives iff every read lies in
-    I_t(c) (c in D_t(r) iff r in I_t(c)); its ball-table row holds distinct
-    values and the reads are distinct, so that is iff the row and the reads
-    share N values (_row_overlaps).
+    found by searchsorted; those that embed in every read of their row
+    survive (_embeds), tested _CHUNK // N candidates at a time.
     """
     dels = _deletion_table(reads.min(axis=1), n + t, t)
     dels.sort(axis=1)
     first = np.ones(dels.shape, dtype=bool)
     first[:, 1:] = dels[:, 1:] != dels[:, :-1]
-    row, col = np.nonzero(first & _among(dels, code))
+    row, col = np.nonzero(first)
     cands = dels[row, col]
+    hit = _among(cands, code)
+    row, cands = row[hit], cands[hit]
     keep = np.zeros(len(cands), dtype=bool)
-    step = max(1, _CHUNK // ball_size_formula(n, t))
+    step = max(1, _CHUNK // reads.shape[1])
     for lo in range(0, len(cands), step):
         part = slice(lo, lo + step)
-        both = np.concatenate([_insertion_table(cands[part], n, t), reads[row[part]]], axis=1)
-        keep[part] = _row_overlaps(both) == reads.shape[1]
+        keep[part] = _embeds(cands[part, None], reads[row[part]], n, t).all(axis=1)
     return row[keep], cands[keep]
 
 

@@ -385,6 +385,17 @@ def test_two_insertion_cosets_partition():
             assert oracle_syndrome("twoins", x, None) == want
 
 
+def test_two_insertion_length_rule_has_one_text():
+    # the record, the sweep, the builder and the member test refuse n < 2 alike
+    for n in (0, 1):
+        for call in (lambda: TwoInsertionParams(n, 0, 0, 0, 0, 0),
+                     lambda: codes.coset_sweep("twoins", n),
+                     lambda: build_two_insertion_code(n, 0, 0, 0, 0, 0),
+                     lambda: codes.two_insertion_member(BitSeq("0" * n), (0, 0, 0, 0, 0))):
+            with pytest.raises(ValueError, match=r"^parity checks need length >= 2$"):
+                call()
+
+
 def test_two_insertion_build_matches_partition():
     n = 7
     groups = coset_partition("twoins", n)

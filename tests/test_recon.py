@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from insrecon import recon
+from insrecon import balls, recon
 from insrecon.balls import (
     SeqSet,
     ball_size_formula,
@@ -135,6 +135,59 @@ def test_decode_matches_deletion_ball_intersection(case):
     assert {str(c) for c in outcome.candidates} == want
     status = {0: DecodeStatus.NO_CANDIDATE, 1: DecodeStatus.UNIQUE}
     assert outcome.status is status.get(len(want), DecodeStatus.AMBIGUOUS)
+
+
+@pytest.mark.parametrize("t", (0, 1, 2, 3))
+def test_embeds_every_pair_is_deletion_ball_membership(t):
+    # every (c, z) with |c| = n <= 7, n = 0 included: c embeds in z iff c in D_t(z)
+    for n in range(8):
+        got = recon._embeds(np.arange(1 << n, dtype=np.uint64)[:, None],
+                            np.arange(1 << (n + t), dtype=np.uint64), n, t)
+        assert got.shape == (1 << n, 1 << (n + t))
+        words = brute.all_seqs(n)
+        for z, col in zip(brute.all_seqs(n + t), got.T):
+            assert {c for c, ok in zip(words, col) if ok} == brute.deletion_ball(z, t), (n, z)
+
+
+@pytest.mark.parametrize("t", (0, 1, 2))
+def test_embeds_words_of_64_bits(t):
+    # n + t = 64: reads reach 2**64 - 1, and every bit of a 64-bit read is walked
+    n, rng = 64 - t, random.Random(t)
+    words = ["1" * n, "0" * n, ("10" * 32)[:n], "1" + "0" * (n - 1), "0" * (n - 1) + "1"]
+    words += [format(rng.getrandbits(n), f"0{n}b") for _ in range(5)]
+    reads = ["1" * 64, "0" * 64, "01" * 32, "10" * 32]
+    for c in words[2:]:
+        for _ in range(t):
+            i = rng.randrange(len(c) + 1)
+            c = c[:i] + rng.choice("01") + c[i:]
+        reads += [c, c[::-1]]
+    got = recon._embeds(np.array([int(c, 2) for c in words], dtype=np.uint64)[:, None],
+                        np.array([int(z, 2) for z in reads], dtype=np.uint64), n, t)
+    for z, col in zip(reads, got.T):
+        subs = brute.deletion_ball(z, t)
+        assert col.tolist() == [c in subs for c in words], z
+    assert 8 <= got.sum() < got.size
+
+
+def test_decoder_never_builds_ball_tables():
+    # the reads are drawn from ball tables; decoding them builds none
+    code, t = build_vt(10, 0), 2
+    members = list(code)
+    bundles = [sample_reads(members[k], t, N, seed=k) for k, N in ((0, 1), (7, 2), (30, 2), (60, 5))]
+    wants = []
+    for bundle in bundles:
+        want = {str(c) for c in code}
+        for r in bundle.reads:
+            want &= brute.deletion_ball(str(r), t)
+        wants.append(want)
+    rows = np.array([b.reads._array() for b in bundles[1:3]])
+    with mock.patch.object(recon, "_insertion_table", side_effect=AssertionError("ball table")), \
+            mock.patch.object(balls, "_insertion_table", side_effect=AssertionError("ball table")):
+        got = [{str(c) for c in decode(b, code, t).candidates} for b in bundles]
+        row, vals = recon._decode_rows(rows, code._array(), 10, t)
+    assert got == wants and len(wants[0]) > 1
+    for k in (0, 1):
+        assert {str(BitSeq.from_int(int(v), 10)) for v in vals[row == k]} == wants[k + 1]
 
 
 def test_decode_length_mismatch():
