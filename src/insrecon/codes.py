@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from . import seqs
-from .balls import SeqSet, coverage_at_least
+from .balls import SeqSet, _check_code_length, coverage_at_least
 from .confusability import ConfusabilityVerdict, classify_pair
 from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, r_mask
 
@@ -296,6 +296,8 @@ class _Params:
 
     def __post_init__(self):
         moduli = self._moduli(self.n, getattr(self, "P", None))
+        if self.n < 0:
+            raise ValueError(f"length n={self.n} must be >= 0")
         named = self._named_residues()
         if len(named) != len(moduli):
             raise ValueError(f"{self.family} takes {len(moduli)} residues, got {len(named)}")
@@ -346,13 +348,8 @@ class AllParams(_Params):
     _moduli = staticmethod(lambda n, P: (1,))
     _ws = staticmethod(lambda w, s, n, P: [w * 0])
     _from_residues = classmethod(lambda cls, n, P, r: cls(n))
-
-    def residues(self) -> Tuple[int, ...]:
-        return (0,)
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
+    # its one residue is the constant 0, not a field
+    _named_residues = lambda self: [("0", 0)]
 
 
 @dataclass(frozen=True)
@@ -614,37 +611,22 @@ def _keyed_blocks(cls: Type, n: int, P: Optional[int],
     ``key``, which only twoins and fiveread take, only the ambient words of
     that key.
 
-    A ``_ws`` family keys a block without looking at its words: w and S are
-    linear in the bits, so a block's sums are those of its low parts, taken
-    once from one table, plus the weight w_h and the position sum S_h of its
-    high part h, shifted up by the block width k: w = w_low + w_h and
-    S = S_low + S_h + k * w_h.  It keys the whole block, then runs
-    ``r_mask``.  Other families run ``r_mask``, then their kernel on the
-    ambient words; with ``key``, they first keep the words whose first
-    residue matches it.
+    Every family runs ``r_mask`` on a block, then its kernel on the ambient
+    words; with ``key``, it first keeps the words whose first residue
+    matches it.
     """
     moduli = cls._moduli(n, P)
-    k = seqs._block_bits(n)
-    ambient = lambda words: r_mask(words, n, *cls._r(P)) if cls._r else slice(None)
-    if cls._ws is not None:
-        low_w, low_s = _weight_and_sum(np.arange(1 << k), k)
-    for high, words in seqs._blocks(n):
-        if cls._ws is not None:
-            w = high.bit_count()
-            s = k * w + sum(b for b in range(n - k) if high >> b & 1)
-            keys = _key(cls._ws(low_w + w, low_s + s, n, P), moduli)
-            keep = ambient(words)
-            words, keys = words[keep], keys[keep]
-        else:
-            words = words[ambient(words)]
-            if key is not None and words.size:
-                first = key // math.prod(moduli[1:])
-                words = words[cls._kernel(words, n, P, first_only=True)[0] == first]
-            # no ambient word left in this block, so no kernel call
-            keys = _key(cls._kernel(words, n, P) if words.size else [words], moduli)
-            if key is not None:
-                hit = keys == key
-                words, keys = words[hit], keys[hit]
+    for words in seqs._blocks(n):
+        if cls._r is not None:
+            words = words[r_mask(words, n, *cls._r(P))]
+        if key is not None and words.size:
+            first = key // math.prod(moduli[1:])
+            words = words[cls._kernel(words, n, P, first_only=True)[0] == first]
+        # no ambient word left in this block, so no kernel call
+        keys = _key(cls._kernel(words, n, P) if words.size else [words], moduli)
+        if key is not None:
+            hit = keys == key
+            words, keys = words[hit], keys[hit]
         yield words, keys
 
 
@@ -656,8 +638,7 @@ class CosetSweep(NamedTuple):
     and from one keyed walk of the blocks for twoins and fiveread.
     ``params(i)`` is the record of coset i, whose members ``build_code``
     collects: from ``_ws_members`` for a ``_ws`` family, from a keyed walk
-    of the blocks otherwise.  ``blocks()`` walks the keyed ambient for
-    ``partition``.
+    of the blocks otherwise.
     ``ambient_size`` stays at index 1, where perfbench/spans.py reads it.
     """
 
@@ -666,7 +647,6 @@ class CosetSweep(NamedTuple):
     keys: np.ndarray
     sizes: np.ndarray
     params: Callable[[int], CodeParams]
-    blocks: Callable[[], Iterator[Tuple[np.ndarray, np.ndarray]]]
 
     def best(self) -> int:
         """The largest coset; ties break to the smallest residues."""
@@ -674,15 +654,6 @@ class CosetSweep(NamedTuple):
 
     def members(self, i: int) -> SeqSet:
         return build_code(self.params(i))
-
-    def partition(self) -> Dict[CodeParams, SeqSet]:
-        if not self.keys.size:
-            return {}
-        words, keys = zip(*self.blocks())
-        keys = np.concatenate(keys)
-        order = np.argsort(keys, kind="stable")
-        chunks = np.split(np.concatenate(words)[order], np.cumsum(self.sizes)[:-1])
-        return {self.params(i): SeqSet._from_vals(self.n, c) for i, c in enumerate(chunks)}
 
 
 def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -697,25 +668,17 @@ def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.n
     return keys[first], np.add.reduceat(counts, first)
 
 
-def _counted_sizes(blocks: Iterator[Tuple[np.ndarray, np.ndarray]],
-                   space: int) -> Tuple[np.ndarray, np.ndarray]:
+def _counted_sizes(blocks: Iterator[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
     """(keys, sizes) of the nonempty cosets, from the keyed words of every
-    block.  A key space no larger than a block is counted by bincount; a
-    sparser one by the unique keys of each block, merged whenever the
-    unmerged ones outnumber both the merged ones and the words of one block."""
-    counts, parts = 0, []
+    block: the unique keys of each block, merged whenever the unmerged ones
+    outnumber both the merged ones and the words of one block."""
+    parts = []
     for _, keys in blocks:
-        if space <= 1 << seqs._BLOCK_BITS:
-            counts = counts + np.bincount(keys, minlength=space)
-        else:
-            parts.append(np.unique(keys, return_counts=True))
-            unmerged = sum(len(k) for k, _ in parts[1:])
-            if unmerged > max(len(parts[0][0]), 1 << seqs._BLOCK_BITS):
-                parts = [_merge(parts)]
-    if parts:
-        return parts[0] if len(parts) == 1 else _merge(parts)
-    keys = np.flatnonzero(counts)
-    return keys, counts[keys]
+        parts.append(np.unique(keys, return_counts=True))
+        unmerged = sum(len(k) for k, _ in parts[1:])
+        if unmerged > max(len(parts[0][0]), 1 << seqs._BLOCK_BITS):
+            parts = [_merge(parts)]
+    return parts[0] if len(parts) == 1 else _merge(parts)
 
 
 # the ambient automaton of the whole space: one state, every step allowed
@@ -754,35 +717,23 @@ def _ws_sizes(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarr
     a transfer matrix over its cell automaton (``_ws_cells``); no word is
     enumerated.
 
-    The count of words per cell is carried bit by bit, one row of grid
-    entries per automaton state.  The cells of one state and one bit step
-    to the cells of one state, so a step gathers, for every allowed state
-    step s -> s', the source cell of every cell of s', in rounds that each
-    reach a target state at most once: every round is one gather and one
-    add.  The counts of the final grid are then summed under their keys.
+    One int64 count of words per cell is carried bit by bit: a step adds
+    the count of every cell to its child after each allowed bit, by the
+    unbuffered ``np.add.at``, since many cells share a child.  The counts of
+    the final grid are then summed under their keys.
     """
     child, grid = _ws_cells(cls, n, P)
-    n_states = child.shape[1] // grid.size
-    rows = child.reshape(-1, grid.size)  # row b * n_states + s: the cells of s after bit b
-    allowed = np.flatnonzero(rows[:, 0] >= 0)
-    rows, states = rows[allowed], allowed % n_states
-    targets, entries = np.divmod(rows, grid.size)
-    targets = targets[:, 0]
-    gather = np.empty_like(rows)
-    gather[np.arange(len(rows))[:, None], entries] = states[:, None] * grid.size + np.arange(grid.size)
-    order = np.argsort(targets, kind="stable")
-    targets, gather = targets[order], gather[order]
-    slot = np.arange(len(targets)) - np.searchsorted(targets, targets)
-    rounds = [(targets[slot == j], gather[slot == j]) for j in range(slot.max() + 1)]
-    counts = np.zeros((n_states, grid.size), dtype=np.int64)
-    counts[0, 0] = 1
+    ok = child >= 0
+    targets = [child[b][ok[b]] for b in (0, 1)]
+    counts = np.zeros(child.shape[1], dtype=np.int64)
+    counts[0] = 1
     for _ in range(n):
         step = np.zeros_like(counts)
-        for dest, sources in rounds:
-            step[dest] += counts.take(sources)
+        for b in (0, 1):
+            np.add.at(step, targets[b], counts[ok[b]])
         counts = step
     sizes = np.zeros(math.prod(cls._moduli(n, P)), dtype=np.int64)
-    np.add.at(sizes, grid, counts.sum(axis=0))
+    np.add.at(sizes, grid, counts.reshape(-1, grid.size).sum(axis=0))
     keys = np.flatnonzero(sizes)
     return keys, sizes[keys]
 
@@ -870,8 +821,8 @@ def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
     """The nonempty cosets of a family and their sizes.
 
     A ``_ws`` family's sizes come from ``_ws_sizes``, with no word
-    enumerated; twoins and fiveread count their keyed ambient words, one
-    block at a time (``_counted_sizes``).  Either way n is checked against
+    enumerated; twoins and fiveread count the unique keys of their ambient
+    words, one block at a time (``_counted_sizes``).  Either way n is checked against
     the enumeration cap, after the moduli.  perfbench/spans.py traces sweeps
     through this name, so the public entry point is ``coset_sweep``.
     """
@@ -882,11 +833,10 @@ def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
         raise ValueError(f"family {family} needs P")
     moduli = cls._moduli(n, P)
     seqs._block_bits(n)  # the enumeration cap holds for the counted sizes too
-    blocks = lambda: _keyed_blocks(cls, n, P)
     if cls._ws is not None:
         keys, sizes = _ws_sizes(cls, n, P)
     else:
-        keys, sizes = _counted_sizes(blocks(), math.prod(moduli))
+        keys, sizes = _counted_sizes(_keyed_blocks(cls, n, P))
 
     def params(i: int) -> CodeParams:
         key, residues = int(keys[i]), []
@@ -895,7 +845,7 @@ def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
             residues.insert(0, r)
         return cls._from_residues(n, P, tuple(residues))
 
-    return CosetSweep(n, int(sizes.sum()), keys, sizes, params, blocks)
+    return CosetSweep(n, int(sizes.sum()), keys, sizes, params)
 
 
 def coset_sweep(family: str, n: int, P: Optional[int] = None) -> CosetSweep:
@@ -904,8 +854,15 @@ def coset_sweep(family: str, n: int, P: Optional[int] = None) -> CosetSweep:
 
 
 def coset_partition(family: str, n: int, P: Optional[int] = None) -> Dict[CodeParams, SeqSet]:
-    """Every nonempty coset of the family, grouped in one ambient sweep."""
-    return coset_sweep(family, n, P).partition()
+    """Every nonempty coset of the family: the blocks keyed by the family's
+    kernel, grouped by one stable argsort of all keys, split at the sizes."""
+    sweep = coset_sweep(family, n, P)
+    if not sweep.keys.size:
+        return {}
+    words, keys = zip(*_keyed_blocks(FAMILIES[family], n, P))
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    chunks = np.split(np.concatenate(words)[order], np.cumsum(sweep.sizes)[:-1])
+    return {sweep.params(i): SeqSet._from_vals(n, c) for i, c in enumerate(chunks)}
 
 
 def best_coset(family: str, n: int, P: Optional[int] = None) -> Tuple[CodeParams, SeqSet]:
@@ -932,7 +889,13 @@ def parse_header(line: str) -> CodeParams:
     cls = FAMILIES.get(head.get("family"))
     if cls is None:
         raise ValueError(f"unknown code family in header: {head.get('family')!r}")
-    kv = dict(item.partition("=")[::2] for item in head.get("params", "").split(",") if item)
+    names, kv = [f.name for f in fields(cls)[1:]], {}
+    for item in filter(None, head.get("params", "").split(",")):
+        name, _, raw = item.partition("=")
+        if name not in names or name in kv:
+            raise ValueError(f"code file header has {'a repeated' if name in kv else 'an unknown'} "
+                             f"entry {item!r}")
+        kv[name] = raw
     values = []
     for f in fields(cls):
         src = head if f.name == "n" else kv
@@ -940,6 +903,7 @@ def parse_header(line: str) -> CodeParams:
             raise ValueError(f"code file header is missing field {f.name!r}")
         raw = src[f.name]
         values.append(tuple(map(int, raw.split("|"))) if f.type.startswith("Tuple") else int(raw))
+    _check_code_length(values[0])  # n is a code length, before any record rule
     return cls(*values)
 
 

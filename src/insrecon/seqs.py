@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -272,25 +272,18 @@ def _block_bits(n: int) -> int:
     return min(n, _BLOCK_BITS)
 
 
-def _blocks(n: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """{0,1}^n in ascending blocks of 2**k words that share their top n - k bits.
-
-    Yields (high part h, words h * 2**k + low for low in 0..2**k - 1).
-    """
+def _blocks(n: int) -> Iterator[np.ndarray]:
+    """{0,1}^n in ascending blocks of 2**k words that share their top n - k bits:
+    block h holds the words h * 2**k + low for low in 0..2**k - 1."""
     k = _block_bits(n)
     low = np.arange(1 << k, dtype=np.uint32)
     for high in range(1 << (n - k)):
-        yield high, low | np.uint32(high << k)
-
-
-def r_values(n: int, ell: int, t: int) -> np.ndarray:
-    """Sorted packed values of all members of R(n, ell, t)."""
-    return np.concatenate([w[r_mask(w, n, ell, t)] for _, w in _blocks(n)])
+        yield low | np.uint32(high << k)
 
 
 def count_r(n: int, ell: int, t: int) -> int:
     """|R(n, ell, t)| by enumeration in blocks (refused above the cap)."""
-    return sum(int(np.count_nonzero(r_mask(w, n, ell, t))) for _, w in _blocks(n))
+    return sum(int(np.count_nonzero(r_mask(w, n, ell, t))) for w in _blocks(n))
 
 
 def inversions(x: BitSeq) -> int:

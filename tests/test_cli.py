@@ -355,6 +355,15 @@ def test_build_missing_flag_messages(tmp_path, capsys, flags, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flags", (("vt", "--a", "0"),
+                                   ("tworead", "--P", "3", "--c", "0", "--d", "0"),
+                                   ("np5", "--P", "9", "--c", "0", "--d", "0"),
+                                   ("all",)), ids=lambda flags: flags[0])
+def test_build_negative_length_is_one_error_line(tmp_path, capsys, flags):
+    code, out, err = run(capsys, "build", *flags, "--n", "-1", "--out", str(tmp_path / "x"))
+    assert (code, out, err) == (1, "", "error: length n=-1 must be >= 0\n")
+
+
 def test_length_zero_code_round_trip(tmp_path, capsys):
     path = str(tmp_path / "empty-word.code")
     code, out, _ = run(capsys, "build", "vt", "--n", "0", "--a", "0", "--out", path,
@@ -382,6 +391,8 @@ def test_length_zero_code_round_trip(tmp_path, capsys):
         ("# family=tworead n=-1 params=P=1,c=0,d=0\n", "code length -1 out of range 0..64"),
         ("# family=fiveread n=40 params=P=5,a=0,avec=0|0|0|0|0,bvec=0|0|0|0|0\n" + "01" * 20 + "\n",
          "padded length 72 exceeds MAX_LEN"),
+        ("# family=vt n=3 params=a=0,zz=5\n000\n", "code file header has an unknown entry 'zz=5'"),
+        ("# family=vt n=3 params=a=1,a=0\n000\n", "code file header has a repeated entry 'a=0'"),
     ],
 )
 @pytest.mark.parametrize("command", ("verify", "simulate", "coverage"))

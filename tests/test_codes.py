@@ -55,7 +55,7 @@ from insrecon.codes import (
     write_code_file,
 )
 from insrecon.confusability import classify_pair
-from insrecon.seqs import BitSeq, count_r, in_r, inversions, r_mask, r_values
+from insrecon.seqs import BitSeq, count_r, in_r, inversions, r_mask
 
 
 def seqs_of(code):
@@ -353,8 +353,9 @@ def test_records_refuse_a_wrong_residue_count(family):
 
 def test_np5_membership_and_ambient_nesting():
     n, P = 10, 9
-    np5_ambient = set(int(v) for v in r_values(n, 2, 2 * P // 3))
-    big_ambient = set(int(v) for v in r_values(n, 2, 2 * P))
+    words = np.arange(1 << n)
+    np5_ambient = set(words[r_mask(words, n, 2, 2 * P // 3)].tolist())
+    big_ambient = set(words[r_mask(words, n, 2, 2 * P)].tolist())
     assert np5_ambient <= big_ambient
     total = 0
     for c in range(P + 1):
