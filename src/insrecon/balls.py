@@ -7,6 +7,7 @@ values, and returned through SeqSet so iteration order is always lexicographic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count
 from math import comb
@@ -258,7 +259,8 @@ def _gap_patterns(n: int, t: int) -> tuple:
     s = 0..k of x:
     x shifted left by t-s puts segment s in place, and also the source bit
     x[g_s] of insert s, which `flip` complements; `keep` masks both.  The
-    values of the free trailing bits come last.
+    values of the free trailing bits come next, and last the first gap g_0
+    of each column (n when k = 0), ascending.
 
     A negative t, or a ball above 2**ENUM_CAP words, is refused before
     anything is allocated.
@@ -283,7 +285,8 @@ def _gap_patterns(n: int, t: int) -> tuple:
                 for f, c in zip(flips, cuts)
             ]
             terms.append((t - s, _const(flips, dt), _const(keeps, dt)))
-        out.append((tuple(terms), _const(range(1 << (t - k)), dt)))
+        firsts = tuple(c[1] for c in cuts)
+        out.append((tuple(terms), _const(range(1 << (t - k)), dt), firsts))
     return tuple(out)
 
 
@@ -298,19 +301,26 @@ def _const(seq, dt) -> np.ndarray:
     return arr
 
 
-def _insertion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
+def _insertion_table(vals: Sequence[int], n: int, t: int, top: int = 0,
+                     moved: bool = False, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(len(vals), |I_t|) table: row i holds the t-insertion ball of vals[i].
 
     Values are uint64 while n + t <= 64 and Python ints (dtype=object) above.
+    With top > 0, only some columns: those whose first insertion falls among
+    the top ``top`` bits of x, which it complements (moved), or the others,
+    whose values start with the top bits of x.  The table is written into
+    out when it is given.
     """
     x = np.asarray(vals, dtype=_word_dtype(n + t))[:, None]
     parts = []
-    for terms, tails in _gap_patterns(n, t):
+    for terms, tails, firsts in _gap_patterns(n, t):
+        split = bisect_left(firsts, top)
+        cols = slice(0, split) if moved else slice(split, None)
         base = 0
         for shift, flip, keep in terms:
-            base = base | (((x << shift) ^ flip) & keep)
+            base = base | (((x << shift) ^ flip[cols]) & keep[cols])
         parts.append((base[:, :, None] | tails).reshape(len(x), base.shape[1] * len(tails)))
-    return np.concatenate(parts, axis=1)
+    return np.concatenate(parts, axis=1, out=out)
 
 
 @lru_cache(maxsize=32)
@@ -347,36 +357,67 @@ def _deletion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
 # Ball-table entries per block of first owners in the pair scan; bounds the
 # pair incidences held at once, and with them peak memory.
 _BLOCK = 1 << 18
+# Ball-table entries per value range of the pair scan: a larger table is
+# tagged and sorted one range of values at a time, so its peak stays near
+# that of a table of this size.  Every code of the benchmark's check
+# workload fits one range at t = 1 (13 798 x 20 entries for vt at n = 18).
+_RANGE = 1 << 22
+# Ball-table entries built at a time: blocks that stay in cache build about
+# three times as fast as a table of _RANGE entries built at once, and their
+# temporaries leave the heap small.
+_FILL = 1 << 16
 
 
-def _pair_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Exact overlaps of the t-insertion balls of all pairs of vals that meet.
+def _pair_blocks(vals: np.ndarray, n: int, t: int,
+                 start: int = 0) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Exact overlaps of the t-insertion balls of all pairs of vals that meet,
+    for the first owners from row start on.
 
     Yields (keys, counts) block by block, where key a*rows+b (a < b) names
     the pair (vals[a], vals[b]) and count its overlap.  Keys ascend within
     and across blocks.  Each ball value is tagged with its owner row in the
-    low bits and the table is sorted once, so equal values form runs with
-    owners ascending; a block of first owners emits its pairs from the runs
-    one offset at a time and counts them with np.unique.
+    low bits and sorted, so equal values form runs with owners ascending; a
+    block of first owners emits its pairs from the runs one offset at a time
+    and counts them with np.unique.
+
+    The table is sorted in 2**k ranges of values, by their top k bits, with
+    k the least that leaves about _RANGE entries per range; only the shared
+    values of each range are kept.  The ranges ascend, so the kept entries
+    are those of one sort of the whole table.  A value starts with the top
+    k bits of its owner unless its first insertion falls among them: those
+    moved columns are built first, for every owner, and sorted.  Then each
+    range builds the other columns of the owners of its top bits, and takes
+    its share of the moved entries, so each entry is built once.
     """
+    _gap_patterns(n, t)  # a negative t, or a ball above the cap, is refused first
     rows = len(vals)
     tag = (rows - 1).bit_length()
-    table = _insertion_table(vals, n, t).astype(_word_dtype(n + t + tag), copy=False)
-    width = table.shape[1]
-    table <<= tag
-    table |= np.arange(rows).astype(table.dtype)[:, None]
-    flat = table.ravel()
-    flat.sort()
+    width = ball_size_formula(n, t)
+    bits = min((max(rows * width - 1, 0) // _RANGE).bit_length(), n)
+    # the owners of range p, whose top bits are p, are rows owners[p]:owners[p + 1]
+    owners = np.append(np.searchsorted(vals, np.arange(1 << bits, dtype=np.uint64) << (n - bits)), rows)
+    # (with one range, no column is moved)
+    away = np.sort(_entries(vals, n, t, tag, bits, 0, rows if bits else 0, moved=True))
+    cut = np.searchsorted((away >> tag >> (n + t - bits)).astype(np.int64), np.arange((1 << bits) + 1))
+    kept = []
+    for p in range(1 << bits):
+        flat = _entries(vals, n, t, tag, bits, owners[p], owners[p + 1], moved=False,
+                        head=away[cut[p] : cut[p + 1]])
+        flat.sort()
+        z = flat >> tag
+        eq = z[1:] == z[:-1]
+        shared = np.zeros(len(z), dtype=bool)
+        shared[1:] = eq
+        shared[:-1] |= eq
+        kept.append(flat[shared])
+        del flat, z, eq, shared
+    flat = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    del away, kept
     z = flat >> tag
-    eq = z[1:] == z[:-1]
-    shared = np.zeros(len(z), dtype=bool)
-    shared[1:] = eq
-    shared[:-1] |= eq
-    z = z[shared]
-    owner = (flat[shared] & ((1 << tag) - 1)).astype(np.int64)
-    del table, flat, eq, shared  # the blocks below need only z and owner
+    owner = (flat & ((1 << tag) - 1)).astype(np.int64)
+    del flat  # the blocks below need only z and owner
     step = max(1, _BLOCK // width)
-    for lo in range(0, rows, step):
+    for lo in range(start, rows, step):
         first = np.flatnonzero((owner >= lo) & (owner < lo + step))
         keys = []
         for d in count(1):
@@ -387,6 +428,25 @@ def _pair_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray,
             keys.append(owner[first] * rows + owner[first + d])
         if keys:
             yield np.unique(np.concatenate(keys), return_counts=True)
+
+
+def _entries(vals: np.ndarray, n: int, t: int, tag: int, bits: int, lo: int, hi: int,
+             moved: bool, head: np.ndarray = ()) -> np.ndarray:
+    """head, then the moved or the other columns (_insertion_table at top =
+    bits) of the ball table of owner rows lo..hi-1, each tagged with its row
+    in the low tag bits, as one array, filled _FILL entries at a time."""
+    dt = _word_dtype(n + t + tag)
+    cols = _insertion_table(vals[:0], n, t, bits, moved).shape[1]
+    out = np.empty(len(head) + (hi - lo) * cols, dtype=dt)
+    out[: len(head)] = head
+    table = out[len(head) :].reshape(hi - lo, cols)
+    chunk = max(1, _FILL // ball_size_formula(n, t))
+    for a in range(lo, hi, chunk):
+        part = table[a - lo : a - lo + chunk]
+        _insertion_table(vals[a : a + len(part)], n, t, bits, moved, out=part)
+        part <<= tag
+        part |= np.arange(a, a + len(part)).astype(dt)[:, None]
+    return out
 
 
 def _common_supersequences(x: np.ndarray, y: np.ndarray, n: int, t: int) -> np.ndarray:
@@ -430,31 +490,90 @@ def _common_supersequences(x: np.ndarray, y: np.ndarray, n: int, t: int) -> np.n
     return cnt[0, 0]
 
 
-# Pairs per slice of the close-pair count; bounds its (t+1, t+1, pairs) arrays.
+# Pairs per slice of the banded count; bounds its (t+1, t+1, pairs) arrays.
 _PAIRS = 1 << 14
+
+
+def _counted(keys: np.ndarray, vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(keys, t-overlaps) of the ascending pair keys, by _common_supersequences
+    in slices of _PAIRS pairs."""
+    for lo in range(0, len(keys), _PAIRS):
+        part = keys[lo : lo + _PAIRS]
+        a, b = np.divmod(part, len(vals))
+        yield part, _common_supersequences(vals[a], vals[b], n, t)
 
 
 def _close_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Like _pair_blocks, restricted to the pairs at d_L <= 1.
 
-    Those pairs come from the engine at t = 1, block by block, and are
-    counted by _common_supersequences in slices of _PAIRS pairs.
+    Those pairs come from the engine at t = 1 (in value ranges of its
+    table, as for any t), block by block, and are counted by
+    _common_supersequences in slices of _PAIRS pairs.
     """
     for close, _ in _pair_blocks(vals, n, 1):
-        for lo in range(0, len(close), _PAIRS):
-            keys = close[lo : lo + _PAIRS]
-            a, b = np.divmod(keys, len(vals))
-            yield keys, _common_supersequences(vals[a], vals[b], n, t)
+        yield from _counted(close, vals, n, t)
 
 
-def _max_pair(blocks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> Tuple[int, int]:
+# Owners per block of the ceiling scan (_far_blocks): doubling from one, so
+# that a worst pair of a small owner ends it after little work; 127 owners
+# in all, then the full scan takes the rest.
+_OWNER_BLOCKS = (1, 2, 4, 8, 16, 32, 64)
+
+
+def _far_blocks(vals: np.ndarray, n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Like _pair_blocks at t = 2, by blocks of owners in ascending order
+    (_OWNER_BLOCKS), with no table of the whole code; past the last block,
+    the owners left go to _pair_blocks.  A block lists at most _BLOCK
+    supersequences at a time, so a long word takes it a few owners at a time.
+    """
+    rows, lo = len(vals), 0
+    per = max(1, _BLOCK // (comb(n, 2) * ball_size_formula(n - 2, 2)))
+    for size in _OWNER_BLOCKS:
+        hi = min(lo + size, rows - 1)  # the last owner has no later codeword
+        for a in range(lo, hi, per):
+            yield from _counted(_near_keys(vals, n, a, min(a + per, hi)), vals, n, 2)
+        lo = hi
+        if lo == rows - 1:
+            return
+    yield from _pair_blocks(vals, n, 2, lo)
+
+
+def _near_keys(vals: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """The keys a*rows+b, ascending and distinct, of the pairs lo <= a < hi,
+    a < b, whose 2-insertion balls meet.
+
+    They meet iff the words share a 2-deletion, so the b of owner a are the
+    codewords in I_2(D_2(vals[a])): the distinct 2-deletions of a (one
+    sorted _deletion_table row and an adjacent mask), then their
+    _insertion_table rows at n - 2, kept where they are codewords.
+    """
+    dels = np.sort(_deletion_table(vals[lo:hi], n, 2), axis=1)
+    fresh = np.ones(dels.shape, dtype=bool)
+    fresh[:, 1:] = dels[:, 1:] != dels[:, :-1]
+    owner = np.broadcast_to(np.arange(lo, hi)[:, None], dels.shape)[fresh]
+    near = _insertion_table(dels[fresh], n - 2, 2)
+    hit = _among(near, vals)
+    a, b = np.broadcast_to(owner[:, None], near.shape)[hit], np.searchsorted(vals, near[hit])
+    keys = np.sort((a * len(vals) + b)[b > a])
+    # dedupe by an adjacent mask: np.unique takes a hash path on numpy 2.4
+    return keys[np.append(True, keys[1:] != keys[:-1])] if keys.size else keys
+
+
+def _max_pair(blocks: Iterable[Tuple[np.ndarray, np.ndarray]],
+              ceiling: float = float("inf")) -> Tuple[int, int]:
     """(count, key) of the first largest count of ascending-key blocks; (0, 1)
-    when no count is positive."""
+    when no count is positive.
+
+    The blocks stop after the first whose count reaches ceiling, an upper
+    bound of every count: each smaller key has come by then.
+    """
     best, key = 0, 1
     for keys, counts in blocks:
         i = int(counts.argmax())
         if counts[i] > best:
             best, key = int(counts[i]), int(keys[i])
+        if best >= ceiling:
+            break
     return best, key
 
 
@@ -465,17 +584,23 @@ def _worst_pair(code: SeqSet, t: int, bound: int = 0) -> Tuple[int, BitSeq, BitS
     When no pair overlaps, that is (0, the two smallest words).  For t = 2
     (and n >= 4) the pairs at d_L <= 1 are counted first: any other pair
     shares at most nplus_ell_formula(n, 2, 2) = 6 supersequences, so a close
-    pair above 6 is the worst pair overall.  Every pair is scanned only when
-    neither the close pairs' maximum nor the bound is above 6.  (At t = 1
-    only close pairs overlap at all, and the full scan finds just them.)
+    pair above 6 is the worst pair overall.  Only when neither the close
+    pairs' maximum nor the bound is above 6 are the other pairs counted, by
+    the ceiling scan (_far_blocks), which stops at the first block that
+    reaches 6: no pair exceeds it, and every smaller key has been counted.
+    Other t (at t = 1 only close pairs overlap at all), and n < 4, take the
+    full scan (_pair_blocks).
     """
     if len(code) < 2:
         raise ValueError("read coverage needs at least two codewords")
     vals, n = code._array(), code.n
-    close_first = t == 2 and n >= 4
-    best, key = _max_pair(_close_blocks(vals, n, t)) if close_first else (0, 1)
-    if not close_first or max(best, bound) <= nplus_ell_formula(n, 2, 2):
+    if t != 2 or n < 4:
         best, key = _max_pair(_pair_blocks(vals, n, t))
+    else:
+        ceiling = nplus_ell_formula(n, 2, 2)
+        best, key = _max_pair(_close_blocks(vals, n, t))
+        if max(best, bound) <= ceiling:
+            best, key = _max_pair(_far_blocks(vals, n), ceiling)
     a, b = divmod(key, len(vals))
     return best, BitSeq.from_int(int(vals[a]), n), BitSeq.from_int(int(vals[b]), n)
 
@@ -497,7 +622,9 @@ def coverage_at_least(code: SeqSet, t: int, bound: int) -> Optional[Tuple[int, B
     """The worst pair (overlap, x, y) if the read coverage is >= bound, else None.
 
     For t = 2 with bound > 6 (and n >= 4), only pairs at d_L <= 1 can reach
-    the bound, so only those are counted (_worst_pair).
+    the bound, so only those are counted; with a bound of at most 6 the
+    ceiling scan counts the others too, up to the first pair at 6
+    (_worst_pair).
     """
     if len(code) < 2 or nplus_formula(code.n, t) < bound:
         return None

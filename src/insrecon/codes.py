@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -817,35 +817,46 @@ def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
     return members
 
 
-def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
-    """The nonempty cosets of a family and their sizes.
-
-    A ``_ws`` family's sizes come from ``_ws_sizes``, with no word
-    enumerated; twoins and fiveread count the unique keys of their ambient
-    words, one block at a time (``_counted_sizes``).  Either way n is checked against
-    the enumeration cap, after the moduli.  perfbench/spans.py traces sweeps
-    through this name, so the public entry point is ``coset_sweep``.
-    """
+def _swept_family(family: str, n: int, P: Optional[int]) -> Type:
+    """The record class of a family, once n and P pass its checks: the
+    family is known, P is given where it needs one, its moduli exist at n,
+    and n is within the enumeration cap, in that order."""
     cls = FAMILIES.get(family)
     if cls is None:
         raise ValueError(f"unknown family {family!r}")
     if P is None and "P" in cls.__dataclass_fields__:
         raise ValueError(f"family {family} needs P")
-    moduli = cls._moduli(n, P)
+    cls._moduli(n, P)
     seqs._block_bits(n)  # the enumeration cap holds for the counted sizes too
+    return cls
+
+
+def _coset_params(cls: Type, n: int, P: Optional[int], key: int) -> CodeParams:
+    """The record of the coset with this key (_key)."""
+    residues = []
+    for m in reversed(cls._moduli(n, P)):
+        key, r = divmod(key, m)
+        residues.insert(0, r)
+    return cls._from_residues(n, P, tuple(residues))
+
+
+def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
+    """The nonempty cosets of a family and their sizes.
+
+    A ``_ws`` family's sizes come from ``_ws_sizes``, with no word
+    enumerated; twoins and fiveread count the unique keys of their ambient
+    words, one block at a time (``_counted_sizes``).  Either way the family,
+    P and n are checked first (``_swept_family``).  perfbench/spans.py
+    traces sweeps through this name, so the public entry point is
+    ``coset_sweep``.
+    """
+    cls = _swept_family(family, n, P)
     if cls._ws is not None:
         keys, sizes = _ws_sizes(cls, n, P)
     else:
         keys, sizes = _counted_sizes(_keyed_blocks(cls, n, P))
-
-    def params(i: int) -> CodeParams:
-        key, residues = int(keys[i]), []
-        for m in reversed(moduli):
-            key, r = divmod(key, m)
-            residues.insert(0, r)
-        return cls._from_residues(n, P, tuple(residues))
-
-    return CosetSweep(n, int(sizes.sum()), keys, sizes, params)
+    return CosetSweep(n, int(sizes.sum()), keys, sizes,
+                      lambda i: _coset_params(cls, n, P, int(keys[i])))
 
 
 def coset_sweep(family: str, n: int, P: Optional[int] = None) -> CosetSweep:
@@ -854,15 +865,19 @@ def coset_sweep(family: str, n: int, P: Optional[int] = None) -> CosetSweep:
 
 
 def coset_partition(family: str, n: int, P: Optional[int] = None) -> Dict[CodeParams, SeqSet]:
-    """Every nonempty coset of the family: the blocks keyed by the family's
-    kernel, grouped by one stable argsort of all keys, split at the sizes."""
-    sweep = coset_sweep(family, n, P)
-    if not sweep.keys.size:
-        return {}
-    words, keys = zip(*_keyed_blocks(FAMILIES[family], n, P))
-    order = np.argsort(np.concatenate(keys), kind="stable")
-    chunks = np.split(np.concatenate(words)[order], np.cumsum(sweep.sizes)[:-1])
-    return {sweep.params(i): SeqSet._from_vals(n, c) for i, c in enumerate(chunks)}
+    """Every nonempty coset of the family, from one walk of the blocks keyed
+    by the family's kernel: one stable argsort of all keys groups the words,
+    and the cosets start where the sorted keys change."""
+    cls = _swept_family(family, n, P)
+    words, keys = (np.concatenate(a) for a in zip(*_keyed_blocks(cls, n, P)))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(fresh)
+    chunks = np.split(words[order], starts[1:])
+    return {_coset_params(cls, n, P, int(keys[i])): SeqSet._from_vals(n, c)
+            for i, c in zip(starts, chunks)}
 
 
 def best_coset(family: str, n: int, P: Optional[int] = None) -> Tuple[CodeParams, SeqSet]:
@@ -884,25 +899,41 @@ def format_header(params: CodeParams) -> str:
     return f"# family={params.family} n={params.n} params={body}"
 
 
+def _header_entries(items: Iterable[str], names: Optional[List[str]] = None) -> Dict[str, str]:
+    """name -> raw value of the ``name=value`` items of a header; a repeated
+    name, or one outside names when they are given, is refused."""
+    out = {}
+    for item in items:
+        name, _, raw = item.partition("=")
+        if name in out or names is not None and name not in names:
+            raise ValueError(f"code file header has {'a repeated' if name in out else 'an unknown'} "
+                             f"entry {item!r}")
+        out[name] = raw
+    return out
+
+
+def _header_int(name: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"code file header field {name!r} has a non-integer value {raw!r}") from None
+
+
 def parse_header(line: str) -> CodeParams:
-    head = dict(chunk.partition("=")[::2] for chunk in line.lstrip("#").split())
+    head = _header_entries(line.lstrip("#").split())
     cls = FAMILIES.get(head.get("family"))
     if cls is None:
         raise ValueError(f"unknown code family in header: {head.get('family')!r}")
-    names, kv = [f.name for f in fields(cls)[1:]], {}
-    for item in filter(None, head.get("params", "").split(",")):
-        name, _, raw = item.partition("=")
-        if name not in names or name in kv:
-            raise ValueError(f"code file header has {'a repeated' if name in kv else 'an unknown'} "
-                             f"entry {item!r}")
-        kv[name] = raw
+    kv = _header_entries(filter(None, head.get("params", "").split(",")),
+                         [f.name for f in fields(cls)[1:]])
     values = []
     for f in fields(cls):
         src = head if f.name == "n" else kv
         if f.name not in src:
             raise ValueError(f"code file header is missing field {f.name!r}")
         raw = src[f.name]
-        values.append(tuple(map(int, raw.split("|"))) if f.type.startswith("Tuple") else int(raw))
+        values.append(tuple(_header_int(f.name, r) for r in raw.split("|"))
+                      if f.type.startswith("Tuple") else _header_int(f.name, raw))
     _check_code_length(values[0])  # n is a code length, before any record rule
     return cls(*values)
 

@@ -396,6 +396,23 @@ def test_deletion_table_rows_are_exact_balls_up_to_64_bits(args):
         assert {word_str(z, n - t) for z in row} == brute.deletion_ball(word_str(v, n), t)
 
 
+def test_insertion_table_splits_at_the_first_insertion():
+    # the moved columns complement a bit among the top `top` bits of x, the
+    # others start with them; together they are the whole table
+    for n in range(1, 9):
+        vals = np.arange(1 << n, dtype=np.uint64)
+        for t in range(4):
+            whole = np.sort(_insertion_table(vals, n, t), axis=1)
+            for top in range(n + 1):
+                moved = _insertion_table(vals, n, t, top, moved=True)
+                home = _insertion_table(vals, n, t, top)
+                both = np.sort(np.concatenate([moved, home], axis=1), axis=1)
+                assert np.array_equal(both, whole), (n, t, top)
+                prefix = (vals >> np.uint64(n - top))[:, None]
+                assert (home >> np.uint64(n + t - top) == prefix).all()
+                assert (moved >> np.uint64(n + t - top) != prefix).all()
+
+
 def test_oversized_ball_tables_are_refused_before_allocating():
     # C(60, 30) > 2**26 deletion columns; I_40 of a 10-bit word > 2**26 words
     with pytest.raises(EnumerationCapError, match="deletion table of 118264581564861424 columns"):
@@ -569,18 +586,22 @@ def test_close_blocks_never_build_ball_tables():
 # lengths, and every other pair at most nplus_ell_formula(n, 2, 2) = 6, so
 # no code has a close maximum of exactly 6 or 7.  The cut is moved instead,
 # so that the close maximum (9) sits on it, just above it or below it.
-@pytest.mark.parametrize("cut, full_scan", ((10, True), (9, True), (8, False), (6, False)))
-def test_close_pairs_decide_only_above_the_far_bound(cut, full_scan):
+@pytest.mark.parametrize("cut, far_scan", ((10, True), (9, True), (8, False), (6, False)))
+def test_close_pairs_decide_only_above_the_far_bound(cut, far_scan):
     words = ["000000", "000011", "001100", "011001"]  # two far pairs at 6, then a close one at 9
     code = SeqSet(6, [BitSeq(w) for w in words])
     worst = brute_worst(words, 2)
     assert worst == (9, BitSeq("001100"), BitSeq("011001"))
     for view in (read_coverage, coverage_argmax):
         with mock.patch.object(balls, "nplus_ell_formula", return_value=cut), \
-                mock.patch.object(balls, "_pair_blocks", wraps=balls._pair_blocks) as engine:
+                mock.patch.object(balls, "_pair_blocks", wraps=balls._pair_blocks) as engine, \
+                mock.patch.object(balls, "_far_blocks", wraps=balls._far_blocks) as scan:
             got = view(code, 2)
         assert got == (worst[0] if view is read_coverage else worst)
-        assert [c.args[2] for c in engine.call_args_list] == ([1, 2] if full_scan else [1])
+        # the other pairs are counted by the ceiling scan, whose four owners
+        # never need the full scan
+        assert [c.args[2] for c in engine.call_args_list] == [1]
+        assert scan.called == far_scan
 
 
 def test_coverage_of_codes_without_close_pairs():
@@ -599,6 +620,110 @@ def test_coverage_of_codes_without_close_pairs():
         with mock.patch.object(balls, "_pair_blocks", wraps=balls._pair_blocks) as engine:
             assert coverage_less_than(code, 2, 7)
         assert [c.args[2] for c in engine.call_args_list] == [1]
+
+
+# ---------------------------------------------------------------------------
+# the ceiling scan of the pairs at d_L = 2, and the value ranges of the engine
+
+
+def vt_words(n):
+    return [s for s in brute.all_seqs(n) if brute.vt_syndrome(s) == 0]
+
+
+# Codes with no close pair above 6, so their other pairs are counted by the
+# ceiling scan: (words, owner blocks it scans, where the full scan starts or None).
+# VT(6): owner 0 reaches 6.  A VT(8) subset: owners 0..2 stay below 6 and
+# owner 3 reaches it, with owners 7..10 left.  A 6-word code at coverage 5
+# never reaches the ceiling, and its blocks cover every owner.
+SCAN_CASES = {
+    "first block": (vt_words(6), [1], None),
+    "later block": (["00000000", "00001110", "00100011", "00111100", "01100110", "01111110",
+                     "10011001", "10101000", "11000100", "11011011", "11011100", "11100111"],
+                    [1, 2, 4], None),
+    "every owner": (["0011111", "0110101", "1000011", "1010000", "1100110", "1110111"],
+                    [1, 2, 2], None),
+}
+
+
+def scan_path(words, owner_blocks=balls._OWNER_BLOCKS):
+    """coverage_argmax of words, with the owner blocks its ceiling scan took
+    and the first owner of its full scan (None without one)."""
+    code = SeqSet(len(words[0]), [BitSeq(w) for w in words])
+    with mock.patch.object(balls, "_OWNER_BLOCKS", owner_blocks), \
+            mock.patch.object(balls, "_deletion_table", wraps=balls._deletion_table) as dels, \
+            mock.patch.object(balls, "_pair_blocks", wraps=balls._pair_blocks) as engine:
+        got = coverage_argmax(code, 2)
+    full = [c.args[3] for c in engine.call_args_list if c.args[2] == 2]
+    assert len(full) <= 1
+    return got, [len(c.args[0]) for c in dels.call_args_list], full[0] if full else None
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_ceiling_scan_matches_brute(case):
+    words, blocks, full = SCAN_CASES[case]
+    worst = brute_worst(words, 2)
+    assert worst[0] == (5 if case == "every owner" else 6)
+    assert scan_path(words) == (worst, blocks, full)
+
+
+def test_ceiling_scan_falls_back_past_its_owner_cap():
+    # with blocks of 1 and 2 owners, owner 3's pair at 6 is found by the
+    # full scan from owner 3 on; a code whose owners all fit takes none
+    words = SCAN_CASES["later block"][0]
+    worst = brute_worst(words, 2)
+    assert scan_path(words, (1, 2)) == (worst, [1, 2], 3)
+    words = SCAN_CASES["every owner"][0]
+    assert scan_path(words, (1, 2, 2)) == (brute_worst(words, 2), [1, 2, 2], None)
+    assert scan_path(words, (1, 2, 1)) == (brute_worst(words, 2), [1, 2, 1], 4)
+
+
+def test_ceiling_scan_lists_a_few_owners_at_a_time():
+    # with one supersequence per slice, the blocks go one owner at a time,
+    # and the scan still stops right after owner 3
+    words = SCAN_CASES["later block"][0]
+    with mock.patch.object(balls, "_BLOCK", 1):
+        assert scan_path(words) == (brute_worst(words, 2), [1, 1, 1, 1], None)
+
+
+def test_close_pairs_above_six_take_no_ceiling_scan():
+    words = ["000000", "000011", "001100", "011001"]  # a close pair at 9
+    assert scan_path(words) == (brute_worst(words, 2), [], None)
+
+
+@pytest.mark.parametrize("n", range(6, 12))
+def test_ceiling_stop_decides_vt_codes_without_the_full_scan(n):
+    words = vt_words(n)
+    code = SeqSet(n, [BitSeq(w) for w in words])
+    worst = brute_worst(words, 2)
+    engine = balls._pair_blocks
+
+    def close_pairs_only(vals, n, t, start=0):
+        assert t == 1, "full scan at t = 2"
+        return engine(vals, n, t, start)
+
+    with mock.patch.object(balls, "_pair_blocks", side_effect=close_pairs_only):
+        assert coverage_argmax(code, 2) == worst
+        for bound in range(worst[0] + 2):
+            assert coverage_at_least(code, 2, bound) == (worst if bound <= worst[0] else None)
+
+
+@pytest.mark.parametrize("t", (1, 2))
+def test_value_ranges_keep_the_pair_keys_and_counts(t):
+    rng = random.Random(t)
+    n = 10
+    vals = np.array(sorted({one_edit(rng, v, n) for v in range(0, 1 << n, 5)}), dtype=np.uint64)
+    code = SeqSet._from_vals(n, vals)
+    whole = list(balls._pair_blocks(vals, n, t))
+    worst = (coverage_argmax(code, 2), coverage_argmax(SeqSet._from_vals(n, vals[::7]), 2))
+    # at most 64 table entries per range on average: 64 ranges at t = 1
+    with mock.patch.object(balls, "_RANGE", 64), \
+            mock.patch.object(balls, "_entries", wraps=balls._entries) as ranges:
+        split = list(balls._pair_blocks(vals, n, t))
+        assert (coverage_argmax(code, 2), coverage_argmax(SeqSet._from_vals(n, vals[::7]), 2)) == worst
+    assert sum(not c.kwargs["moved"] for c in ranges.call_args_list) >= 64
+    for got, want in zip(zip(*split), zip(*whole)):
+        assert np.array_equal(np.concatenate(got), np.concatenate(want))
+    assert len(whole) == 1 and len(split) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,9 @@ def test_length_zero_code_round_trip(tmp_path, capsys):
          "padded length 72 exceeds MAX_LEN"),
         ("# family=vt n=3 params=a=0,zz=5\n000\n", "code file header has an unknown entry 'zz=5'"),
         ("# family=vt n=3 params=a=1,a=0\n000\n", "code file header has a repeated entry 'a=0'"),
+        ("# family=vt n=3 params=a=x\n000\n", "code file header field 'a' has a non-integer value 'x'"),
+        ("# family=vt n=3 params=a\n000\n", "code file header field 'a' has a non-integer value ''"),
+        ("# family=vt n=3 n=4 params=a=0\n000\n", "code file header has a repeated entry 'n=4'"),
     ],
 )
 @pytest.mark.parametrize("command", ("verify", "simulate", "coverage"))

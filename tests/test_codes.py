@@ -572,6 +572,31 @@ def test_all_is_one_coset_of_the_whole_space():
     assert len(build_all(5)) == 32
 
 
+@pytest.mark.parametrize("family,n,P", (("wat", 5, None), ("np4", 8, None), ("np4", 3, 18),
+                                         ("vt", -1, None), ("twoins", 27, None), ("fiveread", 8, 1),
+                                         ("fiveread", 30, 3), ("tworead", 27, 3)))
+def test_partition_refuses_what_the_sweep_refuses(family, n, P):
+    with pytest.raises(Exception) as sweep:
+        codes.coset_sweep(family, n, P)
+    with pytest.raises(type(sweep.value), match=re.escape(str(sweep.value))):
+        coset_partition(family, n, P)
+
+
+@pytest.mark.parametrize("family,n,P", (("twoins", 9, None), ("fiveread", 23, 3), ("vt", 9, None),
+                                         ("np5", 9, 3)))
+def test_partition_walks_the_blocks_once(family, n, P):
+    walks = []
+    keyed = codes._keyed_blocks
+    with mock.patch.object(codes, "_keyed_blocks", side_effect=lambda *a: walks.append(a) or keyed(*a)), \
+            mock.patch.object(codes, "_ws_sizes", side_effect=AssertionError("sizes")), \
+            mock.patch.object(codes, "_counted_sizes", side_effect=AssertionError("sizes")):
+        part = coset_partition(family, n, P)
+    assert len(walks) == 1 and sum(map(len, part.values())) > 0
+    sweep = codes.coset_sweep(family, n, P)
+    assert [len(c) for c in part.values()] == sweep.sizes.tolist()
+    assert list(part) == [sweep.params(i) for i in range(len(sweep.keys))]
+
+
 def test_header_parse_rejects_unknown_family():
     with pytest.raises(ValueError):
         parse_header("# family=wat n=4 params=")
@@ -906,13 +931,14 @@ def test_sweeps_match_reference_in_narrow_blocks(monkeypatch, bits, family, P, l
     """n = 0, n < bits, n = bits and many blocks, with no enumerating call on
     more than a block.  A _ws family's sizes and members come from one _ws
     call each on exactly the (w mod 2m, S mod m) grid of its first modulus
-    m, and from no call on words: per length, the partition's and the best
-    coset's sweeps, and the members of the best and of the last coset."""
+    m, and from no call on words: per length, the best coset's sweep, and
+    the members of the best and of the last coset.  The partition takes its
+    sizes from the keys of its own walk, so it makes no grid call."""
     seen = block_guards(monkeypatch, bits)
     check_sweeps_against_reference(family, P, lengths)
     assert max(math.prod(shape) for shape in seen if len(shape) == 1) == 2 ** min(bits, max(lengths))
     cls = codes.FAMILIES[family]
-    grids = [(2 * m, m) for n in lengths for m in [cls._moduli(n, P)[0]] * 4] if cls._ws else []
+    grids = [(2 * m, m) for n in lengths for m in [cls._moduli(n, P)[0]] * 3] if cls._ws else []
     assert [shape for shape in seen if len(shape) != 1] == grids
 
 
