@@ -313,14 +313,20 @@ def _insertion_table(vals: Sequence[int], n: int, t: int, top: int = 0,
     """
     x = np.asarray(vals, dtype=_word_dtype(n + t))[:, None]
     parts = []
-    for terms, tails, firsts in _gap_patterns(n, t):
-        split = bisect_left(firsts, top)
-        cols = slice(0, split) if moved else slice(split, None)
+    for terms, tails, cols in _kept_patterns(n, t, top, moved):
         base = 0
         for shift, flip, keep in terms:
             base = base | (((x << shift) ^ flip[cols]) & keep[cols])
         parts.append((base[:, :, None] | tails).reshape(len(x), base.shape[1] * len(tails)))
     return np.concatenate(parts, axis=1, out=out)
+
+
+def _kept_patterns(n: int, t: int, top: int, moved: bool) -> Iterator[tuple]:
+    """(terms, tails, cols) of each part of _gap_patterns(n, t), where cols is
+    the slice of its gap columns that _insertion_table keeps at top, moved."""
+    for terms, tails, firsts in _gap_patterns(n, t):
+        split = bisect_left(firsts, top)
+        yield terms, tails, slice(0, split) if moved else slice(split, len(firsts))
 
 
 @lru_cache(maxsize=32)
@@ -436,7 +442,7 @@ def _entries(vals: np.ndarray, n: int, t: int, tag: int, bits: int, lo: int, hi:
     bits) of the ball table of owner rows lo..hi-1, each tagged with its row
     in the low tag bits, as one array, filled _FILL entries at a time."""
     dt = _word_dtype(n + t + tag)
-    cols = _insertion_table(vals[:0], n, t, bits, moved).shape[1]
+    cols = sum((c.stop - c.start) * len(tails) for _, tails, c in _kept_patterns(n, t, bits, moved))
     out = np.empty(len(head) + (hi - lo) * cols, dtype=dt)
     out[: len(head)] = head
     table = out[len(head) :].reshape(hi - lo, cols)
@@ -514,47 +520,62 @@ def _close_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray
         yield from _counted(close, vals, n, t)
 
 
-# Owners per block of the ceiling scan (_far_blocks): doubling from one, so
-# that a worst pair of a small owner ends it after little work; 127 owners
-# in all, then the full scan takes the rest.
-_OWNER_BLOCKS = (1, 2, 4, 8, 16, 32, 64)
+# The ceiling scan (_far_blocks) lists at most _SHARE times as many
+# supersequences in all as the full scan's table holds, len(vals) * |I_2(n)|;
+# past that, _pair_blocks takes the owners left.  An owner lists about
+# n**4 / 16 entries against n**2 / 2 in the full table, so a small code of
+# long words goes to the full scan after its first owner's deletions.  vt
+# subsets at coverage 5, which never reach 6, take 1.3 (n = 18) to 2
+# (n = 14) times as long as the full scan alone with this share.
+_SHARE = 0.25
 
 
 def _far_blocks(vals: np.ndarray, n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Like _pair_blocks at t = 2, by blocks of owners in ascending order
-    (_OWNER_BLOCKS), with no table of the whole code; past the last block,
-    the owners left go to _pair_blocks.  A block lists at most _BLOCK
-    supersequences at a time, so a long word takes it a few owners at a time.
+    """Like _pair_blocks at t = 2, by blocks of owners in ascending order,
+    with no table of the whole code.
+
+    The blocks double from one owner, so that a worst pair of a small owner
+    ends the scan after little work, up to a deletion table of _BLOCK
+    entries.  A block lists the 2-insertion balls of its owners' distinct
+    2-deletions, _BLOCK entries at a time (_near_keys).  The block that
+    would take the entries listed past _SHARE times the full scan's table
+    goes, with the owners after it, to _pair_blocks.
     """
-    rows, lo = len(vals), 0
-    per = max(1, _BLOCK // (comb(n, 2) * ball_size_formula(n - 2, 2)))
-    for size in _OWNER_BLOCKS:
-        hi = min(lo + size, rows - 1)  # the last owner has no later codeword
-        for a in range(lo, hi, per):
-            yield from _counted(_near_keys(vals, n, a, min(a + per, hi)), vals, n, 2)
-        lo = hi
-        if lo == rows - 1:
+    rows, lo, size = len(vals), 0, 1
+    budget = _SHARE * rows * ball_size_formula(n, 2)
+    most = max(1, _BLOCK // comb(n, 2))
+    while lo < rows - 1:  # the last owner has no later codeword
+        hi = min(lo + size, rows - 1)
+        dels = np.sort(_deletion_table(vals[lo:hi], n, 2), axis=1)
+        fresh = np.ones(dels.shape, dtype=bool)
+        fresh[:, 1:] = dels[:, 1:] != dels[:, :-1]
+        budget -= int(fresh.sum()) * ball_size_formula(n - 2, 2)
+        if budget < 0:
+            yield from _pair_blocks(vals, n, 2, lo)
             return
-    yield from _pair_blocks(vals, n, 2, lo)
+        owner = np.broadcast_to(np.arange(lo, hi)[:, None], dels.shape)[fresh]
+        yield from _counted(_near_keys(vals, n, dels[fresh], owner), vals, n, 2)
+        lo, size = hi, min(2 * size, most)
 
 
-def _near_keys(vals: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """The keys a*rows+b, ascending and distinct, of the pairs lo <= a < hi,
-    a < b, whose 2-insertion balls meet.
+def _near_keys(vals: np.ndarray, n: int, dels: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The keys a*rows+b, ascending and distinct, of the pairs a < b whose
+    2-insertion balls meet, for the owners a of the distinct 2-deletions
+    dels of their words.
 
-    They meet iff the words share a 2-deletion, so the b of owner a are the
-    codewords in I_2(D_2(vals[a])): the distinct 2-deletions of a (one
-    sorted _deletion_table row and an adjacent mask), then their
-    _insertion_table rows at n - 2, kept where they are codewords.
+    The balls meet iff the words share a 2-deletion, so the b of owner a are
+    the codewords in I_2(D_2(vals[a])): the _insertion_table rows of the
+    deletions at n - 2, _BLOCK entries at a time, kept where they are
+    codewords.
     """
-    dels = np.sort(_deletion_table(vals[lo:hi], n, 2), axis=1)
-    fresh = np.ones(dels.shape, dtype=bool)
-    fresh[:, 1:] = dels[:, 1:] != dels[:, :-1]
-    owner = np.broadcast_to(np.arange(lo, hi)[:, None], dels.shape)[fresh]
-    near = _insertion_table(dels[fresh], n - 2, 2)
-    hit = _among(near, vals)
-    a, b = np.broadcast_to(owner[:, None], near.shape)[hit], np.searchsorted(vals, near[hit])
-    keys = np.sort((a * len(vals) + b)[b > a])
+    per = max(1, _BLOCK // ball_size_formula(n - 2, 2))
+    keys = []
+    for i in range(0, len(dels), per):
+        near = _insertion_table(dels[i : i + per], n - 2, 2)
+        hit = _among(near, vals)
+        a, b = np.broadcast_to(owner[i : i + per, None], near.shape)[hit], np.searchsorted(vals, near[hit])
+        keys.append((a * len(vals) + b)[b > a])
+    keys = np.sort(np.concatenate(keys))
     # dedupe by an adjacent mask: np.unique takes a hash path on numpy 2.4
     return keys[np.append(True, keys[1:] != keys[:-1])] if keys.size else keys
 
@@ -588,8 +609,9 @@ def _worst_pair(code: SeqSet, t: int, bound: int = 0) -> Tuple[int, BitSeq, BitS
     pairs' maximum nor the bound is above 6 are the other pairs counted, by
     the ceiling scan (_far_blocks), which stops at the first block that
     reaches 6: no pair exceeds it, and every smaller key has been counted.
-    Other t (at t = 1 only close pairs overlap at all), and n < 4, take the
-    full scan (_pair_blocks).
+    Past its budget, the full scan counts the owners left.  Other t (at
+    t = 1 only close pairs overlap at all), and n < 4, take the full scan
+    (_pair_blocks).
     """
     if len(code) < 2:
         raise ValueError("read coverage needs at least two codewords")

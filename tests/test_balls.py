@@ -1,6 +1,7 @@
 """Ball enumeration, formulas, intersections, and coverage tests."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import comb
 from unittest import mock
@@ -586,22 +587,18 @@ def test_close_blocks_never_build_ball_tables():
 # lengths, and every other pair at most nplus_ell_formula(n, 2, 2) = 6, so
 # no code has a close maximum of exactly 6 or 7.  The cut is moved instead,
 # so that the close maximum (9) sits on it, just above it or below it.
-@pytest.mark.parametrize("cut, far_scan", ((10, True), (9, True), (8, False), (6, False)))
-def test_close_pairs_decide_only_above_the_far_bound(cut, far_scan):
+@pytest.mark.parametrize("cut, full_scan", ((10, True), (9, True), (8, False), (6, False)))
+def test_close_pairs_decide_only_above_the_far_bound(cut, full_scan):
     words = ["000000", "000011", "001100", "011001"]  # two far pairs at 6, then a close one at 9
     code = SeqSet(6, [BitSeq(w) for w in words])
     worst = brute_worst(words, 2)
     assert worst == (9, BitSeq("001100"), BitSeq("011001"))
     for view in (read_coverage, coverage_argmax):
         with mock.patch.object(balls, "nplus_ell_formula", return_value=cut), \
-                mock.patch.object(balls, "_pair_blocks", wraps=balls._pair_blocks) as engine, \
-                mock.patch.object(balls, "_far_blocks", wraps=balls._far_blocks) as scan:
+                mock.patch.object(balls, "_pair_blocks", wraps=balls._pair_blocks) as engine:
             got = view(code, 2)
         assert got == (worst[0] if view is read_coverage else worst)
-        # the other pairs are counted by the ceiling scan, whose four owners
-        # never need the full scan
-        assert [c.args[2] for c in engine.call_args_list] == [1]
-        assert scan.called == far_scan
+        assert [c.args[2] for c in engine.call_args_list] == ([1, 2] if full_scan else [1])
 
 
 def test_coverage_of_codes_without_close_pairs():
@@ -631,25 +628,28 @@ def vt_words(n):
 
 
 # Codes with no close pair above 6, so their other pairs are counted by the
-# ceiling scan: (words, owner blocks it scans, where the full scan starts or None).
-# VT(6): owner 0 reaches 6.  A VT(8) subset: owners 0..2 stay below 6 and
-# owner 3 reaches it, with owners 7..10 left.  A 6-word code at coverage 5
-# never reaches the ceiling, and its blocks cover every owner.
+# ceiling scan: (words, owner blocks it lists, where the full scan starts or
+# None), with a budget of ten times the full scan's table, and then with the
+# default budget (_SHARE).  VT(6): owner 0 reaches 6.  A VT(8) subset:
+# owners 0..2 stay below 6 and owner 3 reaches it; by default the block of
+# owners 1..2 passes the budget.  A 6-word code at coverage 5 never reaches
+# the ceiling: with room, its blocks cover every owner; by default owner 0
+# alone passes the budget.
 SCAN_CASES = {
-    "first block": (vt_words(6), [1], None),
+    "first block": (vt_words(6), ([1], None), ([1], None)),
     "later block": (["00000000", "00001110", "00100011", "00111100", "01100110", "01111110",
                      "10011001", "10101000", "11000100", "11011011", "11011100", "11100111"],
-                    [1, 2, 4], None),
+                    ([1, 2, 4], None), ([1, 2], 1)),
     "every owner": (["0011111", "0110101", "1000011", "1010000", "1100110", "1110111"],
-                    [1, 2, 2], None),
+                    ([1, 2, 2], None), ([1], 0)),
 }
 
 
-def scan_path(words, owner_blocks=balls._OWNER_BLOCKS):
-    """coverage_argmax of words, with the owner blocks its ceiling scan took
+def scan_path(words, share=balls._SHARE):
+    """coverage_argmax of words, with the owner blocks its ceiling scan listed
     and the first owner of its full scan (None without one)."""
     code = SeqSet(len(words[0]), [BitSeq(w) for w in words])
-    with mock.patch.object(balls, "_OWNER_BLOCKS", owner_blocks), \
+    with mock.patch.object(balls, "_SHARE", share), \
             mock.patch.object(balls, "_deletion_table", wraps=balls._deletion_table) as dels, \
             mock.patch.object(balls, "_pair_blocks", wraps=balls._pair_blocks) as engine:
         got = coverage_argmax(code, 2)
@@ -660,34 +660,39 @@ def scan_path(words, owner_blocks=balls._OWNER_BLOCKS):
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_ceiling_scan_matches_brute(case):
-    words, blocks, full = SCAN_CASES[case]
+    words, room, own = SCAN_CASES[case]
     worst = brute_worst(words, 2)
     assert worst[0] == (5 if case == "every owner" else 6)
-    assert scan_path(words) == (worst, blocks, full)
+    assert scan_path(words, 10) == (worst, *room)
+    assert scan_path(words) == (worst, *own)
 
 
-def test_ceiling_scan_falls_back_past_its_owner_cap():
-    # with blocks of 1 and 2 owners, owner 3's pair at 6 is found by the
-    # full scan from owner 3 on; a code whose owners all fit takes none
+def test_ceiling_scan_hands_over_past_its_budget():
+    # the full scan's table holds 12 * 56 = 672 entries; the owners list 37,
+    # then 185 + 296, then 222 + 481 + 148 + 481.  With no budget the first
+    # block goes to the full scan; with 518 entries the block of owners 3..6
+    # does, and with 517 the block of owners 1..2
     words = SCAN_CASES["later block"][0]
     worst = brute_worst(words, 2)
-    assert scan_path(words, (1, 2)) == (worst, [1, 2], 3)
-    words = SCAN_CASES["every owner"][0]
-    assert scan_path(words, (1, 2, 2)) == (brute_worst(words, 2), [1, 2, 2], None)
-    assert scan_path(words, (1, 2, 1)) == (brute_worst(words, 2), [1, 2, 1], 4)
+    assert scan_path(words, 0) == (worst, [1], 0)
+    assert scan_path(words, Fraction(518, 672)) == (worst, [1, 2, 4], 3)
+    assert scan_path(words, Fraction(517, 672)) == (worst, [1, 2], 1)
 
 
-def test_ceiling_scan_lists_a_few_owners_at_a_time():
-    # with one supersequence per slice, the blocks go one owner at a time,
-    # and the scan still stops right after owner 3
+def test_ceiling_scan_lists_at_most_a_block_at_a_time():
+    # with 40 supersequences per slice, owners go one at a time and each
+    # slice is one 2-deletion's ball (37 words); the scan still stops
+    # right after owner 3
     words = SCAN_CASES["later block"][0]
-    with mock.patch.object(balls, "_BLOCK", 1):
-        assert scan_path(words) == (brute_worst(words, 2), [1, 1, 1, 1], None)
+    with mock.patch.object(balls, "_BLOCK", 40), \
+            mock.patch.object(balls, "_insertion_table", wraps=balls._insertion_table) as tables:
+        assert scan_path(words, 10) == (brute_worst(words, 2), [1, 1, 1, 1], None)
+    assert {c.args[0].size for c in tables.call_args_list if c.args[2] == 2} == {1}
 
 
 def test_close_pairs_above_six_take_no_ceiling_scan():
     words = ["000000", "000011", "001100", "011001"]  # a close pair at 9
-    assert scan_path(words) == (brute_worst(words, 2), [], None)
+    assert scan_path(words, 10) == (brute_worst(words, 2), [], None)
 
 
 @pytest.mark.parametrize("n", range(6, 12))
