@@ -113,29 +113,31 @@ class SeqSet:
 
     def to_lines(self) -> str:
         """One sequence per line, lexicographically sorted, trailing newline."""
-        return self._line_matrix().tobytes().decode("ascii")
+        return self._line_matrix(self._arr, self.n).tobytes().decode("ascii")
 
-    def _line_matrix(self) -> np.ndarray:
-        """The lines of to_lines as one (size, n+1) uint8 matrix: row i is the
-        bits of member i as '0' and '1', then a newline.  The words are
-        shifted to the top of their bytes, so one unpackbits of their
-        big-endian bytes gives the n bits and one more column for the newline."""
-        n = self.n
+    @staticmethod
+    def _line_matrix(words: np.ndarray, n: int) -> np.ndarray:
+        """The lines of the n-bit words, in their order, as one (len(words),
+        n+1) uint8 matrix: row i is the bits of words[i] as '0' and '1', then
+        a newline.  The words are shifted to the top of their bytes, so one
+        unpackbits of their big-endian bytes gives the n bits and one more
+        column for the newline."""
         width = -(-n // 8)  # the bytes that hold an n-bit word
-        big_endian = (self._arr << (8 * width - n)).astype(">u8").view(np.uint8)
+        big_endian = (words << (8 * width - n)).astype(">u8").view(np.uint8)
         chars = np.unpackbits(big_endian.reshape(-1, 8)[:, 8 - width:], axis=1, count=n + 1)
         chars += ord("0")
         chars[:, n] = ord("\n")
         return chars
 
-    @classmethod
-    def _from_line_matrix(cls, n: int, data: bytes) -> Optional["SeqSet"]:
-        """The set whose lines, as in to_lines, are exactly the bytes data:
-        a (rows, n+1) matrix of '0' and '1' with a newline in its last
-        column.  None for anything else, or n outside 0..MAX_LEN.  The
-        mirror of _line_matrix: one packbits of the bit columns gives each
-        word's big-endian bytes, with the word at their top."""
-        if not 0 <= n <= MAX_LEN or len(data) % (n + 1):
+    @staticmethod
+    def _line_words(data: bytes, n: int) -> Optional[np.ndarray]:
+        """The n-bit words whose lines, as in _line_matrix, are exactly the
+        bytes data (a (rows, n+1) matrix of '0' and '1' with a newline in
+        its last column), in their order, unsorted; None for anything else.
+        n is in 0..MAX_LEN.  The mirror of _line_matrix: one packbits of the
+        bit columns gives each word's big-endian bytes, with the word at
+        their top."""
+        if len(data) % (n + 1):
             return None
         chars = np.frombuffer(data, dtype=np.uint8).reshape(-1, n + 1)
         bits = chars[:, :n] - ord("0")
@@ -144,14 +146,13 @@ class SeqSet:
         width = -(-n // 8)  # the bytes that hold an n-bit word
         big_endian = np.zeros((len(chars), 8), dtype=np.uint8)
         big_endian[:, 8 - width :] = np.packbits(bits, axis=1)
-        words = big_endian.view(">u8").ravel().astype(np.uint64)
-        return cls._from_vals(n, words >> (8 * width - n))
+        return big_endian.view(">u8").ravel().astype(np.uint64) >> (8 * width - n)
 
     @classmethod
     def parse_lines(cls, text: str, n: Optional[int] = None) -> "SeqSet":
         """One sequence per line, stripped; blank lines are skipped, except at
         n = 0, where each line is the empty word.  The lines, each ended by a
-        newline, are read as one line matrix (_from_line_matrix)."""
+        newline, are read as one line matrix (_line_words)."""
         lines = list(map(str.strip, text.splitlines()))
         if n != 0:
             lines = list(filter(None, lines))
@@ -160,11 +161,11 @@ class SeqSet:
                 raise ValueError("cannot infer length from empty input")
             n = len(lines[0])
         _check_code_length(n)  # before the byte matrix is built
-        code = cls._from_line_matrix(n, "\n".join([*lines, ""]).encode("ascii", "replace"))
-        if code is None:
+        words = cls._line_words("\n".join([*lines, ""]).encode("ascii", "replace"), n)
+        if words is None:
             bad = next(ln for ln in lines if len(ln) != n or set(ln) - {"0", "1"})
             raise ValueError(f"bad sequence line: {bad!r}")
-        return code
+        return cls._from_vals(n, words)
 
 
 def _check_code_length(n: int) -> None:

@@ -199,10 +199,10 @@ def _table_rows(n: int, P: int):
 
 
 def cmd_table(args) -> int:
-    lo_hi = args.n_range.split(":")
-    if len(lo_hi) != 2:
-        raise ValueError("--n-range must look like LO:HI")
-    lo, hi = int(lo_hi[0]), int(lo_hi[1])
+    try:
+        lo, hi = map(int, args.n_range.split(":"))
+    except ValueError:  # not two parts, or a part that is not an integer
+        raise ValueError("--n-range must look like LO:HI") from None
     if args.t != 2:
         raise ValueError("the table sweep is defined for --t 2")
     header = ("n", "N_range", "family", "params", "size", "redundancy", "pigeonhole")

@@ -28,6 +28,8 @@ same kernels, for words of up to ``MAX_LEN`` bits.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type
@@ -939,42 +941,91 @@ def parse_header(line: str) -> CodeParams:
 
 
 def write_code_file(path: str, params: CodeParams, code: SeqSet) -> None:
-    """The header line, then the lines of ``code.to_lines()``, written as the
-    bytes of its line matrix with no text copy."""
+    """The header line, then the lines of ``code.to_lines()``, formatted and
+    written 2^_BLOCK_BITS words at a time as the bytes of their line matrix
+    (``SeqSet._line_matrix``), so one block of text is held, not the whole."""
+    words, block = code._array(), 1 << seqs._BLOCK_BITS
     with open(path, "wb") as fh:
         fh.write((format_header(params) + "\n").encode("ascii"))
-        fh.write(code._line_matrix())
+        for lo in range(0, len(words), block):
+            fh.write(SeqSet._line_matrix(words[lo : lo + block], code.n))
+
+
+def _block_header(line: bytes) -> Optional[CodeParams]:
+    """The record of a first line that can head the lines write_code_file
+    writes: one ASCII line that starts with '#' and parses.  None for any
+    other, whose value or error the text reading gives."""
+    head = line.partition(b"\n")[0]
+    if head.isascii() and head.startswith(b"#") and len(head.decode().splitlines()) == 1:
+        try:
+            return parse_header(head.decode())
+        except ValueError:
+            pass  # the text reading raises it, or first a decode error of a later byte
+    return None
+
+
+def _line_blocks(fh, n: int) -> Tuple[List[np.ndarray], bytes]:
+    """The words of the rest of fh, read (n+1) * 2^_BLOCK_BITS bytes at a
+    time into one buffer, one array per block in file order
+    (``SeqSet._line_words``), up to the first block that is not an exact
+    line matrix; and the bytes from that block on, empty when there is none.
+    The buffer of a regular file is no longer than what is left of it; any
+    other file, such as a pipe, whose size reads 0, is read until EOF."""
+    info, size = os.fstat(fh.fileno()), (n + 1) << seqs._BLOCK_BITS
+    if stat.S_ISREG(info.st_mode):
+        size = min(size, info.st_size - fh.tell())
+    buf, parts = memoryview(bytearray(size)), []
+    while got := fh.readinto(buf):
+        words = SeqSet._line_words(buf[:got], n)
+        if words is None:
+            return parts, bytes(buf[:got]) + fh.read()
+        parts.append(words)
+    return parts, b""
+
+
+def _read_text(data: bytes) -> Tuple[Optional[CodeParams], SeqSet]:
+    """A code file read as text, line by line, from its first byte."""
+    lines = data.decode("ascii").splitlines(keepends=True)
+    params = None
+    if lines and lines[0].startswith("#"):
+        params = parse_header(lines[0])
+        lines = lines[1:]
+    return params, SeqSet.parse_lines("".join(lines), None if params is None else params.n)
 
 
 def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     """Parse a code file; a missing header yields params=None.
 
+    A header line, then exactly the lines write_code_file writes, is read
+    one block of 2^_BLOCK_BITS lines at a time, each parsed to its words in
+    file order; the words are joined once, and sorted only when the file
+    was not.  Any other file is read as text, line by line, from its first
+    byte, so it gives the text reading's value or error: the blocks before
+    the first one that is not a line matrix were, so their bytes are the
+    lines of their words again.
+
     Under a header, every codeword must lie in the coset it names, by the
     record test the ``*_member`` predicates make one word at a time (so a
     ``twoins`` body is checked with the m1 weights, a ``fiveread`` one with m0).
+    The test runs on 2^_BLOCK_BITS words at a time in ascending order, and
+    the error names the smallest failing word.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    # a header line, then exactly the lines write_code_file writes: read as
-    # one byte matrix, with no text copy
-    head, _, body = data.partition(b"\n")
-    head = head.decode("ascii", "replace")
-    code = None
-    if data.isascii() and head.startswith("#") and len(head.splitlines()) == 1:
-        params = parse_header(head)
-        code = SeqSet._from_line_matrix(params.n, body)
-    if code is None:  # anything else is read as text, line by line
-        lines = data.decode("ascii").splitlines(keepends=True)
-        params = None
-        if lines and lines[0].startswith("#"):
-            params = parse_header(lines[0])
-            lines = lines[1:]
-        code = SeqSet.parse_lines("".join(lines), None if params is None else params.n)
+        head = fh.readline()
+        params = _block_header(head)
+        parts, rest = _line_blocks(fh, params.n) if params is not None else ([], fh.read())
+    if params is None or rest:
+        body = b"".join(SeqSet._line_matrix(w, params.n) for w in parts)
+        params, code = _read_text(head + body + rest)
+    else:
+        code = SeqSet._from_vals(params.n, np.concatenate([np.zeros(0, np.uint64), *parts]))
     if params is not None:
-        vals = code._array()
-        ok = params._member(vals, code.n, getattr(params, "P", None), params.residues())
-        if not ok.all():
-            word = BitSeq.from_int(int(vals[~ok][0]), code.n)
-            raise ValueError(f"codeword {word} is not in the code of its header: "
-                             f"{format_header(params)[2:]}")
+        vals, P = code._array(), getattr(params, "P", None)
+        # an empty code is one empty slice, still checked, as a whole array is
+        for part in np.split(vals, range(1 << seqs._BLOCK_BITS, len(vals), 1 << seqs._BLOCK_BITS)):
+            ok = params._member(part, code.n, P, params.residues())
+            if not ok.all():
+                word = BitSeq.from_int(int(part[~ok][0]), code.n)
+                raise ValueError(f"codeword {word} is not in the code of its header: "
+                                 f"{format_header(params)[2:]}")
     return params, code

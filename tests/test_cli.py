@@ -272,6 +272,12 @@ def test_table_empty_range_header_only(capsys):
     assert lines[0].split()[0] == "n"
 
 
+@pytest.mark.parametrize("n_range", ["3", "a:b", "1:x", ":"])
+def test_table_n_range_not_two_integers_is_one_error_line(capsys, n_range):
+    assert run(capsys, "table", "--n-range", n_range) == (
+        1, "", "error: --n-range must look like LO:HI\n")
+
+
 def test_table_rejects_other_t(capsys):
     code, _, err = run(capsys, "table", "--n-range", "8:9", "--t", "3")
     assert code == 1 and "--t 2" in err

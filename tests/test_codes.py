@@ -7,6 +7,7 @@ import os
 import random
 import re
 import tempfile
+import threading
 from itertools import combinations
 from unittest import mock
 
@@ -1090,3 +1091,154 @@ def test_code_file_byte_matrix_reads_as_the_text_lines(tmp_path, data, matrix):
             assert str(got.value) == str(want)
         else:
             assert read_code_file(str(path)) == want
+
+
+# Block I/O: code files move through blocks of 2^_BLOCK_BITS lines; the tests
+# below shrink a block to one line (0) or two (1), so that every file spans
+# many blocks.
+BLOCK_BITS = pytest.mark.parametrize("bits", (0, 1))
+MATRIX_CASES = next(m.args[1] for m in test_code_file_byte_matrix_reads_as_the_text_lines.pytestmark
+                    if m.name == "parametrize")
+
+
+def blocks_of(bits):
+    return mock.patch.object(seqs, "_BLOCK_BITS", bits)
+
+
+def read_or_error(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@BLOCK_BITS
+@pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 22, 63, 64))
+def test_code_file_blocks_round_trip_byte_identical(tmp_path, n, bits):
+    rng = random.Random(n)
+    params, path = codes.AllParams(n), tmp_path / "code.txt"
+    for vals in ((), {rng.getrandbits(n) for _ in range(200)}):
+        code = SeqSet._from_vals(n, vals)
+        with blocks_of(bits):
+            write_code_file(str(path), params, code)
+            assert path.read_bytes() == (format_header(params) + "\n" + code.to_lines()).encode("ascii")
+            assert read_code_file(str(path)) == (params, code)
+
+
+@BLOCK_BITS
+@pytest.mark.parametrize("data, matrix", MATRIX_CASES)
+def test_code_file_blocks_read_as_the_text_lines(tmp_path, data, matrix, bits):
+    # as in the one-block reading: only a header and an exact line matrix
+    # skip the text path, and every other file gives its value or error text
+    path = tmp_path / "code.txt"
+    path.write_bytes(data)
+    want = read_or_error(read_as_text, str(path))
+    spy = mock.patch.object(SeqSet, "parse_lines", side_effect=AssertionError("text path"))
+    with blocks_of(bits), spy if matrix else contextlib.nullcontext():
+        assert read_or_error(read_code_file, str(path)) == want
+
+
+@BLOCK_BITS
+@pytest.mark.parametrize("bad, error", [
+    (b"0120\n", "bad sequence line: '0120'"),
+    (b"01\xff0\n", "'ascii' codec can't decode byte 0xff in position 49: ordinal not in range(128)"),
+    (b"0110", None),
+    (b"011\n", "bad sequence line: '011'"),
+])
+def test_code_file_bad_later_block_reads_as_text_from_the_start(tmp_path, bad, error, bits):
+    path = tmp_path / "code.txt"
+    path.write_bytes(HEAD + b"0000\n0110\n1001\n1111\n" + bad)
+    with blocks_of(bits), mock.patch.object(codes, "_read_text", wraps=codes._read_text) as text:
+        got = read_or_error(read_code_file, str(path))
+    assert text.call_count == 1
+    assert got == read_or_error(read_as_text, str(path))
+    if error is None:
+        assert got == (codes.VTParams(4, 0), build_vt(4, 0))
+    else:
+        assert got[1] == error
+
+
+@BLOCK_BITS
+@pytest.mark.parametrize("data, error", [
+    (b"# family=vt n=x params=a=0\n0000\n01\xff0\n",
+     "'ascii' codec can't decode byte 0xff in position 34: ordinal not in range(128)"),
+    (b"# family=vt n=x params=a=0\n0000\n",
+     "code file header field 'n' has a non-integer value 'x'"),
+])
+def test_code_file_bad_header_gives_the_text_error(tmp_path, data, error, bits):
+    # the text reading decodes the whole file before it parses the header
+    path = tmp_path / "code.txt"
+    path.write_bytes(data)
+    with blocks_of(bits):
+        got = read_or_error(read_code_file, str(path))
+    assert got[1] == error and got == read_or_error(read_as_text, str(path))
+
+
+@BLOCK_BITS
+def test_code_file_load_check_names_the_smallest_failing_word_of_any_block(tmp_path, bits):
+    # 1110 fails first in the file, 0001 is the smallest failing word
+    path = tmp_path / "code.txt"
+    path.write_bytes(HEAD + b"1111\n1110\n0110\n0000\n0001\n1001\n")
+    with blocks_of(bits), pytest.raises(ValueError) as got:
+        read_code_file(str(path))
+    assert str(got.value) == "codeword 0001 is not in the code of its header: family=vt n=4 params=a=0"
+
+
+@BLOCK_BITS
+@pytest.mark.parametrize("body", [
+    b"1111\n0000\n1111\n0110\n0000\n",
+    b"1001\n1001\n1001\n",
+    b"1111\n1001\n0110\n0000\n",
+])
+def test_code_file_unsorted_or_repeated_lines_across_blocks(tmp_path, body, bits):
+    path = tmp_path / "code.txt"
+    path.write_bytes(HEAD + body)
+    want = read_as_text(str(path))
+    with blocks_of(bits):
+        assert read_code_file(str(path)) == want
+
+
+@BLOCK_BITS
+def test_code_file_header_without_newline_is_an_empty_code(tmp_path, bits):
+    path = tmp_path / "code.txt"
+    path.write_bytes(HEAD[:-1])
+    with blocks_of(bits):
+        assert read_code_file(str(path)) == (codes.VTParams(4, 0), SeqSet(4)) == read_as_text(str(path))
+
+
+@BLOCK_BITS
+@pytest.mark.parametrize("n, body, text", [
+    (14, None, False),  # the lines of the vt code at n = 14, a = 0
+    (4, b"1111\n0000\n", False),
+    (4, b"0000\n1111\n0120\n", True),
+    (4, b"0000\n1111\n1110\n", False),
+])
+def test_code_file_read_through_a_pipe_as_from_the_file(tmp_path, n, body, text, bits):
+    # a pipe's size reads 0: it is read to its end in whole blocks, though
+    # written 5 bytes at a time, and a block that is not a line matrix sends
+    # it to the text path as a file does
+    body = build_vt(n, 0).to_lines().encode() if body is None else body
+    data = format_header(codes.VTParams(n, 0)).encode() + b"\n" + body
+    path = tmp_path / "code.txt"
+    path.write_bytes(data)
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            for lo in range(0, len(data), 5):
+                os.write(w, data[lo : lo + 5])
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with blocks_of(bits), mock.patch.object(codes, "_read_text", wraps=codes._read_text) as spy:
+            got = read_or_error(read_code_file, f"/dev/fd/{r}")
+    finally:
+        os.close(r)  # a writer still blocked on a full pipe stops here
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert spy.called == text
+    with blocks_of(bits):
+        assert got == read_or_error(read_code_file, str(path))
