@@ -48,12 +48,10 @@ class SeqSet:
         _check_code_length(n)
         arr = np.asarray(vals if isinstance(vals, np.ndarray) else list(vals), dtype=np.uint64)
         if not (arr[1:] > arr[:-1]).all():
-            # dedupe by sort and an adjacent-difference mask: np.unique takes a
-            # hash path on numpy 2.4, far slower on the sorted arrays built here
             arr = np.sort(arr)
-            fresh = arr[1:] != arr[:-1]
-            if not fresh.all():
-                arr = arr[np.concatenate([[True], fresh])]
+            first = _run_starts(arr)
+            if not first.all():
+                arr = arr[first]
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_arr", arr)
@@ -171,6 +169,16 @@ class SeqSet:
 def _check_code_length(n: int) -> None:
     if not 0 <= n <= MAX_LEN:
         raise SequenceTooLongError(f"code length {n} out of range 0..{MAX_LEN}")
+
+
+def _run_starts(arr: np.ndarray) -> np.ndarray:
+    """Which entries of the sorted arr start a run of equal values along its
+    last axis: the first entry of each distinct value of each row.  Dedupe,
+    group and count by it, not by np.unique, which takes a hash path on
+    numpy 2.4, far slower on the sorted arrays built here."""
+    first = np.ones(arr.shape, dtype=bool)
+    first[..., 1:] = arr[..., 1:] != arr[..., :-1]
+    return first
 
 
 def _among(a, b: np.ndarray) -> np.ndarray:
@@ -548,8 +556,7 @@ def _far_blocks(vals: np.ndarray, n: int) -> Iterator[Tuple[np.ndarray, np.ndarr
     while lo < rows - 1:  # the last owner has no later codeword
         hi = min(lo + size, rows - 1)
         dels = np.sort(_deletion_table(vals[lo:hi], n, 2), axis=1)
-        fresh = np.ones(dels.shape, dtype=bool)
-        fresh[:, 1:] = dels[:, 1:] != dels[:, :-1]
+        fresh = _run_starts(dels)
         budget -= int(fresh.sum()) * ball_size_formula(n - 2, 2)
         if budget < 0:
             yield from _pair_blocks(vals, n, 2, lo)
@@ -577,8 +584,7 @@ def _near_keys(vals: np.ndarray, n: int, dels: np.ndarray, owner: np.ndarray) ->
         a, b = np.broadcast_to(owner[i : i + per, None], near.shape)[hit], np.searchsorted(vals, near[hit])
         keys.append((a * len(vals) + b)[b > a])
     keys = np.sort(np.concatenate(keys))
-    # dedupe by an adjacent mask: np.unique takes a hash path on numpy 2.4
-    return keys[np.append(True, keys[1:] != keys[:-1])] if keys.size else keys
+    return keys[_run_starts(keys)]
 
 
 def _max_pair(blocks: Iterable[Tuple[np.ndarray, np.ndarray]],

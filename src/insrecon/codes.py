@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 import numpy as np
 
 from . import seqs
-from .balls import SeqSet, _check_code_length, coverage_at_least
+from .balls import SeqSet, _check_code_length, _run_starts, coverage_at_least
 from .confusability import ConfusabilityVerdict, classify_pair
 from .seqs import MAX_LEN, BitSeq, SequenceTooLongError, r_mask
 
@@ -636,8 +636,9 @@ class CosetSweep(NamedTuple):
     """The nonempty cosets of one family at one length.
 
     ``keys`` are the distinct word keys (``_key``) in ascending order, with
-    their word counts in ``sizes``: from ``_ws_sizes`` for a ``_ws`` family,
-    and from one keyed walk of the blocks for twoins and fiveread.
+    their int64 word counts in ``sizes``: from ``_ws_sizes`` for a ``_ws``
+    family, and from one sort of the keys of one walk of the blocks for
+    twoins and fiveread.
     ``params(i)`` is the record of coset i, whose members ``build_code``
     collects: from ``_ws_members`` for a ``_ws`` family, from a keyed walk
     of the blocks otherwise.
@@ -656,31 +657,6 @@ class CosetSweep(NamedTuple):
 
     def members(self, i: int) -> SeqSet:
         return build_code(self.params(i))
-
-
-def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
-    """One sorted (keys, counts) from several sorted ones, adding the counts of
-    equal keys; a stable sort merges the sorted runs without sorting them again."""
-    keys, counts = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    first = np.flatnonzero(first)
-    return keys[first], np.add.reduceat(counts, first)
-
-
-def _counted_sizes(blocks: Iterator[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
-    """(keys, sizes) of the nonempty cosets, from the keyed words of every
-    block: the unique keys of each block, merged whenever the unmerged ones
-    outnumber both the merged ones and the words of one block."""
-    parts = []
-    for _, keys in blocks:
-        parts.append(np.unique(keys, return_counts=True))
-        unmerged = sum(len(k) for k, _ in parts[1:])
-        if unmerged > max(len(parts[0][0]), 1 << seqs._BLOCK_BITS):
-            parts = [_merge(parts)]
-    return parts[0] if len(parts) == 1 else _merge(parts)
 
 
 # the ambient automaton of the whole space: one state, every step allowed
@@ -846,17 +822,21 @@ def _coset_groups(family: str, n: int, P: Optional[int]) -> CosetSweep:
     """The nonempty cosets of a family and their sizes.
 
     A ``_ws`` family's sizes come from ``_ws_sizes``, with no word
-    enumerated; twoins and fiveread count the unique keys of their ambient
-    words, one block at a time (``_counted_sizes``).  Either way the family,
-    P and n are checked first (``_swept_family``).  perfbench/spans.py
-    traces sweeps through this name, so the public entry point is
-    ``coset_sweep``.
+    enumerated.  twoins and fiveread join the keys of all their ambient
+    words from one walk of the blocks and sort them in place; each run of
+    equal keys (``_run_starts``) is a coset, and its length the coset's
+    size.  Either way the family, P and n are checked first
+    (``_swept_family``).  perfbench/spans.py traces sweeps through this
+    name, so the public entry point is ``coset_sweep``.
     """
     cls = _swept_family(family, n, P)
     if cls._ws is not None:
         keys, sizes = _ws_sizes(cls, n, P)
     else:
-        keys, sizes = _counted_sizes(_keyed_blocks(cls, n, P))
+        keys = np.concatenate([k for _, k in _keyed_blocks(cls, n, P)])
+        keys.sort()
+        starts = np.flatnonzero(_run_starts(keys))
+        keys, sizes = keys[starts], np.diff(np.append(starts, len(keys)))
     return CosetSweep(n, int(sizes.sum()), keys, sizes,
                       lambda i: _coset_params(cls, n, P, int(keys[i])))
 
@@ -869,14 +849,12 @@ def coset_sweep(family: str, n: int, P: Optional[int] = None) -> CosetSweep:
 def coset_partition(family: str, n: int, P: Optional[int] = None) -> Dict[CodeParams, SeqSet]:
     """Every nonempty coset of the family, from one walk of the blocks keyed
     by the family's kernel: one stable argsort of all keys groups the words,
-    and the cosets start where the sorted keys change."""
+    and the cosets start where the sorted keys change (``_run_starts``)."""
     cls = _swept_family(family, n, P)
     words, keys = (np.concatenate(a) for a in zip(*_keyed_blocks(cls, n, P)))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(fresh)
+    starts = np.flatnonzero(_run_starts(keys))
     chunks = np.split(words[order], starts[1:])
     return {_coset_params(cls, n, P, int(keys[i])): SeqSet._from_vals(n, c)
             for i, c in zip(starts, chunks)}

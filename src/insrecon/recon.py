@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .balls import SeqSet, _among, _check_ball, _deletion_table, _insertion_table
+from .balls import SeqSet, _among, _check_ball, _deletion_table, _insertion_table, _run_starts
 from .seqs import BitSeq
 
 # Table entries held at once: trials are drawn and decoded _CHUNK // |I_t| at
@@ -95,9 +95,7 @@ def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int) -> Tuple[n
     """
     dels = _deletion_table(reads.min(axis=1), n + t, t)
     dels.sort(axis=1)
-    first = np.ones(dels.shape, dtype=bool)
-    first[:, 1:] = dels[:, 1:] != dels[:, :-1]
-    row, col = np.nonzero(first)
+    row, col = np.nonzero(_run_starts(dels))
     cands = dels[row, col]
     hit = _among(cands, code)
     row, cands = row[hit], cands[hit]

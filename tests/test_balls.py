@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 from unittest import mock
 
@@ -17,6 +17,7 @@ from insrecon.balls import (
     SeqSet,
     _deletion_table,
     _insertion_table,
+    _run_starts,
     ball_size_formula,
     coverage_argmax,
     coverage_at_least,
@@ -46,6 +47,21 @@ def test_seqset_dedup_and_sorted_iteration():
     assert as_strs(s) == ["010", "110"]
     assert BitSeq("110") in s
     assert BitSeq("111") not in s
+
+
+def test_run_starts_match_a_plain_python_scan():
+    """Every sorted row of 0..5 entries over three values, alone (1-D) and
+    all of one length stacked (2-D, per row), as int64 and as object arrays
+    of Python ints above 2**63, the dtype of fiveread keys."""
+    for dtype, values in ((np.int64, (-2**63, 0, 2**63 - 1)),
+                          (object, (2**63, 2**64 + 1, 3 * 2**70))):
+        for length in range(6):
+            rows = [list(r) for r in combinations_with_replacement(values, length)]
+            want = [[i == 0 or r[i] != r[i - 1] for i in range(length)] for r in rows]
+            for row, first in zip(rows, want):
+                assert _run_starts(np.array(row, dtype=dtype)).tolist() == first, row
+            got = _run_starts(np.array(rows, dtype=dtype).reshape(len(rows), length))
+            assert got.dtype == bool and got.tolist() == want, (dtype, length)
 
 
 def test_seqset_rejects_mixed_lengths():

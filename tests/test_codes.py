@@ -589,8 +589,7 @@ def test_partition_walks_the_blocks_once(family, n, P):
     walks = []
     keyed = codes._keyed_blocks
     with mock.patch.object(codes, "_keyed_blocks", side_effect=lambda *a: walks.append(a) or keyed(*a)), \
-            mock.patch.object(codes, "_ws_sizes", side_effect=AssertionError("sizes")), \
-            mock.patch.object(codes, "_counted_sizes", side_effect=AssertionError("sizes")):
+            mock.patch.object(codes, "_ws_sizes", side_effect=AssertionError("sizes")):
         part = coset_partition(family, n, P)
     assert len(walks) == 1 and sum(map(len, part.values())) > 0
     sweep = codes.coset_sweep(family, n, P)
@@ -872,11 +871,26 @@ def reference_groups(family, n, P):
 
 
 def check_sweeps_against_reference(family, P, lengths):
-    """Partition, best coset and build_code against the reference; returns
-    how many lengths had a tie for the largest coset."""
+    """Sweep, partition, best coset and build_code against the reference;
+    returns how many lengths had a tie for the largest coset.
+
+    The sweep's keys are the mixed-radix keys of the reference's residue
+    tuples (first residue most significant), ascending, and its int64
+    sizes and ambient size are the reference's word counts."""
     ties = 0
     for n in lengths:
         groups = reference_groups(family, n, P)
+        keys = []
+        for residues in sorted(groups):
+            key = 0
+            for r, m in zip(residues, codes.FAMILIES[family]._moduli(n, P)):
+                key = key * m + r
+            keys.append(key)
+        sweep = codes.coset_sweep(family, n, P)
+        assert sweep.keys.tolist() == keys, n
+        assert sweep.sizes.dtype == np.int64
+        assert sweep.sizes.tolist() == [len(groups[r]) for r in sorted(groups)], n
+        assert sweep.ambient_size == sum(map(len, groups.values())), n
         part = coset_partition(family, n, P=P)
         assert [(p.residues(), sorted(c.values())) for p, c in part.items()] == sorted(
             groups.items()
@@ -932,14 +946,15 @@ def test_sweeps_match_reference_in_narrow_blocks(monkeypatch, bits, family, P, l
     """n = 0, n < bits, n = bits and many blocks, with no enumerating call on
     more than a block.  A _ws family's sizes and members come from one _ws
     call each on exactly the (w mod 2m, S mod m) grid of its first modulus
-    m, and from no call on words: per length, the best coset's sweep, and
-    the members of the best and of the last coset.  The partition takes its
-    sizes from the keys of its own walk, so it makes no grid call."""
+    m, and from no call on words: per length, the sweep, the best coset's
+    sweep, and the members of the best and of the last coset.  The
+    partition takes its sizes from the keys of its own walk, so it makes no
+    grid call."""
     seen = block_guards(monkeypatch, bits)
     check_sweeps_against_reference(family, P, lengths)
     assert max(math.prod(shape) for shape in seen if len(shape) == 1) == 2 ** min(bits, max(lengths))
     cls = codes.FAMILIES[family]
-    grids = [(2 * m, m) for n in lengths for m in [cls._moduli(n, P)[0]] * 3] if cls._ws else []
+    grids = [(2 * m, m) for n in lengths for m in [cls._moduli(n, P)[0]] * 4] if cls._ws else []
     assert [shape for shape in seen if len(shape) != 1] == grids
 
 
