@@ -692,24 +692,12 @@ def _ws_cells(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarr
 
 def _ws_sizes(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
     """(keys, sizes) of the nonempty cosets of a ``_ws`` family, exactly, from
-    a transfer matrix over its cell automaton (``_ws_cells``); no word is
-    enumerated.
-
-    One int64 count of words per cell is carried bit by bit: a step adds
-    the count of every cell to its child after each allowed bit, by the
-    unbuffered ``np.add.at``, since many cells share a child.  The counts of
-    the final grid are then summed under their keys.
+    the word count of every cell of its cell automaton (``_ws_cells``,
+    ``seqs._walk_counts``), summed under the keys of the final grid; no word
+    is enumerated.
     """
     child, grid = _ws_cells(cls, n, P)
-    ok = child >= 0
-    targets = [child[b][ok[b]] for b in (0, 1)]
-    counts = np.zeros(child.shape[1], dtype=np.int64)
-    counts[0] = 1
-    for _ in range(n):
-        step = np.zeros_like(counts)
-        for b in (0, 1):
-            np.add.at(step, targets[b], counts[ok[b]])
-        counts = step
+    counts = seqs._walk_counts(child, n)
     sizes = np.zeros(math.prod(cls._moduli(n, P)), dtype=np.int64)
     np.add.at(sizes, grid, counts.reshape(-1, grid.size).sum(axis=0))
     keys = np.flatnonzero(sizes)

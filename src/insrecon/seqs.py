@@ -16,7 +16,7 @@ import numpy as np
 
 MAX_LEN = 64
 
-# Hard ceiling for any 2**n enumeration (count_r, code builders).
+# Hard ceiling for any 2**n enumeration (code builders, ball tables); count_r has none.
 ENUM_CAP = 26
 
 
@@ -259,6 +259,25 @@ def _r_automaton(ell: int, t: int) -> np.ndarray:
     return table
 
 
+def _walk_counts(child: np.ndarray, n: int) -> np.ndarray:
+    """The count of n-bit words that walk from cell 0 to each cell, where
+    ``child[b, c]`` is the cell after bit b, or -1 for a forbidden step: a
+    step adds every count to each allowed child by the unbuffered np.add.at.
+    int64 while n <= 62, where no count can pass 2**62; Python ints past that."""
+    if n < 0:
+        raise ValueError(f"length n={n} must be >= 0")
+    ok = child >= 0
+    targets = [child[b][ok[b]] for b in (0, 1)]
+    counts = np.zeros(child.shape[1], dtype=np.int64 if n <= 62 else object)
+    counts[0] = 1
+    for _ in range(n):
+        step = np.zeros_like(counts)
+        for b in (0, 1):
+            np.add.at(step, targets[b], counts[ok[b]])
+        counts = step
+    return counts
+
+
 # {0,1}^n is enumerated in blocks of at most 2**_BLOCK_BITS words
 _BLOCK_BITS = 16
 
@@ -282,8 +301,8 @@ def _blocks(n: int) -> Iterator[np.ndarray]:
 
 
 def count_r(n: int, ell: int, t: int) -> int:
-    """|R(n, ell, t)| by enumeration in blocks (refused above the cap)."""
-    return sum(int(np.count_nonzero(r_mask(w, n, ell, t))) for w in _blocks(n))
+    """|R(n, ell, t)| exactly at every n >= 0, by a walk of its automaton."""
+    return int(_walk_counts(_r_automaton(ell, t).T, n).sum())
 
 
 def inversions(x: BitSeq) -> int:

@@ -8,6 +8,7 @@ products, five-read window sums from explicitly padded and sliced strings.
 """
 
 from itertools import accumulate, combinations
+from math import gcd
 
 
 def insertion_ball(s: str, t: int) -> frozenset:
@@ -53,6 +54,65 @@ def in_r(s: str, ell: int, t: int) -> bool:
             if len(sub) > t and period(sub) <= ell:
                 return False
     return True
+
+
+def count_r_by_windows(n: int, ell: int, t: int) -> int:
+    """|R(n, ell, t)| by extending the words of length t one symbol at a time.
+    A subword longer than t of period <= ell has a prefix of length t + 1 of
+    period <= ell, so a word longer than t is in R iff every length-(t+1)
+    window is."""
+    if n <= t:
+        return 2**n
+    allowed = {w for w in all_seqs(t + 1) if period(w) > ell}
+    counts = dict.fromkeys(all_seqs(t), 1)
+    for _ in range(n - t):
+        step = {}
+        for s, c in counts.items():
+            for w in (s + "0", s + "1"):
+                if w in allowed:
+                    step[w[1:]] = step.get(w[1:], 0) + c
+        counts = step
+    return sum(counts.values())
+
+
+def count_r1(n: int, t: int) -> int:
+    """|R(n, 1, t)|: the binary words with no run longer than t.  A nonempty
+    word is its first symbol and the composition of n into its run lengths,
+    each part in 1..t."""
+    comps = [1]  # comps[k]: compositions of k with parts <= t
+    for k in range(1, n + 1):
+        comps.append(sum(comps[k - j] for j in range(1, min(k, t) + 1)))
+    return 2 * comps[n] if n else 1
+
+
+def _totient(m: int) -> int:
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+def _mobius(m: int) -> int:
+    sign, p = 1, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def vt_coset_size(n: int, a: int) -> int:
+    """|VT_a(n)| by the closed form (Ginzburg 1967; Stanley & Yoder 1973):
+    1/(2(n+1)) * sum over odd d | n+1 of phi(d) mu(d/g) / phi(d/g) * 2^((n+1)/d),
+    with g = gcd(d, a)."""
+    total = 0
+    for d in range(1, n + 2, 2):
+        if (n + 1) % d == 0:
+            e = d // gcd(d, a)
+            total += _totient(d) // _totient(e) * _mobius(e) * 2 ** ((n + 1) // d)
+    size, rest = divmod(total, 2 * (n + 1))
+    assert rest == 0, (n, a, total)
+    return size
 
 
 def inversions(s: str) -> int:

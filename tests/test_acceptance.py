@@ -166,6 +166,21 @@ def test_c05_periodic_set_size_bound():
     report(5, f"{rows} (n, l) combinations, exact integer comparisons")
 
 
+def test_c05b_periodic_set_size_bound_past_the_cap():
+    """The same bound at n from 21 to 1024, past ENUM_CAP, by exact integer
+    comparison: count_r walks the automaton of R and enumerates no word."""
+    ratios = {}
+    for n in (21, 26, 27, 40, 63, 64, 100, 128, 256, 512, 1024):
+        for ell in (2, 3):
+            t = ceil(log2(n)) + ell + 1
+            size = count_r(n, ell, t)
+            assert size >= 2 ** (n - 1), (n, ell, t)
+            ratios[n, ell] = size / 2 ** (n - 1)
+    (n, ell), low = min(ratios.items(), key=lambda kv: kv[1])
+    report(5, f"{len(ratios)} (n, l) combinations up to n = 1024; "
+              f"smallest |R| / 2^(n-1) is {low:.3f} at n = {n}, l = {ell}")
+
+
 def test_c06_np4_sweep_all_cosets():
     """n in [10, 14], P = 9: every coset has 2-insertion coverage <= n+3."""
     P = 9

@@ -535,6 +535,30 @@ def test_best_coset_single_nonempty():
     assert len(code) == max(len(c) for c in groups.values())
 
 
+def test_five_read_object_keys_on_many_cosets(monkeypatch):
+    """fiveread keys pass 2**63 and are Python ints.  Widened to R(23, 3, 4),
+    the ambient set has 47,214 words in over 40,000 cosets, which the sweep
+    and the partition give exactly as a count of the kernel's residues."""
+    n, P = 23, 3
+    monkeypatch.setattr(FiveReadParams, "_r", staticmethod(lambda P: (3, 4)))
+    moduli = FiveReadParams._moduli(n, P)
+    assert math.prod(moduli) >= 2**63
+    groups = {}
+    for block in seqs._blocks(n):
+        words = block[r_mask(block, n, 3, 4)]
+        residues = zip(*(r.tolist() for r in FiveReadParams._kernel(words, n, P)))
+        for v, r in zip(words.tolist(), residues):
+            groups.setdefault(r, []).append(v)
+    assert sum(map(len, groups.values())) == 47214 and len(groups) > 40000
+    # the mixed-radix key of each residue tuple, in ascending order
+    keys = [sum(x * math.prod(moduli[i + 1:]) for i, x in enumerate(r)) for r in sorted(groups)]
+    sweep = codes.coset_sweep("fiveread", n, P)
+    assert sweep.keys.dtype == object and sweep.keys.tolist() == keys
+    assert sweep.sizes.tolist() == [len(groups[r]) for r in sorted(groups)]
+    partition = coset_partition("fiveread", n, P)
+    assert {p.residues(): c._array().tolist() for p, c in partition.items()} == groups
+
+
 def test_best_coset_empty_ambient():
     with pytest.raises(ValueError):
         best_coset("np4", 10, P=6)  # R(10, 3, 2) is empty
@@ -1002,6 +1026,15 @@ def test_ws_sizes_equal_whole_space_bincount(family, P):
         assert keys.tolist() == np.flatnonzero(counts).tolist(), n
         assert sizes.tolist() == counts[keys].tolist(), n
         assert sizes.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [*range(1, 27), 40, 62])
+def test_ws_sizes_of_vt_match_closed_form(n):
+    """Every VT coset size against the closed form, past ENUM_CAP up to the
+    last length whose counts stay int64."""
+    keys, sizes = codes._ws_sizes(VTParams, n, None)
+    assert keys.tolist() == list(range(n + 1))
+    assert sizes.tolist() == [brute.vt_coset_size(n, a) for a in range(n + 1)]
 
 
 @pytest.mark.parametrize("family,P", WS_SIZE_CASES + [("all", None)])

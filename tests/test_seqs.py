@@ -1,5 +1,7 @@
 """Sequence primitive tests against string-based oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,9 +174,28 @@ def test_count_r_and_r_values_in_narrow_blocks(monkeypatch, bits):
 
 
 def test_count_r_cap():
-    with pytest.raises(EnumerationCapError):
-        count_r(40, 2, 10)
+    """count_r has no cap: past ENUM_CAP it still counts exactly.  Its
+    refusal of n < 0 is test_negative_length_enumeration_is_refused_clearly."""
+    assert count_r(40, 2, 10) == brute.count_r_by_windows(40, 2, 10) == 1066466522112
     assert issubclass(EnumerationCapError, ValueError)
+
+
+def test_count_r_matches_enumeration_without_enumerating():
+    """The automaton walk against r_mask over all of {0,1}^n, for n <= 20;
+    count_r itself walks no block and calls no r_mask."""
+    want = {(n, ell, t): int(np.count_nonzero(r_mask(np.arange(1 << n), n, ell, t)))
+            for n in range(21) for ell in (1, 2, 3) for t in (2, 5, 8)}
+    with mock.patch.object(seqs, "_blocks", side_effect=AssertionError("_blocks")), \
+            mock.patch.object(seqs, "r_mask", side_effect=AssertionError("r_mask")):
+        assert {key: count_r(*key) for key in want} == want
+
+
+@pytest.mark.parametrize("n", (0, 1, 27, 63, 64, 200, 1024))
+def test_count_r_runs_match_compositions(n):
+    """R(n, 1, t), the words with no run longer than t, against the
+    compositions recurrence; past n = 62 the walk counts in Python ints."""
+    for t in (1, 2, 5, 12):
+        assert count_r(n, 1, t) == brute.count_r1(n, t), (n, t)
 
 
 def test_negative_length_enumeration_is_refused_clearly():
