@@ -143,7 +143,7 @@ def tilde_sums(x: BitSeq, m: int, h_second: str = "m0") -> TildeSums:
 # ---------------------------------------------------------------------------
 # syndrome kernels: the exact residues of packed words, from weighted bit
 # sums; each takes an array of words (one int array per residue) or one word
-# as a Python int (one int per residue), by the same arithmetic
+# as a Python int (one int per residue), which runs as a one-word array
 
 # _BYTE_BITS[v, j] is bit j (least significant first) of the byte v
 _BYTE_BITS = np.unpackbits(
@@ -152,11 +152,10 @@ _BYTE_BITS = np.unpackbits(
 
 
 @lru_cache(maxsize=64)
-def _byte_tables(kind: str, nbits: int) -> Tuple[Tuple[np.ndarray, ...], Tuple[List[int], ...]]:
-    """Per byte i of an nbits-bit word, the table of sum_j w[8i + j] * (bit j
-    of v) over the 256 bytes v, for the weights w of ``kind``, LSB first:
-    "ones", the positions "pos", or the reversed weight_vectors(nbits + 1)
-    field of that name.  As read-only arrays, and as lists for one word."""
+def _byte_tables(kind: str, nbits: int) -> Tuple[np.ndarray, ...]:
+    """Per byte i of an nbits-bit word, the read-only table of sum_j w[8i + j] * (bit j
+    of v) over the 256 bytes v, for the weights w of ``kind``, LSB first: "ones", the
+    positions "pos", or the reversed weight_vectors(nbits + 1) field of that name."""
     if kind in ("ones", "pos"):
         weights = (1,) * nbits if kind == "ones" else tuple(range(nbits))
     else:
@@ -166,21 +165,16 @@ def _byte_tables(kind: str, nbits: int) -> Tuple[Tuple[np.ndarray, ...], Tuple[L
         part = np.asarray(weights[lo : lo + 8], dtype=np.int32)
         tables.append(_BYTE_BITS[:, : part.size] @ part)
         tables[-1].flags.writeable = False
-    return tuple(tables), tuple(t.tolist() for t in tables)
+    return tuple(tables)
 
 
 def _bit_sums(vals, nbits: int, *kinds: str) -> list:
     """sum_b w[b] * (bit b of each word) for the weights w of each kind (see
-    _byte_tables), from one cached table per byte; every sum is < 2**31."""
+    _byte_tables), from one cached table per byte; every sum is < 2**31.
+    One word, a Python int, runs as a one-element array and gets Python ints."""
     if isinstance(vals, int):
-        sums = []
-        for kind in kinds:
-            total, v = 0, vals
-            for row in _byte_tables(kind, nbits)[1]:
-                total, v = total + row[v & 0xFF], v >> 8
-            sums.append(total)
-        return sums
-    tables = [_byte_tables(kind, nbits)[0] for kind in kinds]
+        return [int(s[0]) for s in _bit_sums(np.array([vals], dtype=np.uint64), nbits, *kinds)]
+    tables = [_byte_tables(kind, nbits) for kind in kinds]
     sums = [np.zeros(vals.shape, dtype=np.int32) for _ in kinds]
     for i, lo in enumerate(range(0, nbits, 8)):
         byte = (vals >> lo) & 0xFF
@@ -910,6 +904,8 @@ def write_code_file(path: str, params: CodeParams, code: SeqSet) -> None:
     """The header line, then the lines of ``code.to_lines()``, formatted and
     written 2^_BLOCK_BITS words at a time as the bytes of their line matrix
     (``SeqSet._line_matrix``), so one block of text is held, not the whole."""
+    if code.n != params.n:
+        raise ValueError(f"code length {code.n} does not match the header's n={params.n}")
     words, block = code._array(), 1 << seqs._BLOCK_BITS
     with open(path, "wb") as fh:
         fh.write((format_header(params) + "\n").encode("ascii"))

@@ -92,6 +92,8 @@ class BitSeq:
         return hash((self.n, self.val))
 
     def __lt__(self, other: "BitSeq") -> bool:
+        if not isinstance(other, BitSeq):
+            return NotImplemented
         return (self.n, self.val) < (other.n, other.val)
 
     def __iter__(self) -> Iterator[int]:
@@ -122,10 +124,11 @@ class BitSeq:
     def __mul__(self, times: int) -> "BitSeq":
         if times < 0:
             raise ValueError("repetition count must be >= 0")
-        out = BitSeq("")
-        for _ in range(times):
-            out = out + self
-        return out
+        n = self.n * times
+        if n > MAX_LEN:  # names the first length past MAX_LEN that one copy at a time reaches
+            raise SequenceTooLongError(f"concatenation length {self.n * (MAX_LEN // self.n + 1)} exceeds MAX_LEN")
+        # val times the sum of 2^(k * self.n) over k < times; the empty word stays empty
+        return BitSeq.from_int(self.val * (_mask(n) // (_mask(self.n) or 1)), n)
 
     def complement(self) -> "BitSeq":
         """Flip every symbol."""

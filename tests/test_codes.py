@@ -589,6 +589,13 @@ def test_code_file_roundtrip(tmp_path, params_builder):
     assert got_code == code
 
 
+def test_code_file_of_another_length_is_refused_before_writing(tmp_path):
+    path = tmp_path / "code.txt"
+    with pytest.raises(ValueError, match=r"^code length 5 does not match the header's n=4$"):
+        write_code_file(str(path), VTParams(4, 0), build_vt(5, 0))
+    assert not path.exists()
+
+
 def test_all_is_one_coset_of_the_whole_space():
     sweep = codes.coset_sweep("all", 5)
     assert (sweep.keys.size, sweep.ambient_size) == (1, 32)
@@ -757,6 +764,11 @@ def kernel_inputs(draw):
 
 
 @given(kernel_inputs())
+@example(("vt", 0, 3, [0]))
+@example(("all", 1, 3, [0, 1]))
+@example(("tworead", 1, 3, [0, 1]))
+@example(("np5", 1, 3, [1]))
+@example(("twoins", 2, 3, [0, 1, 2, 3]))
 @settings(max_examples=300)
 def test_kernel_keys_equal_scalar_syndromes(case):
     family, n, P, words = case

@@ -83,6 +83,36 @@ def test_concat_and_power():
     assert BitSeq("10") * 0 == BitSeq("")
 
 
+def test_power_is_built_once_and_refuses_past_max_len():
+    assert BitSeq("") * 10**12 == BitSeq("")
+    assert BitSeq("01") * 32 == BitSeq("01" * 32)
+    for word, times in (("01", 33), ("111", 30)):
+        with pytest.raises(SequenceTooLongError, match="^concatenation length 66 exceeds MAX_LEN$"):
+            BitSeq(word) * times
+    with pytest.raises(ValueError, match="repetition count must be >= 0"):
+        BitSeq("01") * -1
+    with pytest.raises(TypeError):
+        BitSeq("") * 2.5
+
+
+@given(st.text(alphabet="01", max_size=8), st.integers(0, 70))
+def test_power_matches_repeated_concatenation(s, times):
+    x, out = BitSeq(s), BitSeq("")
+    try:
+        for _ in range(times):
+            out = out + x
+    except SequenceTooLongError as exc:
+        with pytest.raises(SequenceTooLongError, match=f"^{exc}$"):
+            x * times
+    else:
+        assert x * times == out
+
+
+def test_ordering_against_a_non_sequence_is_a_type_error():
+    with pytest.raises(TypeError):
+        BitSeq("0") < 1
+
+
 def test_subword():
     x = BitSeq("10011010")
     assert str(x.subword(1, 3)) == "100"
@@ -165,9 +195,7 @@ def test_count_r_matches_oracle(n, ell, t):
     assert count_r(n, ell, t) == expected
 
 
-@pytest.mark.parametrize("bits", (1, 3))
-def test_count_r_and_r_values_in_narrow_blocks(monkeypatch, bits):
-    monkeypatch.setattr(seqs, "_BLOCK_BITS", bits)
+def test_count_r_matches_in_r():
     for n in range(0, 9):
         members = [v for v in range(1 << n) if in_r(BitSeq.from_int(v, n), 2, 3)]
         assert count_r(n, 2, 3) == len(members)
