@@ -12,18 +12,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import accumulate
+from math import comb
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .balls import SeqSet, _among, _check_ball, _deletion_table, _insertion_table, _run_starts
-from .seqs import BitSeq
+from .balls import SeqSet, _among, _check_ball, _deletion_table
+from .seqs import ENUM_CAP, BitSeq, EnumerationCapError
 
-# Table entries held at once: trials are drawn and decoded _CHUNK // |I_t| at
-# a time, and their candidates tested _CHUNK // N at a time, so peak memory
-# grows with neither the number of trials, N nor the number of candidates.
-# A slice's test costs 8(n + t) numpy calls whatever its size, hence 2^15.
+# Table entries held at once: trials are drawn and decoded _CHUNK // E at a
+# time, where E is the larger of C(n + t, t), the columns of their deletion
+# table, and N, their picks, and their candidates are tested _CHUNK // N at
+# a time, so peak memory grows with neither the number of trials, N nor the
+# number of candidates.  A slice's test costs 8(n + t) numpy calls whatever
+# its size, hence 2^15.
 _CHUNK = 1 << 15
+# Candidates are looked up in a presence table of the code's top
+# min(n, _PRESENCE_BITS) bits, 2^20 bytes at most.
+_PRESENCE_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -36,27 +44,80 @@ class ReadBundle:
     source_hint: Optional[BitSeq] = None
 
 
-def _pick(rng: random.Random, size: int, count: int) -> List[int]:
-    """Positions of `count` distinct reads in a sorted ball of `size` words.
+def _draw_size(n: int, t: int, count: int) -> int:
+    """|I_t| at length n, once `count` distinct reads can be drawn from it.
 
-    random.sample chooses from the population's length alone, so these are
-    the positions rng.sample(ball, count) would take.
+    Refuses, in this order, a negative t, a ball length past MAX_LEN, a
+    negative count, a count above |I_t| and a ball above 2**ENUM_CAP words.
+    Reads are drawn as positions rng.sample(range(|I_t|), count) of the
+    sorted ball: random.sample chooses from the population's length alone,
+    so these are the reads rng.sample(ball, count) would take.
     """
+    size = _check_ball(n, t)
+    if count < 0:
+        raise ValueError("reads must be >= 0")
     if count > size:
         raise ValueError(f"cannot draw {count} distinct reads from a ball of {size}")
-    return rng.sample(range(size), count)
+    if size > 1 << ENUM_CAP:
+        raise EnumerationCapError(f"insertion ball of {size} words exceeds cap 2**{ENUM_CAP}")
+    return size
+
+
+@lru_cache(maxsize=32)
+def _completions(n: int, t: int) -> np.ndarray:
+    """(n + t, n + t + 1) uint64 table for unranking t-insertion balls at length n.
+
+    Entry [i, q] is W(r, n - q) with r = n + t - 1 - i: the number of r-bit
+    words that hold a given (n - q)-bit word as a subsequence, which is
+    sum_{k <= r - n + q} C(r, k) (2^r once n - q <= 0, 0 when r < n - q)
+    whatever that word is.  Every entry is at most 2^63.
+    """
+    out = np.zeros((n + t, n + t + 1), dtype=np.uint64)
+    for i in range(n + t):
+        r = n + t - 1 - i
+        sums = list(accumulate((comb(r, k) for k in range(r + 1)), initial=0))
+        out[i] = [sums[min(max(r - n + q + 1, 0), r + 1)] for q in range(n + t + 1)]
+    out.flags.writeable = False
+    return out
 
 
 def _read_rows(truths: np.ndarray, n: int, t: int, picks: np.ndarray) -> np.ndarray:
-    """Row i: the reads at positions picks[i] of the sorted t-insertion ball of truths[i]."""
-    table = _insertion_table(truths, n, t)
-    table.sort(axis=1)
-    return np.take_along_axis(table, picks, axis=1)
+    """Row i: the reads at positions picks[i] of the sorted t-insertion ball of truths[i].
+
+    No ball is built: each read is unranked bit by bit from its top, for all
+    picks at once.  A prefix of a read leaves the words of the ball that
+    extend it; if x's first n - m bits embed greedily in the prefix, those
+    are the W(r, m) words of the remaining r bits that hold x's last m bits
+    (_completions).  So bit 0 is taken when the position is below its W,
+    else that W is subtracted and bit 1 taken.  The unmatched bits of x are
+    kept complemented and left-aligned in the uint64 `rest`: its top bit is
+    1 iff x's next bit is 0, and stays 0 once x is used up, when every W is
+    2^r.  `done` counts the bits shifted out of `rest`.
+    """
+    counts = _completions(n, t)
+    j = picks.astype(np.uint64)
+    rest = np.zeros(j.shape, dtype=np.uint64)
+    if n:
+        rest |= ~truths[:, None] << np.uint64(64 - n)
+    done = np.zeros(j.shape, dtype=np.intp)
+    out = np.zeros(j.shape, dtype=np.uint64)
+    for i in range(n + t):
+        zero = (rest >> np.uint64(63)).view(np.intp)
+        below = counts[i][done + zero]
+        bit = j >= below
+        below *= bit
+        j -= below
+        out <<= np.uint64(1)
+        out |= bit
+        hit = bit != zero
+        done += hit
+        rest <<= hit
+    return out
 
 
 def sample_reads(x: BitSeq, t: int, count: int, seed: int) -> ReadBundle:
     """Draw `count` distinct elements of I_t(x), deterministically per seed."""
-    picks = _pick(random.Random(seed), _check_ball(x.n, t), count)
+    picks = random.Random(seed).sample(range(_draw_size(x.n, t, count)), count)
     reads = _read_rows(np.array([x.val], dtype=np.uint64), x.n, t, np.array([picks], dtype=np.intp))
     return ReadBundle(SeqSet._from_vals(x.n + t, reads[0]), x.n, t, source_hint=x)
 
@@ -83,22 +144,49 @@ def _embeds(c: np.ndarray, z: np.ndarray, n: int, t: int) -> np.ndarray:
     return left == 0
 
 
-def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(row, codeword) pairs, rows ascending: the codewords whose t-deletion
-    balls hold every read of their row.
+def _presence(code: np.ndarray, n: int) -> np.ndarray:
+    """Boolean table over the top min(n, _PRESENCE_BITS) bits of an n-bit
+    word: True where some word of `code` starts with them."""
+    bits = min(n, _PRESENCE_BITS)
+    table = np.zeros(1 << bits, dtype=bool)
+    table[code >> np.uint64(n - bits)] = True
+    return table
+
+
+def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int,
+                 present: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """(row, codeword) pairs, rows ascending and codewords ascending within a
+    row: the codewords whose t-deletion balls hold every read of their row.
 
     `reads` is a (rows, N >= 1) uint64 array of distinct reads per row and
-    `code` the sorted uint64 codewords, at least one.  A row's candidates
-    are the distinct codewords in the deletion ball of its smallest read,
-    found by searchsorted; those that embed in every read of their row
-    survive (_embeds), tested _CHUNK // N candidates at a time.
+    `code` the sorted uint64 codewords, at least one.  A row's candidates are
+    the codewords in the deletion ball of its smallest read.  A single row
+    looks its deletions up in the code by searchsorted.  Given the code's
+    _presence table `present`, which a trial batch builds once for all its
+    chunks, they are looked up in that table instead, and its hits are
+    confirmed in the code when it holds fewer than n bits.  Only the hits
+    are deduplicated.  Those that embed in every read of their row survive
+    (_embeds), tested _CHUNK // N candidates at a time.
     """
     dels = _deletion_table(reads.min(axis=1), n + t, t)
-    dels.sort(axis=1)
-    row, col = np.nonzero(_run_starts(dels))
-    cands = dels[row, col]
-    hit = _among(cands, code)
-    row, cands = row[hit], cands[hit]
+    if present is None:
+        flat = np.flatnonzero(_among(dels, code))
+    else:
+        # keys are below 2^_PRESENCE_BITS, so their int64 view indexes as they do
+        keys = dels if n <= _PRESENCE_BITS else dels >> np.uint64(n - _PRESENCE_BITS)
+        flat = np.flatnonzero(present[keys.view(np.int64)])
+        if n > _PRESENCE_BITS:
+            flat = flat[_among(dels.ravel()[flat], code)]
+    row, cands = flat // dels.shape[1], dels.ravel()[flat]
+    # one sort of (row, value) keys while they fit 64 bits, else two
+    if n + len(reads).bit_length() <= 64:
+        order = np.argsort(row.astype(np.uint64) << np.uint64(n) | cands)
+    else:
+        order = np.lexsort((cands, row))
+    row, cands = row[order], cands[order]
+    first = np.ones(len(cands), dtype=bool)
+    first[1:] = (cands[1:] != cands[:-1]) | (row[1:] != row[:-1])
+    row, cands = row[first], cands[first]
     keep = np.zeros(len(cands), dtype=bool)
     step = max(1, _CHUNK // reads.shape[1])
     for lo in range(0, len(cands), step):
@@ -138,6 +226,8 @@ def decode(bundle: ReadBundle, code: SeqSet, t: int) -> DecodeOutcome:
         raise ValueError(
             f"reads of length {bundle.reads.n} cannot be {code.n}-words after {t} insertions"
         )
+    if t < 0:
+        raise ValueError("t must be >= 0")
     candidates = code
     if len(bundle.reads) and len(code):
         _, vals = _decode_rows(bundle.reads._array()[None], code._array(), code.n, t)
@@ -186,8 +276,9 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
     With rng = Random(seed + k), trial k draws its truth as the
     rng.randrange(|C|)-th codeword and its reads at positions
     rng.sample(range(|I_t|), reads) of the truth's sorted insertion ball.
-    Only these draws are made per trial; each chunk of trials is then read
-    and decoded as arrays.  With no reads every codeword survives.
+    Only these draws are made per trial, by one generator reseeded to the
+    state of Random(seed + k); each chunk of trials is then read and decoded
+    as arrays.  With no reads every codeword survives.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -195,25 +286,34 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
         raise ValueError("reads must be >= 0")
     if len(code) == 0:
         raise ValueError("experiment needs a nonempty code")
+    if not trials:
+        return ExperimentSummary(code.n, t, reads, 0, 0, 0, 0, 0, ())
     members = code._array()
     rows: List[TrialRecord] = []
-    size = _check_ball(code.n, t) if trials else 1
-    step = max(1, _CHUNK // size)
+    ball = range(_draw_size(code.n, t, reads))
+    step = max(1, _CHUNK // max(comb(code.n + t, t), reads))
+    present = _presence(members, code.n) if reads else None
+    rng = random.Random()
+
+    def draw(k: int) -> List[int]:
+        rng.seed(seed + k)
+        return [rng.randrange(len(members)), *rng.sample(ball, reads)]
+
     for lo in range(0, trials, step):
-        rngs = [random.Random(seed + k) for k in range(lo, min(trials, lo + step))]
-        truths = members[[rng.randrange(len(members)) for rng in rngs]]
-        picks = np.array([_pick(rng, size, reads) for rng in rngs], dtype=np.intp)
-        read_rows = _read_rows(truths, code.n, t, picks)
+        hi = min(trials, lo + step)
+        drawn = np.array(list(map(draw, range(lo, hi))), dtype=np.intp)
+        truths = members[drawn[:, 0]]
         if reads:
-            row, vals = _decode_rows(read_rows, members, code.n, t)
-            counts = np.bincount(row, minlength=len(rngs))
-            found = np.bincount(row[vals == truths[row]], minlength=len(rngs)) > 0
+            read_rows = _read_rows(truths, code.n, t, drawn[:, 1:])
+            row, vals = _decode_rows(read_rows, members, code.n, t, present)
+            counts = np.bincount(row, minlength=hi - lo)
+            found = np.bincount(row[vals == truths[row]], minlength=hi - lo) > 0
         else:
-            counts = np.full(len(rngs), len(members))
+            counts = np.full(hi - lo, len(members))
             found = counts == 1
         ok = (found & (counts == 1)).tolist()
-        for k, count in enumerate(counts.tolist()):
-            rows.append(TrialRecord(lo + k, _status(count), count, ok[k]))
+        counts = counts.tolist()
+        rows.extend(map(TrialRecord, range(lo, hi), map(_status, counts), counts, ok))
     status = [r.status for r in rows]
     return ExperimentSummary(
         n=code.n,

@@ -26,7 +26,7 @@ from insrecon.recon import (
     run_experiment,
     sample_reads,
 )
-from insrecon.seqs import BitSeq
+from insrecon.seqs import BitSeq, EnumerationCapError, SequenceTooLongError
 
 
 def test_sample_whole_ball():
@@ -170,24 +170,29 @@ def test_embeds_words_of_64_bits(t):
 
 
 def test_decoder_never_builds_ball_tables():
-    # the reads are drawn from ball tables; decoding them builds none
+    # reads are unranked and candidates found from deletions: neither drawing
+    # reads, decoding them nor a whole experiment builds a ball table
     code, t = build_vt(10, 0), 2
     members = list(code)
-    bundles = [sample_reads(members[k], t, N, seed=k) for k, N in ((0, 1), (7, 2), (30, 2), (60, 5))]
+    with mock.patch.object(balls, "_insertion_table", side_effect=AssertionError("ball table")):
+        bundles = [sample_reads(members[k], t, N, seed=k) for k, N in ((0, 1), (7, 2), (30, 2), (60, 5))]
+        rows = np.array([b.reads._array() for b in bundles[1:3]])
+        got = [{str(c) for c in decode(b, code, t).candidates} for b in bundles]
+        row, vals = recon._decode_rows(rows, code._array(), 10, t)
+        summary = run_experiment(code, t, 3, 40, 7)
     wants = []
     for bundle in bundles:
         want = {str(c) for c in code}
         for r in bundle.reads:
+            assert str(bundle.source_hint) in brute.deletion_ball(str(r), t)
             want &= brute.deletion_ball(str(r), t)
         wants.append(want)
-    rows = np.array([b.reads._array() for b in bundles[1:3]])
-    with mock.patch.object(recon, "_insertion_table", side_effect=AssertionError("ball table")), \
-            mock.patch.object(balls, "_insertion_table", side_effect=AssertionError("ball table")):
-        got = [{str(c) for c in decode(b, code, t).candidates} for b in bundles]
-        row, vals = recon._decode_rows(rows, code._array(), 10, t)
     assert got == wants and len(wants[0]) > 1
     for k in (0, 1):
         assert {str(BitSeq.from_int(int(v), 10)) for v in vals[row == k]} == wants[k + 1]
+    oracle = _documented_trials([str(m) for m in members], t, 3, 40, 7)
+    assert [r.n_candidates for r in summary.rows] == [len(want) for _, _, want in oracle]
+    assert [r.correct for r in summary.rows] == [want == {truth} for truth, _, want in oracle]
 
 
 def test_decode_length_mismatch():
@@ -338,3 +343,74 @@ def test_batched_experiment_on_62_bit_words(reads):
                       "1" * 61 + "0", "1" * 60 + "01"])
     summary = _check_against_oracle(members, 2, reads, 30, 3, recon._CHUNK)
     assert summary.ambiguous > 0 if reads == 1 else summary.unique == 30
+
+
+@pytest.mark.parametrize("t", (0, 1, 2, 3))
+def test_read_rows_unrank_the_sorted_insertion_ball(t):
+    # every x with n <= 7 (n = 0 included) at every position of its ball
+    for n in range(8):
+        size = ball_size_formula(n, t)
+        got = recon._read_rows(np.arange(1 << n, dtype=np.uint64), n, t,
+                               np.broadcast_to(np.arange(size), (1 << n, size)))
+        assert got.dtype == np.uint64 and got.shape == (1 << n, size)
+        for x, row in zip(brute.all_seqs(n), got.tolist()):
+            assert row == [int(w or "0", 2) for w in sorted(brute.insertion_ball(x, t))], (n, x)
+
+
+def test_read_rows_unrank_64_bit_reads():
+    # n + t = 64: the unranked reads equal the sorted ball table's at the
+    # first, middle and last positions
+    n, t = 62, 2
+    xs = [(1 << n) - 1, 0, int("01" * 31, 2)]
+    size = ball_size_formula(n, t)
+    picks = np.array([0, size // 2, size - 1])
+    got = recon._read_rows(np.array(xs, dtype=np.uint64), n, t, np.broadcast_to(picks, (3, 3)))
+    want = np.sort(balls._insertion_table(xs, n, t), axis=1)[:, picks]
+    assert (got == want).all()
+    assert got[0, -1] == (1 << 64) - 1 and got[1, 0] == 0
+
+
+@pytest.mark.parametrize("t, reads, trials, error, message", [
+    (2, 1000, 3, ValueError, "cannot draw 1000 distinct reads from a ball of 56"),
+    (30, 1, 2, EnumerationCapError, "insertion ball of 274861941072 words exceeds cap 2**26"),
+    (30, 0, 2, EnumerationCapError, "insertion ball of 274861941072 words exceeds cap 2**26"),
+    (30, 10**12, 2, ValueError,
+     "cannot draw 1000000000000 distinct reads from a ball of 274861941072"),
+    (57, 1, 1, SequenceTooLongError, "ball length 65 exceeds MAX_LEN"),
+    (57, 10**30, 1, SequenceTooLongError, "ball length 65 exceeds MAX_LEN"),
+    (-1, 1, 1, ValueError, "t must be >= 0"),
+    (2, -1, 0, ValueError, "reads must be >= 0"),
+    (2, 1, -1, ValueError, "trials must be >= 0"),
+    (2, 1000, 0, None, None),
+    (-1, 1000, 0, None, None),
+    (57, 1, 0, None, None),
+])
+def test_experiment_refusals_keep_their_text_and_order(t, reads, trials, error, message):
+    # no ball is built, yet the cap still refuses a ball above 2**26 words,
+    # after a draw larger than the ball and after a length past MAX_LEN
+    code = build_vt(8, 0)
+    if error is None:
+        assert run_experiment(code, t, reads, trials, 1).rows == ()
+        return
+    with pytest.raises(error) as info:
+        run_experiment(code, t, reads, trials, 1)
+    assert str(info.value) == message
+
+
+def test_negative_counts_and_t_are_refused():
+    with pytest.raises(ValueError, match=r"^reads must be >= 0$"):
+        sample_reads(BitSeq("0110"), 2, -1, seed=0)
+    bundle = ReadBundle(SeqSet(7, [BitSeq("0110100")]), 8, -1)
+    for reads in (bundle, ReadBundle(SeqSet(7, []), 8, -1)):
+        with pytest.raises(ValueError, match=r"^t must be >= 0$"):
+            decode(reads, build_vt(8, 0), -1)
+
+
+@pytest.mark.parametrize("bits", (0, 1, 3))
+def test_narrow_presence_tables_are_confirmed_in_the_code(bits):
+    # a presence table of fewer than n bits lets through deletions that are
+    # not codewords; the decoder confirms its hits in the code
+    members = [str(c) for c in build_vt(6, 0)]
+    with mock.patch.object(recon, "_PRESENCE_BITS", bits):
+        for t, reads in ((1, 1), (2, 3), (2, 10)):
+            _check_against_oracle(members, t, reads, 25, 4, recon._CHUNK)
