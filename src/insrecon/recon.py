@@ -29,8 +29,9 @@ from .seqs import ENUM_CAP, BitSeq, EnumerationCapError
 # number of candidates.  A slice's test costs 8(n + t) numpy calls whatever
 # its size, hence 2^15.
 _CHUNK = 1 << 15
-# Candidates are looked up in a presence table of the code's top
-# min(n, _PRESENCE_BITS) bits, 2^20 bytes at most.
+# Up to n = _PRESENCE_BITS, trial batches look candidates up in a presence
+# table of the code's 2^n words, 2^20 bytes at most; longer words take the
+# code's searchsorted.
 _PRESENCE_BITS = 20
 
 
@@ -145,11 +146,10 @@ def _embeds(c: np.ndarray, z: np.ndarray, n: int, t: int) -> np.ndarray:
 
 
 def _presence(code: np.ndarray, n: int) -> np.ndarray:
-    """Boolean table over the top min(n, _PRESENCE_BITS) bits of an n-bit
-    word: True where some word of `code` starts with them."""
-    bits = min(n, _PRESENCE_BITS)
-    table = np.zeros(1 << bits, dtype=bool)
-    table[code >> np.uint64(n - bits)] = True
+    """Boolean table over n-bit words, n <= _PRESENCE_BITS: True at the
+    words of `code`."""
+    table = np.zeros(1 << n, dtype=bool)
+    table[code] = True
     return table
 
 
@@ -162,23 +162,22 @@ def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int,
     `code` the sorted uint64 codewords, at least one.  A row's candidates are
     the codewords in the deletion ball of its smallest read.  A single row
     looks its deletions up in the code by searchsorted.  Given the code's
-    _presence table `present`, which a trial batch builds once for all its
-    chunks, they are looked up in that table instead, and its hits are
-    confirmed in the code when it holds fewer than n bits.  Only the hits
-    are deduplicated.  Those that embed in every read of their row survive
-    (_embeds), tested _CHUNK // N candidates at a time.
+    _presence table `present`, which a trial batch of n <= _PRESENCE_BITS
+    builds once for all its chunks, they are looked up in that table
+    instead.  Only the hits are deduplicated.  Those that embed in every
+    read of their row survive (_embeds), tested _CHUNK // N candidates at a
+    time.
     """
     dels = _deletion_table(reads.min(axis=1), n + t, t)
     if present is None:
         flat = np.flatnonzero(_among(dels, code))
     else:
-        # keys are below 2^_PRESENCE_BITS, so their int64 view indexes as they do
-        keys = dels if n <= _PRESENCE_BITS else dels >> np.uint64(n - _PRESENCE_BITS)
-        flat = np.flatnonzero(present[keys.view(np.int64)])
-        if n > _PRESENCE_BITS:
-            flat = flat[_among(dels.ravel()[flat], code)]
+        # deletions are below 2^n <= 2^_PRESENCE_BITS, so their int64 view
+        # indexes as they do
+        flat = np.flatnonzero(present[dels.view(np.int64)])
     row, cands = flat // dels.shape[1], dels.ravel()[flat]
-    # one sort of (row, value) keys while they fit 64 bits, else two
+    # one sort of packed (row, value) keys while they fit 64 bits, else two;
+    # lexsort alone made the decode benchmark's pass about 3% slower
     if n + len(reads).bit_length() <= 64:
         order = np.argsort(row.astype(np.uint64) << np.uint64(n) | cands)
     else:
@@ -292,7 +291,7 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
     rows: List[TrialRecord] = []
     ball = range(_draw_size(code.n, t, reads))
     step = max(1, _CHUNK // max(comb(code.n + t, t), reads))
-    present = _presence(members, code.n) if reads else None
+    present = _presence(members, code.n) if reads and code.n <= _PRESENCE_BITS else None
     rng = random.Random()
 
     def draw(k: int) -> List[int]:

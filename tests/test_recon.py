@@ -406,11 +406,13 @@ def test_negative_counts_and_t_are_refused():
             decode(reads, build_vt(8, 0), -1)
 
 
-@pytest.mark.parametrize("bits", (0, 1, 3))
-def test_narrow_presence_tables_are_confirmed_in_the_code(bits):
-    # a presence table of fewer than n bits lets through deletions that are
-    # not codewords; the decoder confirms its hits in the code
+@pytest.mark.parametrize("bits", (0, 5, 6))
+def test_presence_table_serves_only_words_up_to_its_bits(bits):
+    # past _PRESENCE_BITS no table is built and the hits come from the
+    # code's searchsorted; up to it one table serves each whole run
     members = [str(c) for c in build_vt(6, 0)]
-    with mock.patch.object(recon, "_PRESENCE_BITS", bits):
+    with mock.patch.object(recon, "_PRESENCE_BITS", bits), \
+            mock.patch.object(recon, "_presence", wraps=recon._presence) as spy:
         for t, reads in ((1, 1), (2, 3), (2, 10)):
             _check_against_oracle(members, t, reads, 25, 4, recon._CHUNK)
+    assert spy.call_count == (3 if bits >= 6 else 0)
