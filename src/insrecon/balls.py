@@ -346,10 +346,13 @@ def _deletion_masks(n: int, t: int) -> tuple:
     (in itertools.combinations order), which cuts x into segments s = 0..t,
     segment s being x[p_{s-1}+1 : p_s] (with p_{-1} = -1, p_t = n).  It keeps
     its bits after the t - s deletions to its right, so it is masked and
-    shifted right by t - s.  A table above 2**ENUM_CAP columns is refused.
+    shifted right by t - s.  A recipe of more than 2**ENUM_CAP mask entries,
+    (t + 1) C(n, t), is refused before any cut is built.
     """
-    if comb(n, t) > 1 << ENUM_CAP:
-        raise EnumerationCapError(f"deletion table of {comb(n, t)} columns exceeds cap 2**{ENUM_CAP}")
+    columns = comb(n, t)
+    if (t + 1) * columns > 1 << ENUM_CAP:
+        raise EnumerationCapError(f"deletion table of {columns} columns needs "
+                                  f"{(t + 1) * columns} mask entries, above cap 2**{ENUM_CAP}")
     cuts = [(-1, *p, n) for p in combinations(range(n), t)]
     return tuple(
         _const([(1 << (n - c[s] - 1)) - (1 << (n - c[s + 1])) for c in cuts], np.uint64)

@@ -926,23 +926,34 @@ def _block_header(line: bytes) -> Optional[CodeParams]:
     return None
 
 
-def _line_blocks(fh, n: int) -> Tuple[List[np.ndarray], bytes]:
-    """The words of the rest of fh, read (n+1) * 2^_BLOCK_BITS bytes at a
-    time into one buffer, one array per block in file order
+def _line_blocks(fh, n: int) -> Tuple[np.ndarray, bytes]:
+    """The words of the rest of fh, in file order, read (n+1) * 2^_BLOCK_BITS
+    bytes at a time into one buffer and parsed block by block
     (``SeqSet._line_words``), up to the first block that is not an exact
     line matrix; and the bytes from that block on, empty when there is none.
-    The buffer of a regular file is no longer than what is left of it; any
-    other file, such as a pipe, whose size reads 0, is read until EOF."""
+    A regular file's words fill one array sized from what is left of it, and
+    its buffer is no longer than that, so the words are held once.  Any other
+    file, such as a pipe, whose size reads 0, is read until EOF and its
+    blocks joined at the end, as are the blocks of a file that grew."""
     info, size = os.fstat(fh.fileno()), (n + 1) << seqs._BLOCK_BITS
+    lines = 0
     if stat.S_ISREG(info.st_mode):
-        size = min(size, info.st_size - fh.tell())
-    buf, parts = memoryview(bytearray(size)), []
+        left = max(info.st_size - fh.tell(), 0)
+        size, lines = min(size, left), left // (n + 1)
+    buf, words, filled = memoryview(bytearray(size)), np.empty(lines, np.uint64), 0
+    parts, rest = [], b""
     while got := fh.readinto(buf):
-        words = SeqSet._line_words(buf[:got], n)
-        if words is None:
-            return parts, bytes(buf[:got]) + fh.read()
-        parts.append(words)
-    return parts, b""
+        block = SeqSet._line_words(buf[:got], n)
+        if block is None:
+            rest = bytes(buf[:got]) + fh.read()
+            break
+        if not parts and filled + len(block) <= lines:
+            words[filled : filled + len(block)] = block
+            filled += len(block)
+        else:
+            parts.append(block)
+    words = words[:filled]
+    return (np.concatenate([words, *parts]) if parts else words), rest
 
 
 def _read_text(data: bytes) -> Tuple[Optional[CodeParams], SeqSet]:
@@ -960,11 +971,11 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
 
     A header line, then exactly the lines write_code_file writes, is read
     one block of 2^_BLOCK_BITS lines at a time, each parsed to its words in
-    file order; the words are joined once, and sorted only when the file
-    was not.  Any other file is read as text, line by line, from its first
-    byte, so it gives the text reading's value or error: the blocks before
-    the first one that is not a line matrix were, so their bytes are the
-    lines of their words again.
+    file order into one array (_line_blocks); the words are sorted only
+    when the file was not.  Any other file is read as text, line by line,
+    from its first byte, so it gives the text reading's value or error: the
+    blocks before the first one that is not a line matrix were, so their
+    bytes are the lines of their words again.
 
     Under a header, every codeword must lie in the coset it names, by the
     record test the ``*_member`` predicates make one word at a time (so a
@@ -975,12 +986,12 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     with open(path, "rb") as fh:
         head = fh.readline()
         params = _block_header(head)
-        parts, rest = _line_blocks(fh, params.n) if params is not None else ([], fh.read())
+        words, rest = _line_blocks(fh, params.n) if params is not None else (None, fh.read())
     if params is None or rest:
-        body = b"".join(SeqSet._line_matrix(w, params.n) for w in parts)
+        body = b"" if words is None else SeqSet._line_matrix(words, params.n).tobytes()
         params, code = _read_text(head + body + rest)
     else:
-        code = SeqSet._from_vals(params.n, np.concatenate([np.zeros(0, np.uint64), *parts]))
+        code = SeqSet._from_vals(params.n, words)
     if params is not None:
         vals, P = code._array(), getattr(params, "P", None)
         # an empty code is one empty slice, still checked, as a whole array is

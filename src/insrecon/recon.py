@@ -14,19 +14,19 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
-from typing import List, Optional, Tuple
+from math import ceil, comb, log, sqrt
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .balls import SeqSet, _among, _check_ball, _deletion_table
 from .seqs import ENUM_CAP, BitSeq, EnumerationCapError
 
-# Table entries held at once: trials are drawn and decoded _CHUNK // E at a
-# time, where E is the larger of C(n + t, t), the columns of their deletion
-# table, and N, their picks, and their candidates are tested _CHUNK // N at
-# a time, so peak memory grows with neither the number of trials, N nor the
-# number of candidates.  A slice's test costs 8(n + t) numpy calls whatever
+# Table entries held at once: trials are decoded _CHUNK // E at a time,
+# where E is the larger of C(n + t, t), the columns of their deletion table,
+# and N, their picks, drawn from blocks of at most _CHUNK generator words,
+# and their candidates are tested _CHUNK // N at a time, so peak memory
+# grows with neither the number of trials, N nor the number of candidates.  A slice's test costs 8(n + t) numpy calls whatever
 # its size, hence 2^15.
 _CHUNK = 1 << 15
 # Up to n = _PRESENCE_BITS, trial batches look candidates up in a presence
@@ -269,15 +269,112 @@ class ExperimentSummary:
         return sum(r.n_candidates for r in self.rows) / self.trials
 
 
+def _pool_sample(ball: int, reads: int) -> bool:
+    """Whether random.sample(range(ball), reads) takes its pool branch, that
+    is whether a ball-length list is no larger than a reads-element set."""
+    setsize = 21
+    if reads > 5:
+        setsize += 4 ** ceil(log(reads * 3, 4))
+    return ball <= setsize
+
+
+def _trial_words(size: int, ball: int, reads: int) -> int:
+    """Generator words drawn per trial at first: the mean number that its
+    randrange(size) and sample(range(ball), reads) take, plus six standard
+    deviations, so that few trials run out of them: 3 of 40 000 for vt at
+    n = 18, N = 2 (9 words), none for np5 at n = 18, N = 23 (50 words).
+
+    A draw below m takes words until one, shifted right by 32 - k with
+    k = m.bit_length(), is below m.  A pool draw is below ball - i; a set
+    draw is below ball and taken when it is none of the i picks before it,
+    so it succeeds with probability (ball - i) / 2^k for k = ball's bit
+    length.  Each draw takes a geometric number of words.
+    """
+    assert size < 1 << 32 and ball < 1 << 32, "draws are replayed from 32-bit words"
+    left = ball - np.arange(reads, dtype=np.float64)
+    bound = np.concatenate([[size], left])
+    top = np.concatenate([[size], left if _pool_sample(ball, reads) else np.full(reads, ball)])
+    p = bound / np.ldexp(1.0, np.frexp(top)[1])
+    return ceil(np.sum(1 / p) + 6 * sqrt(np.sum((1 - p) / p**2)))
+
+
+def _draws(rng: random.Random, seeds: Sequence[int], size: int, ball: int, reads: int,
+           words: int) -> np.ndarray:
+    """(len(seeds), 1 + reads) intp array: row k is
+    [rng.randrange(size), *rng.sample(range(ball), reads)] after
+    rng.seed(seeds[k]), replayed from the generator's raw words.
+
+    Each seed's state gives `words` 32-bit outputs as one getrandbits, laid
+    out little-endian, so word i is the i-th output, followed by two zero
+    words.  CPython's _randbelow(m) takes the next word >> (32 - k) until
+    one is below m; every row keeps its own word pointer `at`, and a draw
+    runs on all rows at once, retrying only the rows that drew too high.
+    The sample replays random.sample's selection: its pool branch swaps the
+    pick out of a (rows, ball) pool, its set branch redraws the rows whose
+    pick repeats an earlier one.  A row that reaches its zero words draws
+    0 from then on, a value below every bound, and is drawn again, by the
+    same replay, with twice the words.
+    """
+    bits, width = 32 * words, 4 * (words + 2)
+
+    def raw(s: int) -> bytes:
+        rng.seed(s)
+        return rng.getrandbits(bits).to_bytes(width, "little")
+
+    rows = len(seeds)
+    flat = np.frombuffer(b"".join(map(raw, seeds)), dtype="<u4")
+    end = np.arange(words, len(flat), words + 2)  # each row's first zero word
+    at = end - words
+
+    def below(m: int, sub=slice(None)) -> np.ndarray:
+        shift = np.uint32(32 - m.bit_length())
+        pos = at[sub]
+        got = flat[pos] >> shift
+        redo = np.flatnonzero(got >= m)
+        while redo.size:
+            pos[redo] += 1
+            again = flat[pos[redo]] >> shift
+            got[redo] = again
+            redo = redo[again >= m]
+        at[sub] = np.minimum(pos + 1, end[sub] + 1)  # past its zero words a row stays at the second
+        return got
+
+    out = np.empty((rows, 1 + reads), dtype=np.intp)
+    out[:, 0] = below(size)
+    picks = out[:, 1:]
+    if _pool_sample(ball, reads):
+        pool = np.tile(np.arange(ball, dtype=np.uint32), rows)
+        base = np.arange(0, rows * ball, ball)
+        for i in range(reads):
+            j = base + below(ball - i)
+            picks[:, i] = pool[j]
+            pool[j] = pool[base + (ball - i - 1)]
+    else:
+        for i in range(reads):
+            picks[:, i] = below(ball)
+            redo = np.flatnonzero((picks[:, :i] == picks[:, i, None]).any(axis=1))
+            while redo.size:
+                redo = redo[at[redo] <= end[redo]]  # rows out of words draw no more
+                got = below(ball, redo)
+                picks[redo, i] = got
+                redo = redo[(picks[redo, :i] == got[:, None]).any(axis=1)]
+    short = np.flatnonzero(at > end)
+    if short.size:
+        out[short] = _draws(rng, [seeds[k] for k in short], size, ball, reads, 2 * words)
+    return out
+
+
 def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> ExperimentSummary:
     """Sample-and-decode experiment; trial k uses the derived seed (seed + k).
 
     With rng = Random(seed + k), trial k draws its truth as the
     rng.randrange(|C|)-th codeword and its reads at positions
     rng.sample(range(|I_t|), reads) of the truth's sorted insertion ball.
-    Only these draws are made per trial, by one generator reseeded to the
-    state of Random(seed + k); each chunk of trials is then read and decoded
-    as arrays.  With no reads every codeword survives.
+    One generator is reseeded to the state of Random(seed + k) per trial,
+    and these draws are replayed from its raw words (_draws) in blocks of
+    trials whose words number at most _CHUNK; each chunk of trials, cut
+    from a block or drawn in several, is then read and decoded as arrays.
+    With no reads every codeword survives.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -289,30 +386,36 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
         return ExperimentSummary(code.n, t, reads, 0, 0, 0, 0, 0, ())
     members = code._array()
     rows: List[TrialRecord] = []
-    ball = range(_draw_size(code.n, t, reads))
+    ball = _draw_size(code.n, t, reads)
     step = max(1, _CHUNK // max(comb(code.n + t, t), reads))
     present = _presence(members, code.n) if reads and code.n <= _PRESENCE_BITS else None
+    words = _trial_words(len(members), ball, reads)
+    block = max(1, _CHUNK // (words + 2))
+    # a span is one block, cut into chunks, or, where a block holds fewer
+    # trials than a chunk, one chunk drawn in blocks, which keeps the chunk whole
+    span = max(block, step)
     rng = random.Random()
-
-    def draw(k: int) -> List[int]:
-        rng.seed(seed + k)
-        return [rng.randrange(len(members)), *rng.sample(ball, reads)]
-
-    for lo in range(0, trials, step):
-        hi = min(trials, lo + step)
-        drawn = np.array(list(map(draw, range(lo, hi))), dtype=np.intp)
-        truths = members[drawn[:, 0]]
-        if reads:
-            read_rows = _read_rows(truths, code.n, t, drawn[:, 1:])
-            row, vals = _decode_rows(read_rows, members, code.n, t, present)
-            counts = np.bincount(row, minlength=hi - lo)
-            found = np.bincount(row[vals == truths[row]], minlength=hi - lo) > 0
-        else:
-            counts = np.full(hi - lo, len(members))
-            found = counts == 1
-        ok = (found & (counts == 1)).tolist()
-        counts = counts.tolist()
-        rows.extend(map(TrialRecord, range(lo, hi), map(_status, counts), counts, ok))
+    for start in range(0, trials, span):
+        stop = min(trials, start + span)
+        drawn = np.concatenate([_draws(rng, range(seed + lo, seed + min(stop, lo + block)),
+                                       len(members), ball, reads, words)
+                                for lo in range(start, stop, block)])
+        for lo in range(0, len(drawn), step):
+            part = drawn[lo : lo + step]
+            truths = members[part[:, 0]]
+            if reads:
+                read_rows = _read_rows(truths, code.n, t, part[:, 1:])
+                row, vals = _decode_rows(read_rows, members, code.n, t, present)
+                counts = np.bincount(row, minlength=len(part))
+                found = np.bincount(row[vals == truths[row]], minlength=len(part)) > 0
+            else:
+                counts = np.full(len(part), len(members))
+                found = counts == 1
+            ok = (found & (counts == 1)).tolist()
+            counts = counts.tolist()
+            first = start + lo
+            rows.extend(map(TrialRecord, range(first, first + len(part)),
+                            map(_status, counts), counts, ok))
     status = [r.status for r in rows]
     return ExperimentSummary(
         n=code.n,

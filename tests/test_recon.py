@@ -1,5 +1,6 @@
 """Channel sampling and decoder tests."""
 
+import math
 import random
 from unittest import mock
 
@@ -416,3 +417,105 @@ def test_presence_table_serves_only_words_up_to_its_bits(bits):
         for t, reads in ((1, 1), (2, 3), (2, 10)):
             _check_against_oracle(members, t, reads, 25, 4, recon._CHUNK)
     assert spy.call_count == (3 if bits >= 6 else 0)
+
+
+def test_decode_refuses_an_oversized_deletion_recipe_at_once():
+    # 38-bit reads of an 8-bit code at t = 30: C(38, 30) = 48 903 492 columns
+    # pass a cap of 2**26 columns, but their 31 masks do not, so the refusal
+    # comes before a single cut is built (it used to need about 9.6 GB)
+    bundle = ReadBundle(SeqSet(38, [BitSeq("01" * 19)]), 8, 30)
+    with pytest.raises(EnumerationCapError,
+                       match=r"^deletion table of 48903492 columns needs 1516008252 mask entries"):
+        decode(bundle, build_vt(8, 0), 30)
+
+
+def _stdlib_draws(size, ball, reads, seeds):
+    """[randrange(size), *sample(range(ball), reads)] of Random(s) per seed s."""
+    out = []
+    for s in seeds:
+        rng = random.Random(s)
+        out.append([rng.randrange(size), *rng.sample(range(ball), reads)])
+    return out
+
+
+def _replayed(size, ball, reads, seeds, words=None):
+    words = recon._trial_words(size, ball, reads) if words is None else words
+    got = recon._draws(random.Random(), seeds, size, ball, reads, words)
+    assert got.dtype == np.intp and got.shape == (len(seeds), 1 + reads)
+    return got.tolist()
+
+
+@pytest.mark.parametrize("ball, reads, pool", [
+    (21, 5, True), (22, 5, False),  # setsize 21 up to N = 5
+    (21, 6, True), (22, 6, True), (85, 6, True), (86, 6, False),  # 21 + 4^3 at N = 6
+    (211, 2, False), (211, 23, True), (100_000, 40, False),
+    (1, 0, True), (22, 0, False), (1, 1, True), (22, 22, True), (211, 211, True),
+])
+@pytest.mark.parametrize("size", (1, 2, 13_798))
+def test_draws_replay_randrange_and_sample(size, ball, reads, pool):
+    # both branches of random.sample, around its setsize, at N = 0 and N = B;
+    # |C| = 1 takes a word until one is below 2^31
+    assert recon._pool_sample(ball, reads) == pool
+    seeds = range(7, 7 + 150)
+    assert _replayed(size, ball, reads, seeds) == _stdlib_draws(size, ball, reads, seeds)
+
+
+@pytest.mark.parametrize("seeds", [
+    range(2**32 - 60, 2**32 + 60),  # one- and two-word MT keys
+    range(-80, 5),  # a negative seed seeds as its absolute value
+    [2**100 + 1, -(2**64), 0, 0, 3],
+])
+def test_draws_replay_any_seed(seeds):
+    for size, ball, reads in ((10_584, 211, 23), (13_798, 211, 2), (5, 137, 137)):
+        assert _replayed(size, ball, reads, seeds) == _stdlib_draws(size, ball, reads, seeds)
+
+
+@pytest.mark.parametrize("size, ball, reads", [(1, 21, 5), (3, 22, 5), (1, 211, 40), (9, 22, 22)])
+def test_draws_redraw_rows_that_run_out_of_words(size, ball, reads):
+    # with one word per trial every row runs out and is drawn again, by the
+    # same replay, with 2, 4, ... words
+    seeds = range(40)
+    with mock.patch.object(recon, "_draws", wraps=recon._draws) as spy:
+        assert _replayed(size, ball, reads, seeds, words=1) == _stdlib_draws(size, ball, reads, seeds)
+    assert spy.call_count > 2
+    assert [c.args[5] for c in spy.call_args_list] == [2**i for i in range(spy.call_count)]
+
+
+@given(st.integers(1, 5000), st.integers(1, 300), st.data())
+@settings(max_examples=60, deadline=None)
+def test_draws_replay_matches_the_stdlib(size, ball, data):
+    reads = data.draw(st.integers(0, ball))
+    first = data.draw(st.integers(-(2**40), 2**40))
+    seeds = range(first, first + data.draw(st.integers(1, 30)))
+    words = data.draw(st.sampled_from((None, 1, 3)))
+    assert _replayed(size, ball, reads, seeds, words) == _stdlib_draws(size, ball, reads, seeds)
+
+
+@pytest.mark.parametrize("reads", (0, 2, 6))
+def test_experiment_with_one_word_per_trial_matches_documented_draw(reads):
+    members = [str(c) for c in build_vt(6, 0)]
+    with mock.patch.object(recon, "_trial_words", return_value=1):
+        _check_against_oracle(members, 2, reads, 30, 5, recon._CHUNK)
+        _check_against_oracle(members, 2, reads, 9, 5, 1)
+
+
+@pytest.mark.parametrize("reads", (3, 40))
+def test_experiment_draws_in_blocks_of_bounded_words(reads):
+    # every block's words, two zero words per trial included, stay within
+    # _CHUNK; decode chunks are cut from a block at N = 3, and at N = 40 each
+    # is drawn in two blocks, so all but the last hold a whole chunk
+    code = build_vt(10, 0)
+    words = recon._trial_words(len(code), ball_size_formula(10, 2), reads)
+    step = 200 // max(math.comb(12, 2), reads)
+    with mock.patch.object(recon, "_CHUNK", 200), \
+            mock.patch.object(recon, "_draws", wraps=recon._draws) as draws, \
+            mock.patch.object(recon, "_read_rows", wraps=recon._read_rows) as chunks:
+        summary = run_experiment(code, 2, reads, 50, 1)
+    sizes = [len(c.args[1]) for c in draws.call_args_list if c.args[5] == words]
+    assert sum(sizes) == 50 and max(sizes) * (words + 2) <= 200
+    assert (max(sizes) > step) == (reads == 3)
+    got = [len(c.args[0]) for c in chunks.call_args_list]
+    assert sum(got) == 50 and max(got) == step
+    if reads == 40:
+        assert got[:-1] == [step] * (len(got) - 1)
+    assert [r.trial for r in summary.rows] == list(range(50))
