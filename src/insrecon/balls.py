@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, count
+from itertools import chain, combinations, combinations_with_replacement, count
 from math import comb
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -347,17 +347,25 @@ def _deletion_masks(n: int, t: int) -> tuple:
     segment s being x[p_{s-1}+1 : p_s] (with p_{-1} = -1, p_t = n).  It keeps
     its bits after the t - s deletions to its right, so it is masked and
     shifted right by t - s.  A recipe of more than 2**ENUM_CAP mask entries,
-    (t + 1) C(n, t), is refused before any cut is built.
+    (t + 1) C(n, t), is refused before any cut is built.  The cuts are
+    one (C(n, t), t + 2) int8 array of -1, p_0, ..., p_{t-1}, n per column,
+    so the recipe holds its 8-byte mask entries, t + 2 bytes per column, and
+    the temporaries of one mask.
     """
     columns = comb(n, t)
     if (t + 1) * columns > 1 << ENUM_CAP:
         raise EnumerationCapError(f"deletion table of {columns} columns needs "
                                   f"{(t + 1) * columns} mask entries, above cap 2**{ENUM_CAP}")
-    cuts = [(-1, *p, n) for p in combinations(range(n), t)]
-    return tuple(
-        _const([(1 << (n - c[s] - 1)) - (1 << (n - c[s + 1])) for c in cuts], np.uint64)
-        for s in range(t + 1)
-    )
+    cuts = np.empty((columns, t + 2), dtype=np.int8)
+    cuts[:, 0], cuts[:, -1] = -1, n
+    cuts[:, 1:-1] = np.fromiter(chain.from_iterable(combinations(range(n), t)), np.int8,
+                                columns * t).reshape(columns, t)
+    ones = np.array([(1 << k) - 1 for k in range(n + 1)], dtype=np.uint64)
+    # (1 << (n - c[s] - 1)) - (1 << (n - c[s + 1])), as a difference of 2^k - 1
+    masks = tuple(ones[n - 1 - cuts[:, s]] - ones[n - cuts[:, s + 1]] for s in range(t + 1))
+    for keep in masks:
+        keep.flags.writeable = False
+    return masks
 
 
 def _deletion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:

@@ -929,31 +929,31 @@ def _block_header(line: bytes) -> Optional[CodeParams]:
 def _line_blocks(fh, n: int) -> Tuple[np.ndarray, bytes]:
     """The words of the rest of fh, in file order, read (n+1) * 2^_BLOCK_BITS
     bytes at a time into one buffer and parsed block by block
-    (``SeqSet._line_words``), up to the first block that is not an exact
-    line matrix; and the bytes from that block on, empty when there is none.
-    A regular file's words fill one array sized from what is left of it, and
-    its buffer is no longer than that, so the words are held once.  Any other
-    file, such as a pipe, whose size reads 0, is read until EOF and its
-    blocks joined at the end, as are the blocks of a file that grew."""
+    (``SeqSet._line_words``) into one array, up to the first block that is
+    not an exact line matrix; and the bytes from that block on, empty when
+    there is none.  The array starts at the lines left in a regular file,
+    so their words are held once, and the buffer is no longer than they
+    are.  Any other file, such as a pipe, whose size reads 0, is read until
+    EOF; for it, or a file that grew, the array doubles when a block does
+    not fit, and is cut to its words at the end."""
     info, size = os.fstat(fh.fileno()), (n + 1) << seqs._BLOCK_BITS
     lines = 0
     if stat.S_ISREG(info.st_mode):
         left = max(info.st_size - fh.tell(), 0)
         size, lines = min(size, left), left // (n + 1)
-    buf, words, filled = memoryview(bytearray(size)), np.empty(lines, np.uint64), 0
-    parts, rest = [], b""
+    buf, words, filled, rest = memoryview(bytearray(size)), np.empty(lines, np.uint64), 0, b""
     while got := fh.readinto(buf):
         block = SeqSet._line_words(buf[:got], n)
         if block is None:
             rest = bytes(buf[:got]) + fh.read()
             break
-        if not parts and filled + len(block) <= lines:
-            words[filled : filled + len(block)] = block
-            filled += len(block)
-        else:
-            parts.append(block)
-    words = words[:filled]
-    return (np.concatenate([words, *parts]) if parts else words), rest
+        if filled + len(block) > len(words):
+            # no view of words outlives its statement, so it can be resized in place
+            words.resize(max(2 * len(words), filled + len(block)), refcheck=False)
+        words[filled : filled + len(block)] = block
+        filled += len(block)
+    words.resize(filled, refcheck=False)
+    return words, rest
 
 
 def _read_text(data: bytes) -> Tuple[Optional[CodeParams], SeqSet]:

@@ -24,15 +24,20 @@ from .seqs import ENUM_CAP, BitSeq, EnumerationCapError
 
 # Table entries held at once: trials are decoded _CHUNK // E at a time,
 # where E is the larger of C(n + t, t), the columns of their deletion table,
-# and N, their picks, drawn from blocks of at most _CHUNK generator words,
-# and their candidates are tested _CHUNK // N at a time, so peak memory
-# grows with neither the number of trials, N nor the number of candidates.  A slice's test costs 8(n + t) numpy calls whatever
-# its size, hence 2^15.
+# and N, their picks, and their candidates are tested _CHUNK // N at a time,
+# so peak memory grows with neither the number of trials, N nor the number
+# of candidates.  A slice's test costs 8(n + t) numpy calls whatever its
+# size, hence 2^15.
 _CHUNK = 1 << 15
 # Up to n = _PRESENCE_BITS, trial batches look candidates up in a presence
 # table of the code's 2^n words, 2^20 bytes at most; longer words take the
 # code's searchsorted.
 _PRESENCE_BITS = 20
+# Entries held at once by a block of drawn trials: their generator words
+# (or the set branch's sort keys), their sample pools and their picks.  Every pool pick costs a few dozen
+# numpy calls whatever the block's size, so a block holds hundreds of
+# trials even at N in the thousands.
+_DRAW = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -306,14 +311,17 @@ def _draws(rng: random.Random, seeds: Sequence[int], size: int, ball: int, reads
 
     Each seed's state gives `words` 32-bit outputs as one getrandbits, laid
     out little-endian, so word i is the i-th output, followed by two zero
-    words.  CPython's _randbelow(m) takes the next word >> (32 - k) until
-    one is below m; every row keeps its own word pointer `at`, and a draw
-    runs on all rows at once, retrying only the rows that drew too high.
-    The sample replays random.sample's selection: its pool branch swaps the
-    pick out of a (rows, ball) pool, its set branch redraws the rows whose
-    pick repeats an earlier one.  A row that reaches its zero words draws
-    0 from then on, a value below every bound, and is drawn again, by the
-    same replay, with twice the words.
+    words.  CPython's _randbelow(m) takes the next word >> (32 - k), with
+    k = m.bit_length(), until one is below m; every row keeps its own word
+    pointer `at`, and a draw runs on all rows at once, retrying only the
+    rows that drew too high.  The sample replays random.sample's selection.
+    Its pool branch swaps each pick out of a (rows, ball) pool, one pick of
+    all rows at a time.  Its set branch draws below ball throughout and
+    skips values it took before, so its picks are the first `reads`
+    distinct values of a row's draws, found for all picks at once by
+    sorting each row's words.  A row that reaches its zero words draws 0
+    there, a value below every bound, and is drawn again, by the same
+    replay, with twice the words.
     """
     bits, width = 32 * words, 4 * (words + 2)
 
@@ -326,39 +334,48 @@ def _draws(rng: random.Random, seeds: Sequence[int], size: int, ball: int, reads
     end = np.arange(words, len(flat), words + 2)  # each row's first zero word
     at = end - words
 
-    def below(m: int, sub=slice(None)) -> np.ndarray:
+    def below(m: int) -> np.ndarray:
         shift = np.uint32(32 - m.bit_length())
-        pos = at[sub]
-        got = flat[pos] >> shift
+        got = flat[at] >> shift
         redo = np.flatnonzero(got >= m)
         while redo.size:
-            pos[redo] += 1
-            again = flat[pos[redo]] >> shift
+            at[redo] += 1
+            again = flat[at[redo]] >> shift
             got[redo] = again
             redo = redo[again >= m]
-        at[sub] = np.minimum(pos + 1, end[sub] + 1)  # past its zero words a row stays at the second
+        np.minimum(at + 1, end + 1, out=at)  # past its zero words a row stays at the second
         return got
 
     out = np.empty((rows, 1 + reads), dtype=np.intp)
     out[:, 0] = below(size)
-    picks = out[:, 1:]
     if _pool_sample(ball, reads):
         pool = np.tile(np.arange(ball, dtype=np.uint32), rows)
         base = np.arange(0, rows * ball, ball)
         for i in range(reads):
             j = base + below(ball - i)
-            picks[:, i] = pool[j]
+            out[:, 1 + i] = pool[j]
             pool[j] = pool[base + (ball - i - 1)]
+        short = at > end
     else:
-        for i in range(reads):
-            picks[:, i] = below(ball)
-            redo = np.flatnonzero((picks[:, :i] == picks[:, i, None]).any(axis=1))
-            while redo.size:
-                redo = redo[at[redo] <= end[redo]]  # rows out of words draw no more
-                got = below(ball, redo)
-                picks[redo, i] = got
-                redo = redo[(picks[redo, :i] == got[:, None]).any(axis=1)]
-    short = np.flatnonzero(at > end)
+        shift = 32 - ball.bit_length()
+        grid = flat.reshape(rows, -1)
+        width = grid.shape[1]
+        col = np.arange(width)
+        live = grid < np.uint32(ball << shift)
+        live &= (col >= (at - end + words)[:, None]) & (col < words)
+        # each row's draws by value, then position: a value's first draw leads its run
+        key = np.where(live, grid >> np.uint32(shift), ball) * np.int64(width) + col
+        key.sort(axis=1)
+        vals, pos = np.divmod(key, width)
+        first = vals < ball
+        first[:, 1:] &= vals[:, 1:] != vals[:, :-1]
+        # the positions of first draws in order; the last column, a zero word, is never one
+        pos[~first] = width - 1
+        pos.sort(axis=1)
+        pos = pos[:, :reads]
+        short = (at > end) | (pos.shape[1] < reads) | (pos == width - 1).any(axis=1)
+        out[:, 1 : 1 + pos.shape[1]] = grid[np.arange(rows)[:, None], pos] >> np.uint32(shift)
+    short = np.flatnonzero(short)
     if short.size:
         out[short] = _draws(rng, [seeds[k] for k in short], size, ball, reads, 2 * words)
     return out
@@ -372,8 +389,8 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
     rng.sample(range(|I_t|), reads) of the truth's sorted insertion ball.
     One generator is reseeded to the state of Random(seed + k) per trial,
     and these draws are replayed from its raw words (_draws) in blocks of
-    trials whose words number at most _CHUNK; each chunk of trials, cut
-    from a block or drawn in several, is then read and decoded as arrays.
+    trials that hold at most _DRAW entries; each block is then cut into
+    chunks of trials, read and decoded as arrays.
     With no reads every codeword survives.
     """
     if trials < 0:
@@ -390,16 +407,15 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
     step = max(1, _CHUNK // max(comb(code.n + t, t), reads))
     present = _presence(members, code.n) if reads and code.n <= _PRESENCE_BITS else None
     words = _trial_words(len(members), ball, reads)
-    block = max(1, _CHUNK // (words + 2))
-    # a span is one block, cut into chunks, or, where a block holds fewer
-    # trials than a chunk, one chunk drawn in blocks, which keeps the chunk whole
-    span = max(block, step)
+    # a trial's words and two zero words, each with its sort key, value and
+    # position in the set branch; its 1 + N draws; and its pool, if any
+    pool = _pool_sample(ball, reads)
+    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0)
+    block = max(1, _DRAW // held)
     rng = random.Random()
-    for start in range(0, trials, span):
-        stop = min(trials, start + span)
-        drawn = np.concatenate([_draws(rng, range(seed + lo, seed + min(stop, lo + block)),
-                                       len(members), ball, reads, words)
-                                for lo in range(start, stop, block)])
+    for start in range(0, trials, block):
+        drawn = _draws(rng, range(seed + start, seed + min(trials, start + block)),
+                       len(members), ball, reads, words)
         for lo in range(0, len(drawn), step):
             part = drawn[lo : lo + step]
             truths = members[part[:, 0]]

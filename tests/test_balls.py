@@ -1,8 +1,9 @@
 """Ball enumeration, formulas, intersections, and coverage tests."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from unittest import mock
 
@@ -438,6 +439,30 @@ def test_oversized_ball_tables_are_refused_before_allocating():
         insertion_ball(BitSeq("0110100110"), 40)
     with pytest.raises(ValueError, match="t must be >= 0"):
         _insertion_table([0], 4, -1)
+
+
+@pytest.mark.parametrize("n, t", [(0, 0), (5, 0), (7, 3), (9, 9), (64, 2), (64, 1)])
+def test_deletion_masks_match_their_cuts(n, t):
+    masks = balls._deletion_masks(n, t)
+    for j, p in enumerate(combinations(range(n), t)):
+        c = (-1, *p, n)
+        assert [int(m[j]) for m in masks] == [(1 << (n - c[s] - 1)) - (1 << (n - c[s + 1]))
+                                              for s in range(t + 1)]
+    assert all(m.dtype == np.uint64 and not m.flags.writeable for m in masks)
+
+
+def test_deletion_masks_hold_little_beyond_their_entries():
+    # C(24, 5) = 42 504 columns of 6 masks: about 2 MB of entries; one Python
+    # tuple per cut used to take about 3.5 times that
+    balls._deletion_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        balls._deletion_masks(24, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        balls._deletion_masks.cache_clear()
+    assert peak < 1.5 * 6 * comb(24, 5) * 8
 
 
 def brute_worst(words, t):

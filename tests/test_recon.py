@@ -448,7 +448,7 @@ def _replayed(size, ball, reads, seeds, words=None):
 @pytest.mark.parametrize("ball, reads, pool", [
     (21, 5, True), (22, 5, False),  # setsize 21 up to N = 5
     (21, 6, True), (22, 6, True), (85, 6, True), (86, 6, False),  # 21 + 4^3 at N = 6
-    (211, 2, False), (211, 23, True), (100_000, 40, False),
+    (211, 2, False), (211, 23, True), (100_000, 40, False), (2**26, 100, False),
     (1, 0, True), (22, 0, False), (1, 1, True), (22, 22, True), (211, 211, True),
 ])
 @pytest.mark.parametrize("size", (1, 2, 13_798))
@@ -499,23 +499,33 @@ def test_experiment_with_one_word_per_trial_matches_documented_draw(reads):
         _check_against_oracle(members, 2, reads, 9, 5, 1)
 
 
+@pytest.mark.parametrize("size, ball, reads", [(2**31 + 1, 1, 0), (3, 65, 1), (5, 129, 129)])
+def test_draws_replay_long_runs_of_retries(size, ball, reads):
+    # bounds just above a power of two pass about half the words, so some of
+    # 3000 rows retry a draw eight times or more
+    seeds = range(3000)
+    assert _replayed(size, ball, reads, seeds) == _stdlib_draws(size, ball, reads, seeds)
+
+
 @pytest.mark.parametrize("reads", (3, 40))
-def test_experiment_draws_in_blocks_of_bounded_words(reads):
-    # every block's words, two zero words per trial included, stay within
-    # _CHUNK; decode chunks are cut from a block at N = 3, and at N = 40 each
-    # is drawn in two blocks, so all but the last hold a whole chunk
-    code = build_vt(10, 0)
-    words = recon._trial_words(len(code), ball_size_formula(10, 2), reads)
-    step = 200 // max(math.comb(12, 2), reads)
-    with mock.patch.object(recon, "_CHUNK", 200), \
+@pytest.mark.parametrize("chunk", (200, recon._CHUNK))
+def test_experiment_draws_in_blocks_of_bounded_entries(reads, chunk):
+    # a block's words, sort keys, picks and pool stay within _DRAW entries,
+    # here ten trials, in the set branch at N = 3 and the pool branch at
+    # N = 40; decode chunks are cut from one block, several to a block of
+    # ten when a chunk holds three trials, one when it could hold more
+    code, ball = build_vt(10, 0), ball_size_formula(10, 2)
+    words = recon._trial_words(len(code), ball, reads)
+    pool = recon._pool_sample(ball, reads)
+    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0)
+    step = chunk // max(math.comb(12, 2), reads)
+    with mock.patch.object(recon, "_DRAW", 10 * held + 5), \
+            mock.patch.object(recon, "_CHUNK", chunk), \
             mock.patch.object(recon, "_draws", wraps=recon._draws) as draws, \
             mock.patch.object(recon, "_read_rows", wraps=recon._read_rows) as chunks:
         summary = run_experiment(code, 2, reads, 50, 1)
-    sizes = [len(c.args[1]) for c in draws.call_args_list if c.args[5] == words]
-    assert sum(sizes) == 50 and max(sizes) * (words + 2) <= 200
-    assert (max(sizes) > step) == (reads == 3)
-    got = [len(c.args[0]) for c in chunks.call_args_list]
-    assert sum(got) == 50 and max(got) == step
-    if reads == 40:
-        assert got[:-1] == [step] * (len(got) - 1)
+    assert [len(c.args[1]) for c in draws.call_args_list if c.args[5] == words] == [10] * 5
+    per_block = [min(step, 10 - lo) for lo in range(0, 10, step)]
+    assert [len(c.args[0]) for c in chunks.call_args_list] == per_block * 5
     assert [r.trial for r in summary.rows] == list(range(50))
+    assert summary == _check_against_oracle([str(c) for c in code], 2, reads, 50, 1, chunk)
