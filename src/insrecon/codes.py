@@ -665,23 +665,25 @@ def _ws_cells(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarr
     mod m is fixed by w mod 2m.  A cell is (ambient automaton state,
     w mod 2m, S mod m), numbered in that row-major order, and cell 0 is the
     empty word.  Appending bit b maps S to S + w and w to w + b, so
-    ``child[b, c]`` is the cell after bit b, or -1 for a step the ambient
-    automaton forbids.  ``grid`` holds the key of every (w mod 2m, S mod m),
-    from one ``_ws`` call; cell c has the key ``grid[c % grid.size]``.
+    ``child[c, b]`` is the cell after bit b, or -1 for a step the ambient
+    automaton forbids; both children of a cell are adjacent, so a walk
+    gathers them in one take.  ``grid`` holds the key of every
+    (w mod 2m, S mod m), from one ``_ws`` call; cell c has the key
+    ``grid[c % grid.size]``.
     """
     moduli = cls._moduli(n, P)
     m = moduli[0]
     table = seqs._r_automaton(*cls._r(P)) if cls._r is not None else _WHOLE_SPACE
     w, s = np.indices((2 * m, m))
     grid = _key(cls._ws(w, s, n, P), moduli).ravel()
-    # the grid entry after bit b, and the state after bit b, of every cell
-    entry = np.stack([((w + b) % (2 * m) * m + (s + w) % m).ravel() for b in (0, 1)])
-    # from a contiguous copy of the table: on its strided transpose the same
-    # arrays took about 7 times as long for tworead P = 18
-    state = np.ascontiguousarray(table.T)
-    child = state[:, :, None] * grid.size + entry[:, None, :]
-    child[state < 0] = -1
-    return child.reshape(2, -1), grid
+    # the grid entry after bit b of every grid entry, as (entry, bit)
+    entry = np.stack([((w + b) % (2 * m) * m + (s + w) % m).ravel() for b in (0, 1)], axis=1)
+    # one row per state, of its (entry, bit) pairs: a forbidden step's -1
+    # state gives -grid.size + entry < 0, which is clipped to -1
+    child = np.tile(table * grid.size, grid.size)
+    child += entry.ravel()
+    np.maximum(child, -1, out=child)
+    return child.reshape(-1, 2), grid
 
 
 def _ws_sizes(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -698,10 +700,51 @@ def _ws_sizes(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarr
     return keys, sizes[keys]
 
 
-# the member walk takes the last _SUFFIX_BITS bits of every word from one
-# sorted suffix list per distinct cell
+# the member walk takes the last _SUFFIX_BITS bits of every word from the
+# suffix classes (_suffix_classes) of its cell at depth n - _SUFFIX_BITS
 _SUFFIX_BITS = 8
 _BIT_PAIR = np.arange(2, dtype=np.uint64)
+
+
+def _ragged_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i] + j for each j < counts[i], for each i in order."""
+    index = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    index += np.arange(index.size)
+    return index
+
+
+@lru_cache(maxsize=None)
+def _suffix_classes(r: Optional[Tuple[int, int]], L: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The L-bit suffixes of the ambient automaton R(., *r), or of the whole
+    space when r is None, by class: ``(offsets, suffixes)`` in CSR form.
+
+    Appending an L-bit suffix u to a word of weight w and position sum S
+    gives weight w + wt(u) and position sum S + L*w + sigma(u), where
+    sigma(u) is the sum of the weights of u's proper prefixes.  Class
+    (q * (L+1) + wt(u)) * m + sigma(u) % m lists, in ascending order as
+    uint64, the suffixes u that the automaton allows from state q;
+    ``suffixes[offsets[k]:offsets[k + 1]]`` is class k.
+    """
+    table = seqs._r_automaton(*r) if r is not None else _WHOLE_SPACE
+    # a -1 state steps to the appended row, so it stays -1
+    step = np.vstack([table, [-1, -1]])
+    u = np.arange(1 << L, dtype=np.uint64)
+    # bit j of u is its (j+1)-th appended bit, most significant first
+    bits = ((u[:, None] >> np.arange(L - 1, -1, -1, dtype=np.uint64)) & 1).astype(np.intp)
+    sigma = np.cumsum(bits, axis=1)[:, :-1].sum(axis=1) % m
+    # the state after u from each state q, one row per q
+    states = np.arange(len(table))[:, None]
+    state = np.broadcast_to(states, (len(table), u.size))
+    for j in range(L):
+        state = step[state, bits[:, j]]
+    allowed = state >= 0
+    classes = ((states * (L + 1) + bits.sum(axis=1)) * m + sigma)[allowed]
+    order = np.argsort(classes, kind="stable")
+    offsets = np.zeros(len(table) * (L + 1) * m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(classes, minlength=offsets.size - 1), out=offsets[1:])
+    suffixes = np.broadcast_to(u, allowed.shape)[allowed][order]
+    offsets.flags.writeable = suffixes.flags.writeable = False
+    return offsets, suffixes
 
 
 def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
@@ -713,24 +756,34 @@ def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
     a cell of ``key``; it is filled only on the cells reachable at depth
     n - r, while those are few.  The top n - L bits are walked forward from
     the empty word, keeping only the prefixes whose cell reaches ``key`` in
-    the bits left, so there are never more of them than members.  Each
-    distinct cell at depth n - L is walked L = min(n, _SUFFIX_BITS) bits for
-    its sorted list of suffixes, and every prefix is expanded with its
-    cell's list by one repeat and one gather; the words come out ascending,
-    with no sort.
+    the bits left, so there are never more of them than members.  The last
+    L = min(n, _SUFFIX_BITS) bits come from the suffix classes
+    (``_suffix_classes``): a suffix leads cell (q, w, S) to grid entry
+    (w + wt, S + L*w + sigma), so the suffixes of each distinct cell at
+    depth n - L that land on a cell of ``key`` are the classes of its state
+    that match those cells, joined by one gather and one sort.  Every
+    prefix is expanded with its cell's list by one repeat and one gather;
+    the words come out ascending, with no sort.
     """
     child, grid = _ws_cells(cls, n, P)
+    m = cls._moduli(n, P)[0]
     tail_bits = min(n, _SUFFIX_BITS)
-    n_cells = child.shape[1]
+    n_cells = len(child)
+    every = slice(0, n_cells)
+
+    def children(cells):
+        """The (cells, 2) children of the cells: a view for every cell, else
+        one take, which is several times faster than indexing by them."""
+        return child[cells] if cells is every else child.take(cells, axis=0)
+
     # the cells reached from the empty word by d bits, for each depth d, with
     # repeats, while there are fewer than an eighth of all cells; past that,
     # every cell
-    every = slice(0, n_cells)
     fronts = [np.zeros(1, dtype=np.intp)]
     while len(fronts) <= n:
         front = fronts[-1]
         if front is not every:
-            front = child[:, front].ravel()
+            front = children(front).ravel()
             front = front[front >= 0] if 8 * front.size < n_cells else every
         fronts.append(front)
     # reach[r] is filled on the cells of depth n - r only; the last column
@@ -739,24 +792,51 @@ def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
     reach[0, fronts[n]] = np.tile(grid == key, n_cells // grid.size)[fronts[n]]
     for r in range(1, n + 1):
         cells = fronts[n - r]
-        reach[r, cells] = reach[r - 1].take(child[0, cells]) | reach[r - 1].take(child[1, cells])
-
-    def grow(words, cells, r):
-        """Every live one-bit extension of the words in the cells, in order."""
-        words = ((words << 1)[:, None] | _BIT_PAIR).ravel()
-        cells = child[:, cells].T.ravel()
-        live = reach[r, cells]
-        return words[live], cells[live], live
+        ahead = reach[r - 1].take(children(cells))
+        reach[r, cells] = ahead[:, 0] | ahead[:, 1]
 
     words = np.zeros(int(reach[n, 0]), dtype=np.uint64)
     cells = np.zeros(words.size, dtype=np.intp)
     for r in range(n - 1, tail_bits - 1, -1):
-        words, cells, _ = grow(words, cells, r)
-    roots, root_of = np.unique(cells, return_inverse=True)
-    tails, tail_cells, owner = np.zeros(roots.size, dtype=np.uint64), roots, np.arange(roots.size)
-    for r in range(tail_bits - 1, -1, -1):
-        tails, tail_cells, live = grow(tails, tail_cells, r)
-        owner = np.repeat(owner, 2)[live]
+        # every live one-bit extension of the words, in order
+        words = ((words << 1)[:, None] | _BIT_PAIR).ravel()
+        cells = children(cells).ravel()
+        live = reach[r, cells]
+        words, cells = words[live], cells[live]
+    # the distinct cells at depth n - L, ascending, and each prefix's rank
+    # among them, from a dense rank of all cells; reach is freed first, so
+    # the rank's int64 per cell does not add to it
+    del reach
+    seen = np.zeros(n_cells, dtype=bool)
+    seen[cells] = True
+    roots = np.flatnonzero(seen)
+    root_of = np.cumsum(seen)[cells] - 1
+    # for each grid row w and suffix weight, the cells s' of ``key`` in the
+    # row that weight leads to, listed row by row as the weight and
+    # s' - L*w: from entry (w, S), the suffixes that land on s' are those of
+    # class weight * m + (s' - L*w - S) % m, less the state's first class
+    key_w, key_s = np.nonzero(grid.reshape(2 * m, m) == key)
+    row_start = np.searchsorted(key_w, np.arange(2 * m + 1))
+    row = (np.arange(2 * m)[:, None] + np.arange(tail_bits + 1)) % (2 * m)
+    count = (row_start[row + 1] - row_start[row]).ravel()
+    row_of, weight = np.divmod(np.repeat(np.arange(count.size), count), tail_bits + 1)
+    shift = key_s[_ragged_index(row_start[row].ravel(), count)] - tail_bits * row_of
+    per_row = np.bincount(row_of, minlength=2 * m)
+    # each root's classes, from its state and grid entry, and their suffixes,
+    # sorted by (root, suffix), so that each root's come out ascending
+    offsets, suffixes = _suffix_classes(cls._r(P) if cls._r is not None else None, tail_bits, m)
+    state, entry = np.divmod(roots, grid.size)
+    w, s = np.divmod(entry, m)
+    count = per_row[w]
+    listed = _ragged_index((np.cumsum(per_row) - per_row)[w], count)
+    k = (shift[listed] - np.repeat(s, count)) % m
+    k += weight[listed] * m + np.repeat(state * ((tail_bits + 1) * m), count)
+    size = offsets[k + 1] - offsets[k]
+    owner = np.repeat(np.repeat(np.arange(roots.size), count), size)
+    tails = owner.astype(np.uint64) << np.uint64(tail_bits)
+    tails |= suffixes[_ragged_index(offsets[k], size)]
+    tails.sort()
+    tails &= np.uint64((1 << tail_bits) - 1)
     per_root = np.bincount(owner, minlength=roots.size)
     first_tail = np.cumsum(per_root) - per_root
     per_word = per_root[root_of]
@@ -770,8 +850,7 @@ def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         count = per_word[lo:hi]
         # member j of prefix i takes tails[first_tail[root_of[i]] + j]
-        index = np.repeat(first_tail[root_of[lo:hi]] - np.cumsum(count) + count, count)
-        index += np.arange(index.size)
+        index = _ragged_index(first_tail[root_of[lo:hi]], count)
         members[at:at + index.size] = np.repeat(words[lo:hi] << tail_bits, count) | tails[index]
         at += index.size
     return members
@@ -933,14 +1012,17 @@ def _line_blocks(fh, n: int) -> Tuple[np.ndarray, bytes]:
     not an exact line matrix; and the bytes from that block on, empty when
     there is none.  The array starts at the lines left in a regular file,
     so their words are held once, and the buffer is no longer than they
-    are.  Any other file, such as a pipe, whose size reads 0, is read until
-    EOF; for it, or a file that grew, the array doubles when a block does
-    not fit, and is cut to its words at the end."""
-    info, size = os.fstat(fh.fileno()), (n + 1) << seqs._BLOCK_BITS
-    lines = 0
+    are, but it holds at least one line, so lines that a file gained after
+    its size was read are still read; once they pass its lines at open, the
+    buffer doubles whenever a read fills it, up to a block.  Any other file,
+    such as a pipe, whose size reads 0, is read until EOF; for it, or a file
+    that grew, the array doubles when a block does not fit, and is cut to
+    its words at the end."""
+    info, full = os.fstat(fh.fileno()), (n + 1) << seqs._BLOCK_BITS
+    size, lines = full, 0
     if stat.S_ISREG(info.st_mode):
         left = max(info.st_size - fh.tell(), 0)
-        size, lines = min(size, left), left // (n + 1)
+        size, lines = min(full, max(left, n + 1)), left // (n + 1)
     buf, words, filled, rest = memoryview(bytearray(size)), np.empty(lines, np.uint64), 0, b""
     while got := fh.readinto(buf):
         block = SeqSet._line_words(buf[:got], n)
@@ -952,6 +1034,8 @@ def _line_blocks(fh, n: int) -> Tuple[np.ndarray, bytes]:
             words.resize(max(2 * len(words), filled + len(block)), refcheck=False)
         words[filled : filled + len(block)] = block
         filled += len(block)
+        if filled > lines and got == len(buf) < full:
+            buf = memoryview(bytearray(min(2 * got, full)))
     words.resize(filled, refcheck=False)
     return words, rest
 

@@ -264,14 +264,14 @@ def _r_automaton(ell: int, t: int) -> np.ndarray:
 
 def _walk_counts(child: np.ndarray, n: int) -> np.ndarray:
     """The count of n-bit words that walk from cell 0 to each cell, where
-    ``child[b, c]`` is the cell after bit b, or -1 for a forbidden step: a
+    ``child[c, b]`` is the cell after bit b, or -1 for a forbidden step: a
     step adds every count to each allowed child by the unbuffered np.add.at.
     int64 while n <= 62, where no count can pass 2**62; Python ints past that."""
     if n < 0:
         raise ValueError(f"length n={n} must be >= 0")
-    ok = child >= 0
-    targets = [child[b][ok[b]] for b in (0, 1)]
-    counts = np.zeros(child.shape[1], dtype=np.int64 if n <= 62 else object)
+    ok = [child[:, b] >= 0 for b in (0, 1)]
+    targets = [child[ok[b], b] for b in (0, 1)]
+    counts = np.zeros(len(child), dtype=np.int64 if n <= 62 else object)
     counts[0] = 1
     for _ in range(n):
         step = np.zeros_like(counts)
@@ -305,7 +305,7 @@ def _blocks(n: int) -> Iterator[np.ndarray]:
 
 def count_r(n: int, ell: int, t: int) -> int:
     """|R(n, ell, t)| exactly at every n >= 0, by a walk of its automaton."""
-    return int(_walk_counts(_r_automaton(ell, t).T, n).sum())
+    return int(_walk_counts(_r_automaton(ell, t), n).sum())
 
 
 def inversions(x: BitSeq) -> int:

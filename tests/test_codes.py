@@ -1071,6 +1071,61 @@ def test_ws_members_equal_enumeration(monkeypatch, family, P):
         assert seen[before:] == [(2 * moduli[0], moduli[0])] * math.prod(moduli)
 
 
+# (ell, t) of every ambient R of a _ws family, or None for the whole space,
+# with the first modulus m it is swept under
+SUFFIX_CASES = [(None, m) for m in (1, 2, 9, 23)] + sorted(
+    {(AMBIENT_R[family](P), P + 1) for family, P in WS_SIZE_CASES + [("np4", 30)] if P is not None})
+
+
+@pytest.mark.parametrize("r,m", SUFFIX_CASES, ids=[f"{r}-m{m}" for r, m in SUFFIX_CASES])
+def test_suffix_classes_hold_each_allowed_suffix_once(r, m):
+    """For L = 0..8, the class table lists exactly the pairs (class, u) of a
+    state q and an L-bit suffix u that the ambient set allows after a word
+    that reaches q, class by class and ascending in u, where the class is
+    (q * (L+1) + wt(u)) * m + sigma(u) % m and sigma(u) sums the weights of
+    u's proper prefixes.  A shortest word into each state is found on the
+    automaton; whether u may follow it comes from r_mask on the joined word,
+    and wt and sigma from u's bit string."""
+    table = seqs._r_automaton(*r) if r else np.zeros((1, 2), dtype=np.intp)
+    into, queue = {0: ""}, [0]
+    for q in queue:
+        for b in (0, 1):
+            if table[q, b] >= 0 and int(table[q, b]) not in into:
+                into[int(table[q, b])] = into[q] + str(b)
+                queue.append(int(table[q, b]))
+    assert len(into) == len(table)
+    for L in range(9):
+        strings = [format(u, "b").zfill(L) if L else "" for u in range(1 << L)]
+        wt = np.array([y.count("1") for y in strings])
+        sigma = np.array([sum(y[:j].count("1") for j in range(1, L)) for y in strings])
+        want = []
+        for q, x in into.items():
+            vals = np.array([int(x + y or "0", 2) for y in strings], dtype=np.uint64)
+            ok = r_mask(vals, len(x) + L, *r) if r else np.ones(vals.size, dtype=bool)
+            want += zip(((q * (L + 1) + wt) * m + sigma % m)[ok].tolist(), np.flatnonzero(ok).tolist())
+        offsets, suffixes = codes._suffix_classes(r, L, m)
+        assert suffixes.dtype == np.uint64 and offsets.size == len(table) * (L + 1) * m + 1
+        assert offsets[0] == 0 and (np.diff(offsets) >= 0).all()
+        got = zip(np.repeat(np.arange(offsets.size - 1), np.diff(offsets)).tolist(), suffixes.tolist())
+        assert list(got) == sorted(want), (r, m, L)
+
+
+@pytest.mark.parametrize("family,P", [("np4", 30), ("np5", 18), ("tworead", 18)])
+def test_ws_members_of_the_largest_automata(family, P):
+    """The members of the best and of the smallest nonempty coset, n = 17..22,
+    for the automata with the most cells, against the ambient words of that
+    key from the block walk."""
+    cls = codes.FAMILIES[family]
+    for n in range(17, 23):
+        sweep = codes.coset_sweep(family, n, P)
+        keys = [int(sweep.keys[sweep.best()]), int(sweep.keys[np.argmin(sweep.sizes)])]
+        words, found = (np.concatenate(a) for a in zip(*codes._keyed_blocks(cls, n, P)))
+        for key in keys:
+            got = codes._ws_members(cls, n, P, key)
+            assert got.dtype == np.uint64 and (got[1:] > got[:-1]).all(), (n, key)
+            assert got.tolist() == words[found == key].tolist(), (n, key)
+
+
 @pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 22, 63, 64))
 def test_code_file_bytes_are_the_header_and_the_lines(tmp_path, n):
     """The file is the header line, then to_lines, byte for byte, for an
@@ -1320,3 +1375,27 @@ def test_code_file_read_whatever_its_size_at_open(tmp_path, grown, bits):
 
     with blocks_of(bits), mock.patch.object(codes.os, "fstat", fstat):
         assert read_code_file(str(path)) == (params, code)
+
+
+@pytest.mark.parametrize("bits", (0, 1, seqs._BLOCK_BITS))
+@pytest.mark.parametrize("extra", (0, 4))
+@pytest.mark.parametrize("tail", (b"", b"0101\n"))
+def test_code_file_read_when_only_its_header_was_there_at_open(tmp_path, bits, extra, tail):
+    # a file whose size at open was its header's length, or that plus part
+    # of a line, as one still being written: its read buffer holds a line,
+    # and grows as lines keep coming, so all 30 lines are read, not an empty
+    # code; a malformed last line gives the text reading's error
+    params, code = codes.VTParams(8, 0), build_vt(8, 0)
+    path = tmp_path / "code.txt"
+    write_code_file(str(path), params, code)
+    path.write_bytes(path.read_bytes() + tail)
+    size, real = len(format_header(params)) + 1 + extra, os.fstat
+    with blocks_of(bits):
+        want = read_or_error(read_code_file, str(path))
+
+    def fstat(fd):
+        return os.stat_result((*real(fd)[:6], size, *real(fd)[7:10]))
+
+    with blocks_of(bits), mock.patch.object(codes.os, "fstat", fstat):
+        assert read_or_error(read_code_file, str(path)) == want
+    assert want[0] is ValueError if tail else want == (params, code) and len(code) == 30
