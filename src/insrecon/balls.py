@@ -338,6 +338,12 @@ def _kept_patterns(n: int, t: int, top: int, moved: bool) -> Iterator[tuple]:
         yield terms, tails, slice(0, split) if moved else slice(split, len(firsts))
 
 
+# Mask entries of the largest deletion recipe that _deletion_table keeps in
+# the cache of _deletion_masks; a larger one is built on each call and dropped
+# with its table (one 36-bit table at t = 6 takes 13.6 M entries, 109 MB).
+_CACHED_MASKS = 1 << 20
+
+
 @lru_cache(maxsize=32)
 def _deletion_masks(n: int, t: int) -> tuple:
     """Column recipe of the t-deletion table at length n: one mask per segment.
@@ -374,8 +380,9 @@ def _deletion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
     Words are at most MAX_LEN = 64 bits, so the table is uint64.
     """
     x = np.asarray(vals, dtype=np.uint64)[:, None]
+    masks = _deletion_masks if (t + 1) * comb(n, t) <= _CACHED_MASKS else _deletion_masks.__wrapped__
     out = 0
-    for s, keep in enumerate(_deletion_masks(n, t)):
+    for s, keep in enumerate(masks(n, t)):
         out = out | ((x & keep) >> (t - s))
     return out
 

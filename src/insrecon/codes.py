@@ -28,8 +28,6 @@ same kernels, for words of up to ``MAX_LEN`` bits.
 from __future__ import annotations
 
 import math
-import os
-import stat
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type
@@ -961,7 +959,7 @@ def _header_int(name: str, raw: str) -> int:
 
 
 def parse_header(line: str) -> CodeParams:
-    head = _header_entries(line.lstrip("#").split())
+    head = _header_entries(line.lstrip("#").split(), ["family", "n", "params"])
     cls = FAMILIES.get(head.get("family"))
     if cls is None:
         raise ValueError(f"unknown code family in header: {head.get('family')!r}")
@@ -992,74 +990,22 @@ def write_code_file(path: str, params: CodeParams, code: SeqSet) -> None:
             fh.write(SeqSet._line_matrix(words[lo : lo + block], code.n))
 
 
-def _block_header(line: bytes) -> Optional[CodeParams]:
-    """The record of a first line that can head the lines write_code_file
-    writes: one ASCII line that starts with '#' and parses.  None for any
-    other, whose value or error the text reading gives."""
-    head = line.partition(b"\n")[0]
-    if head.isascii() and head.startswith(b"#") and len(head.decode().splitlines()) == 1:
-        try:
-            return parse_header(head.decode())
-        except ValueError:
-            pass  # the text reading raises it, or first a decode error of a later byte
-    return None
-
-
-def _line_blocks(fh, n: int) -> Tuple[np.ndarray, bytes]:
-    """The words of the rest of fh, in file order, read (n+1) * 2^_BLOCK_BITS
-    bytes at a time into one buffer and parsed block by block
-    (``SeqSet._line_words``) into one array, up to the first block that is
-    not an exact line matrix; and the bytes from that block on, empty when
-    there is none.  The array starts at the lines left in a regular file,
-    so their words are held once, and the buffer is no longer than they
-    are, but it holds at least one line, so lines that a file gained after
-    its size was read are still read; once they pass its lines at open, the
-    buffer doubles whenever a read fills it, up to a block.  Any other file,
-    such as a pipe, whose size reads 0, is read until EOF; for it, or a file
-    that grew, the array doubles when a block does not fit, and is cut to
-    its words at the end."""
-    info, full = os.fstat(fh.fileno()), (n + 1) << seqs._BLOCK_BITS
-    size, lines = full, 0
-    if stat.S_ISREG(info.st_mode):
-        left = max(info.st_size - fh.tell(), 0)
-        size, lines = min(full, max(left, n + 1)), left // (n + 1)
-    buf, words, filled, rest = memoryview(bytearray(size)), np.empty(lines, np.uint64), 0, b""
-    while got := fh.readinto(buf):
-        block = SeqSet._line_words(buf[:got], n)
-        if block is None:
-            rest = bytes(buf[:got]) + fh.read()
-            break
-        if filled + len(block) > len(words):
-            # no view of words outlives its statement, so it can be resized in place
-            words.resize(max(2 * len(words), filled + len(block)), refcheck=False)
-        words[filled : filled + len(block)] = block
-        filled += len(block)
-        if filled > lines and got == len(buf) < full:
-            buf = memoryview(bytearray(min(2 * got, full)))
-    words.resize(filled, refcheck=False)
-    return words, rest
-
-
-def _read_text(data: bytes) -> Tuple[Optional[CodeParams], SeqSet]:
-    """A code file read as text, line by line, from its first byte."""
-    lines = data.decode("ascii").splitlines(keepends=True)
-    params = None
-    if lines and lines[0].startswith("#"):
-        params = parse_header(lines[0])
-        lines = lines[1:]
-    return params, SeqSet.parse_lines("".join(lines), None if params is None else params.n)
-
-
 def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     """Parse a code file; a missing header yields params=None.
 
-    A header line, then exactly the lines write_code_file writes, is read
-    one block of 2^_BLOCK_BITS lines at a time, each parsed to its words in
-    file order into one array (_line_blocks); the words are sorted only
-    when the file was not.  Any other file is read as text, line by line,
-    from its first byte, so it gives the text reading's value or error: the
-    blocks before the first one that is not a line matrix were, so their
-    bytes are the lines of their words again.
+    The file gives the value or error of its reading as text: decoded whole
+    as ASCII, split by str.splitlines, a first line that starts with '#'
+    parsed as the header, and the other lines by SeqSet.parse_lines.  It is
+    read in chunks of whole lines, so it is never held whole: after the first
+    line, (n+1) * 2^_BLOCK_BITS bytes at a time (n = MAX_LEN until a
+    headerless file's lines give it), each read cut after its last newline,
+    which ends a line in any reading, and the rest carried into the next.  A
+    chunk that is exactly lines of n bits (SeqSet._line_words), or is once
+    its \r\n line ends are \n, is parsed as a byte matrix, any other by
+    parse_lines; their words fill one array, sorted only when the file was
+    not.  A header or parse error is held until the end of the file, since a
+    later non-ASCII byte fails the text reading first, with the error that
+    names its position in the file.
 
     Under a header, every codeword must lie in the coset it names, by the
     record test the ``*_member`` predicates make one word at a time (so a
@@ -1068,14 +1014,53 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     the error names the smallest failing word.
     """
     with open(path, "rb") as fh:
-        head = fh.readline()
-        params = _block_header(head)
-        words, rest = _line_blocks(fh, params.n) if params is not None else (None, fh.read())
-    if params is None or rest:
-        body = b"" if words is None else SeqSet._line_matrix(words, params.n).tobytes()
-        params, code = _read_text(head + body + rest)
-    else:
-        code = SeqSet._from_vals(params.n, words)
+        first = fh.readline()
+        head = first.decode("ascii")  # a bad byte here is the file's first
+        line = head.splitlines(keepends=True)[0] if head.startswith("#") else ""
+        params = error = None
+        try:
+            params = parse_header(line) if line else None
+        except ValueError as exc:
+            error = exc
+        n, at, words = None if params is None else params.n, len(line), np.empty(0, np.uint64)
+        # the bytes read past the last newline, none empty: first, the rest of
+        # the first line after a header, or a headerless file's first line
+        rest = first[len(line):]
+        pending, eof = [rest] if rest else [], False
+        while not eof:
+            data = fh.read(((MAX_LEN if n is None else n) + 1) << seqs._BLOCK_BITS)
+            eof, cut = not data, data.rfind(b"\n") + 1
+            if not (eof or cut):
+                pending.append(data)
+                continue
+            chunk = b"".join([*pending, data[:cut]])  # a read that ends a line is not copied
+            pending = [data[cut:]] if cut < len(data) else []
+            del data  # a read that was copied is not held while its chunk is parsed
+            part = None
+            if error is None and n is not None:
+                part = SeqSet._line_words(chunk, n)
+                if part is None:  # \r\n line ends split the text into the same lines
+                    part = SeqSet._line_words(chunk.replace(b"\r\n", b"\n"), n)
+            if part is None:
+                if not chunk.isascii():
+                    (bytes(at) + chunk).decode("ascii")  # raises, naming the byte's place in the file
+                text = chunk.decode()
+                # a headerless file's length comes from its first nonblank line, or at its end
+                if error is None and (n is not None or text.strip() or eof):
+                    try:
+                        code = SeqSet.parse_lines(text, n)
+                    except ValueError as exc:
+                        error = exc
+                    else:
+                        n, part = code.n, code._array()
+            if part is not None:
+                # no view of words outlives its statement, so it grows in place
+                words.resize(len(words) + len(part), refcheck=False)
+                words[len(words) - len(part):] = part
+            at += len(chunk)
+    if error is not None:
+        raise error
+    code = SeqSet._from_vals(n, words)
     if params is not None:
         vals, P = code._array(), getattr(params, "P", None)
         # an empty code is one empty slice, still checked, as a whole array is

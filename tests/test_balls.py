@@ -1,5 +1,6 @@
 """Ball enumeration, formulas, intersections, and coverage tests."""
 
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -463,6 +464,27 @@ def test_deletion_masks_hold_little_beyond_their_entries():
         tracemalloc.stop()
         balls._deletion_masks.cache_clear()
     assert peak < 1.5 * 6 * comb(24, 5) * 8
+
+
+def test_deletion_masks_cache_keeps_only_small_recipes():
+    # C(36, 6) = 1.9 M columns of 7 masks, 109 MB of entries, are dropped with
+    # their table; a recipe of (n, 2) is built once and then found in the cache
+    balls._deletion_masks.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _deletion_table([5], 36, 6)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8 << 20
+    _deletion_table([5], 12, 2)
+    before = balls._deletion_masks.cache_info()
+    _deletion_table([6], 12, 2)
+    after = balls._deletion_masks.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    balls._deletion_masks.cache_clear()
 
 
 def brute_worst(words, t):

@@ -402,6 +402,7 @@ def test_length_zero_code_round_trip(tmp_path, capsys):
         ("# family=vt n=3 params=a=x\n000\n", "code file header field 'a' has a non-integer value 'x'"),
         ("# family=vt n=3 params=a\n000\n", "code file header field 'a' has a non-integer value ''"),
         ("# family=vt n=3 n=4 params=a=0\n000\n", "code file header has a repeated entry 'n=4'"),
+        ("# family=vt n=4 params=a=0 junk=1\n0000\n", "code file header has an unknown entry 'junk=1'"),
     ],
 )
 @pytest.mark.parametrize("command", ("verify", "simulate", "coverage"))

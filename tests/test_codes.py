@@ -1177,7 +1177,7 @@ HEAD = b"# family=vt n=4 params=a=0\n"  # VT syndrome 0 at n = 4: 0000, 1001, 01
     (HEAD + b"1111\n0000\n1111\n", True),
     (HEAD, True),
     (b"# family=vt n=0 params=a=0\n\n", True),
-    (HEAD + b"0000\r\n0110\r\n", False),
+    (HEAD + b"0000\r\n0110\r\n", True),
     (HEAD[:-1] + b"\r\n0000\n0110\n", False),
     (HEAD + b"0000\n\n0110\n", False),
     (HEAD + b"0000\n0110", False),
@@ -1190,8 +1190,9 @@ HEAD = b"# family=vt n=4 params=a=0\n"  # VT syndrome 0 at n = 4: 0000, 1001, 01
     (b"# family=vt\x0b n=4 params=a=0\n0000\n", False),
 ])
 def test_code_file_byte_matrix_reads_as_the_text_lines(tmp_path, data, matrix):
-    # only a header and an exact line matrix skip the text path; every other
-    # file gives what the text path gives, value or error text
+    # only a header and an exact line matrix, with \n or \r\n line ends, skip
+    # the text path; every other file gives what the text path gives, value
+    # or error text
     path = tmp_path / "code.txt"
     path.write_bytes(data)
     try:
@@ -1244,13 +1245,53 @@ def test_code_file_blocks_round_trip_byte_identical(tmp_path, n, bits):
 @pytest.mark.parametrize("data, matrix", MATRIX_CASES)
 def test_code_file_blocks_read_as_the_text_lines(tmp_path, data, matrix, bits):
     # as in the one-block reading: only a header and an exact line matrix
-    # skip the text path, and every other file gives its value or error text
+    # skip the text path, and every other file gives its value or error
+    # text; a one-line chunk with a \r\n end takes two reads, cut between them
     path = tmp_path / "code.txt"
     path.write_bytes(data)
     want = read_or_error(read_as_text, str(path))
     spy = mock.patch.object(SeqSet, "parse_lines", side_effect=AssertionError("text path"))
     with blocks_of(bits), spy if matrix else contextlib.nullcontext():
         assert read_or_error(read_code_file, str(path)) == want
+
+
+@st.composite
+def text_code_files(draw):
+    """The bytes of a file that may or may not be a code file: an optional
+    header, lines of 0, 1, blanks, tabs and 2 (most of them words of the
+    header's length, some one bit off it), ended by any of the ASCII line
+    breaks of str.splitlines, and sometimes one non-ASCII byte."""
+    n = draw(st.integers(0, 4))
+    good = f"# family=all n={n} params="
+    head = draw(st.sampled_from(("", "", good, good, "# family=all n=x params=",
+                                 f"# family=all\x0b n={n} params=")))
+    brk = st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c"))
+    word = st.text("01", min_size=n, max_size=n)
+    line = st.one_of(word, word, word, word.map(lambda w: f" {w}\t"), st.just(""),
+                     st.text("01", min_size=max(n - 1, 0), max_size=n + 1), st.text("01 \t2", max_size=6))
+    lines = draw(st.lists(st.tuples(line, brk).map("".join), max_size=12))
+    data = ((head + draw(brk) if head else "") + "".join(lines)).encode("ascii")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\x80", b"\xff"))) + data[at:]
+    return data
+
+
+@given(text_code_files())
+@settings(max_examples=300, deadline=None)
+def test_code_file_chunks_read_as_the_text_lines(data):
+    # chunks of one or two lines' bytes cut the file everywhere, between a
+    # \r and its \n too; every cut gives the value or error of the whole text
+    fd, path = tempfile.mkstemp(suffix=".code")
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(data)
+    try:
+        want = read_or_error(read_as_text, path)
+        for bits in (0, 1):
+            with blocks_of(bits):
+                assert read_or_error(read_code_file, path) == want, bits
+    finally:
+        os.unlink(path)
 
 
 @BLOCK_BITS
@@ -1263,9 +1304,10 @@ def test_code_file_blocks_read_as_the_text_lines(tmp_path, data, matrix, bits):
 def test_code_file_bad_later_block_reads_as_text_from_the_start(tmp_path, bad, error, bits):
     path = tmp_path / "code.txt"
     path.write_bytes(HEAD + b"0000\n0110\n1001\n1111\n" + bad)
-    with blocks_of(bits), mock.patch.object(codes, "_read_text", wraps=codes._read_text) as text:
+    with blocks_of(bits), mock.patch.object(SeqSet, "parse_lines", wraps=SeqSet.parse_lines) as text:
         got = read_or_error(read_code_file, str(path))
-    assert text.call_count == 1
+    # only the chunk of the bad line is read as text, unless it fails to decode
+    assert text.call_count == bad.isascii()
     assert got == read_or_error(read_as_text, str(path))
     if error is None:
         assert got == (codes.VTParams(4, 0), build_vt(4, 0))
@@ -1329,9 +1371,9 @@ def test_code_file_header_without_newline_is_an_empty_code(tmp_path, bits):
     (4, b"0000\n1111\n1110\n", False),
 ])
 def test_code_file_read_through_a_pipe_as_from_the_file(tmp_path, n, body, text, bits):
-    # a pipe's size reads 0: it is read to its end in whole blocks, though
-    # written 5 bytes at a time, and a block that is not a line matrix sends
-    # it to the text path as a file does
+    # a pipe is read to its end in whole blocks, though written 5 bytes at a
+    # time, and a block that is not a line matrix is read as text, as a
+    # file's is
     body = build_vt(n, 0).to_lines().encode() if body is None else body
     data = format_header(codes.VTParams(n, 0)).encode() + b"\n" + body
     path = tmp_path / "code.txt"
@@ -1348,7 +1390,7 @@ def test_code_file_read_through_a_pipe_as_from_the_file(tmp_path, n, body, text,
     writer = threading.Thread(target=feed)
     writer.start()
     try:
-        with blocks_of(bits), mock.patch.object(codes, "_read_text", wraps=codes._read_text) as spy:
+        with blocks_of(bits), mock.patch.object(SeqSet, "parse_lines", wraps=SeqSet.parse_lines) as spy:
             got = read_or_error(read_code_file, f"/dev/fd/{r}")
     finally:
         os.close(r)  # a writer still blocked on a full pipe stops here
@@ -1359,43 +1401,24 @@ def test_code_file_read_through_a_pipe_as_from_the_file(tmp_path, n, body, text,
         assert got == read_or_error(read_code_file, str(path))
 
 
-@BLOCK_BITS
-@pytest.mark.parametrize("grown", (-3, 0, 1, 6))
-def test_code_file_read_whatever_its_size_at_open(tmp_path, grown, bits):
-    # a regular file's words fill an array sized from its length at open;
-    # lines past that length, as in a file that grew after its size was
-    # read, and lines short of it, as in one that shrank, read the same
-    params, code = codes.VTParams(8, 0), build_vt(8, 0)
-    path = tmp_path / "code.txt"
-    write_code_file(str(path), params, code)
-    size, real = path.stat().st_size - 9 * grown, os.fstat
-
-    def fstat(fd):
-        return os.stat_result((*real(fd)[:6], size, *real(fd)[7:10]))
-
-    with blocks_of(bits), mock.patch.object(codes.os, "fstat", fstat):
-        assert read_code_file(str(path)) == (params, code)
-
-
 @pytest.mark.parametrize("bits", (0, 1, seqs._BLOCK_BITS))
-@pytest.mark.parametrize("extra", (0, 4))
-@pytest.mark.parametrize("tail", (b"", b"0101\n"))
-def test_code_file_read_when_only_its_header_was_there_at_open(tmp_path, bits, extra, tail):
-    # a file whose size at open was its header's length, or that plus part
-    # of a line, as one still being written: its read buffer holds a line,
-    # and grows as lines keep coming, so all 30 lines are read, not an empty
-    # code; a malformed last line gives the text reading's error
+@pytest.mark.parametrize("shape", ("exact", "bad last line", "crlf", "blank lines", "headerless"))
+def test_code_file_read_to_its_end_without_its_size(tmp_path, bits, shape):
+    # nothing reads the file's size: with os.fstat failing, the 30 lines of
+    # the vt code at n = 8 are read through every way a chunk is parsed, and
+    # a malformed last line gives the text reading's error
     params, code = codes.VTParams(8, 0), build_vt(8, 0)
+    lines = code.to_lines().encode()
+    head = format_header(params).encode() + b"\n"
+    data = {"exact": head + lines, "bad last line": head + lines + b"0101\n",
+            "crlf": (head + lines).replace(b"\n", b"\r\n"),
+            "blank lines": head + lines.replace(b"\n", b"\n\n"), "headerless": lines}[shape]
     path = tmp_path / "code.txt"
-    write_code_file(str(path), params, code)
-    path.write_bytes(path.read_bytes() + tail)
-    size, real = len(format_header(params)) + 1 + extra, os.fstat
-    with blocks_of(bits):
-        want = read_or_error(read_code_file, str(path))
-
-    def fstat(fd):
-        return os.stat_result((*real(fd)[:6], size, *real(fd)[7:10]))
-
-    with blocks_of(bits), mock.patch.object(codes.os, "fstat", fstat):
-        assert read_or_error(read_code_file, str(path)) == want
-    assert want[0] is ValueError if tail else want == (params, code) and len(code) == 30
+    path.write_bytes(data)
+    with blocks_of(bits), mock.patch.object(os, "fstat", side_effect=AssertionError("fstat")):
+        got = read_or_error(read_code_file, str(path))
+    assert got == read_or_error(read_as_text, str(path))
+    if shape == "bad last line":
+        assert got == (ValueError, "bad sequence line: '0101'")
+    else:
+        assert got[1] == code and len(code) == 30
