@@ -996,16 +996,18 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     The file gives the value or error of its reading as text: decoded whole
     as ASCII, split by str.splitlines, a first line that starts with '#'
     parsed as the header, and the other lines by SeqSet.parse_lines.  It is
-    read in chunks of whole lines, so it is never held whole: after the first
-    line, (n+1) * 2^_BLOCK_BITS bytes at a time (n = MAX_LEN until a
-    headerless file's lines give it), each read cut after its last newline,
-    which ends a line in any reading, and the rest carried into the next.  A
-    chunk that is exactly lines of n bits (SeqSet._line_words), or is once
-    its \r\n line ends are \n, is parsed as a byte matrix, any other by
-    parse_lines; their words fill one array, sorted only when the file was
-    not.  A header or parse error is held until the end of the file, since a
-    later non-ASCII byte fails the text reading first, with the error that
-    names its position in the file.
+    read in chunks of whole lines, so it is never held whole: (n+1) * 2^k
+    bytes at a time (n = MAX_LEN until the header or a headerless file's
+    lines give it), k growing by one a read from _BLOCK_BITS - 4 to
+    _BLOCK_BITS, so a small file takes small reads.  Each read is cut after
+    its last \n, or \r that is not its last byte, which end a line in any
+    reading, and the rest carried into the next.  The header is the first
+    line of the first chunk.  A chunk that is exactly lines of n bits
+    (SeqSet._line_words), or is once its \r\n line ends are \n, is parsed as
+    a byte matrix, any other by parse_lines; their words fill one array,
+    sorted only when the file was not.  A header or parse error is held
+    until the end of the file, since a later non-ASCII byte fails the text
+    reading first, with the error that names its position in the file.
 
     Under a header, every codeword must lie in the coset it names, by the
     record test the ``*_member`` predicates make one word at a time (so a
@@ -1014,28 +1016,32 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     the error names the smallest failing word.
     """
     with open(path, "rb") as fh:
-        first = fh.readline()
-        head = first.decode("ascii")  # a bad byte here is the file's first
-        line = head.splitlines(keepends=True)[0] if head.startswith("#") else ""
-        params = error = None
-        try:
-            params = parse_header(line) if line else None
-        except ValueError as exc:
-            error = exc
-        n, at, words = None if params is None else params.n, len(line), np.empty(0, np.uint64)
-        # the bytes read past the last newline, none empty: first, the rest of
-        # the first line after a header, or a headerless file's first line
-        rest = first[len(line):]
-        pending, eof = [rest] if rest else [], False
+        params = error = n = None
+        at, words, pending, eof = 0, np.empty(0, np.uint64), [], False
+        lines = 1 << max(seqs._BLOCK_BITS - 4, 0)
         while not eof:
-            data = fh.read(((MAX_LEN if n is None else n) + 1) << seqs._BLOCK_BITS)
-            eof, cut = not data, data.rfind(b"\n") + 1
+            data = fh.read(((MAX_LEN if n is None else n) + 1) * lines)
+            lines = min(2 * lines, 1 << seqs._BLOCK_BITS)
+            # a \n ends a line in any reading, and so does a \r that no \n follows
+            eof, cut = not data, max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
             if not (eof or cut):
                 pending.append(data)
                 continue
             chunk = b"".join([*pending, data[:cut]])  # a read that ends a line is not copied
             pending = [data[cut:]] if cut < len(data) else []
             del data  # a read that was copied is not held while its chunk is parsed
+            if not at and chunk.startswith(b"#"):
+                # the header is the text's first line; a bad byte before the
+                # chunk's first \n is the file's first
+                head = chunk[: chunk.find(b"\n") + 1 or len(chunk)].decode("ascii")
+                line = head.splitlines(keepends=True)[0]
+                try:
+                    params = parse_header(line)
+                except ValueError as exc:
+                    error = exc
+                else:
+                    n = params.n
+                chunk, at = chunk[len(line):], len(line)
             part = None
             if error is None and n is not None:
                 part = SeqSet._line_words(chunk, n)

@@ -134,20 +134,27 @@ def _embeds(c: np.ndarray, z: np.ndarray, n: int, t: int) -> np.ndarray:
 
     Greedy embedding: walk z from its top bit, and take the next unmatched
     bit of c whenever z shows it; c embeds iff that uses it up.  The
-    unmatched suffix of c is kept left-aligned in the uint64 `rest` and its
-    length in `left`; a hit shifts the matched bit out.  n + t <= 64, so
-    every shift is below 64.
+    unmatched suffix of c is kept left-aligned in the uint64 `rest`, and
+    `left` counts its bits down.  Once c is used up, `rest` is 0 and every
+    0 bit of z takes `left` further below 0, to -t at the least, so c embeds
+    iff `left` ends at most 0.  A step is five numpy calls that write into
+    buffers allocated once, not afresh at every bit.  n + t <= 64, so every
+    shift is below 64.
     """
-    left = np.full(np.broadcast(c, z).shape, n, dtype=np.int8)
+    shape = np.broadcast(c, z).shape
+    left = np.full(shape, n, dtype=np.int8)
     if n == 0:
-        return left == 0
-    rest = np.broadcast_to(c << np.uint64(64 - n), left.shape).copy()
+        return left <= 0
+    rest = np.empty(shape, dtype=np.uint64)
+    np.left_shift(c, np.uint64(64 - n), out=rest)
+    diff, hit, top = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=bool), np.uint64(1 << 63)
     for s in range(n + t - 1, -1, -1):
-        hit = ((z >> np.uint64(s)) & np.uint64(1)) == (rest >> np.uint64(63))
-        hit &= left > 0
-        rest <<= hit
-        left -= hit
-    return left == 0
+        np.left_shift(z, np.uint64(63 - s), out=diff)  # z's bit s on top
+        np.bitwise_xor(diff, rest, out=diff)
+        np.less(diff, top, out=hit)  # the top bits agree
+        np.left_shift(rest, hit, out=rest)
+        np.subtract(left, hit, out=left)
+    return left <= 0
 
 
 def _presence(code: np.ndarray, n: int) -> np.ndarray:
@@ -303,18 +310,197 @@ def _trial_words(size: int, ball: int, reads: int) -> int:
     return ceil(np.sum(1 / p) + 6 * sqrt(np.sum((1 - p) / p**2)))
 
 
-def _draws(rng: random.Random, seeds: Sequence[int], size: int, ball: int, reads: int,
-           words: int) -> np.ndarray:
-    """(len(seeds), 1 + reads) intp array: row k is
-    [rng.randrange(size), *rng.sample(range(ball), reads)] after
-    rng.seed(seeds[k]), replayed from the generator's raw words.
+# MT19937 (Matsumoto & Nishimura 1998) as CPython's random.Random runs it:
+# a state of _MT_N words, each twisted with the word _MT_M places on.
+_MT_N, _MT_M = 624, 397
 
-    Each seed's state gives `words` 32-bit outputs as one getrandbits, laid
-    out little-endian, so word i is the i-th output, followed by two zero
-    words.  CPython's _randbelow(m) takes the next word >> (32 - k), with
-    k = m.bit_length(), until one is below m; every row keeps its own word
-    pointer `at`, and a draw runs on all rows at once, retrying only the
-    rows that drew too high.  The sample replays random.sample's selection.
+
+@lru_cache(maxsize=1)
+def _mt_constants() -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """init_genrand(19650218), the state that init_by_array starts from, and
+    the step indices 0 .. _MT_N, as read-only 0-d uint32 arrays: numpy takes
+    those faster than scalars in the hot loops."""
+    g = [19650218]
+    for i in range(1, _MT_N):
+        g.append((1812433253 * (g[-1] ^ g[-1] >> 30) + i) & 0xFFFFFFFF)
+
+    def zero_d(vals):
+        arr = np.array(vals, dtype=np.uint32)
+        arr.flags.writeable = False
+        return [arr[i, ...] for i in range(len(arr))]
+    return zero_d(g), zero_d(range(_MT_N + 1))
+
+
+def _mt_state(keys: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """(len(keep), rows) uint32: the words at indices `keep`, which start
+    with 0 and 1, of the state that init_by_array leaves for each column of
+    `keys`, a (L, rows) array of L < _MT_N key words plus their index,
+    key[j] + j.
+
+    Its first loop sets a_i = (g_i ^ h1(a_{i-1})) + keys[(i - 1) % L] for
+    i = 1 .. 623 from a_0 = g_0 (_mt_constants), with
+    hm(x) = (x ^ x >> 30) * m for m1 = 1664525 and m2 = 1566083941, and ends
+    with a_1' = (a_1 ^ h1(a_623)) + keys[623 % L].  Its second sets
+    b_1 = a_1' and b_i = (a_i ^ h2(b_{i-1})) - i for i = 2 .. 623, and ends
+    with word 1 = (a_1' ^ h2(b_623)) - 1; word 0 is 2^31.  The first loop
+    runs once alone for a_623, then again in lockstep with the second, the
+    chains stacked as one (2, rows) array [a_i; b_{i-1}], so no chain is held
+    whole.  Every step is a few numpy calls over all rows with out= arrays,
+    whose uint32 arithmetic wraps as the C code's does.
+    """
+    L, rows = keys.shape
+    g, step = _mt_constants()
+    by_j = list(keys)
+    key = [by_j[(i - 1) % L] for i in range(_MT_N + 1)]  # the key word of a_i
+    rs, xor, mul, add, sub = np.right_shift, np.bitwise_xor, np.multiply, np.add, np.subtract
+    c30 = np.array(30, dtype=np.uint32)
+    mults = np.array([[1664525], [1566083941]], dtype=np.uint32)
+    m1, m2 = mults[0, 0, ...], mults[1, 0, ...]
+
+    def h(x, m, out):
+        rs(x, c30, out)
+        xor(out, x, out)
+        mul(out, m, out)
+
+    s, hs = np.empty((2, rows), dtype=np.uint32), np.empty((2, rows), dtype=np.uint32)
+    s0, s1, h0, h1 = s[0], s[1], hs[0], hs[1]
+    a, t = np.full(rows, g[0], dtype=np.uint32), np.empty(rows, dtype=np.uint32)
+    for i in range(1, _MT_N):
+        h(a, m1, t)
+        xor(t, g[i], t)
+        add(t, key[i], a)
+        if i == 1:
+            a1 = a.copy()
+        elif i == 2:
+            s0[...] = a
+    h(a, m1, t)
+    xor(t, a1, t)
+    add(t, key[_MT_N], s1)
+    a1_last = s1.copy()
+    state = np.empty((len(keep), rows), dtype=np.uint32)
+    at = dict(zip(keep, state))
+    for i in range(2, _MT_N):
+        # [a_i; b_{i-1}] -> [a_{i+1}; b_i]; a_624 is not a word, and unused
+        h(s, mults, hs)
+        xor(h1, s0, h1)
+        sub(h1, step[i], s1)
+        xor(h0, g[(i + 1) % _MT_N], h0)
+        add(h0, key[i + 1], s0)
+        if i in at:
+            at[i][...] = s1
+    h(s1, m2, t)
+    xor(t, a1_last, t)
+    sub(t, step[1], at[1])
+    at[0][...] = 0x80000000
+    return state
+
+
+def _mt_next(lo: np.ndarray, hi: np.ndarray) -> None:
+    """MT19937's twist, in place: hi[k] ^= the mix of lo[k] and lo[k + 1].
+
+    With lo the old words k .. k + m and hi the words _MT_M further on, hi
+    becomes the new words k .. k + m - 1.
+    """
+    y = np.bitwise_and(lo[:-1], np.uint32(0x80000000))
+    u = np.bitwise_and(lo[1:], np.uint32(0x7FFFFFFF))
+    y |= u
+    hi ^= np.right_shift(y, np.uint32(1), out=u)
+    y &= np.uint32(1)
+    y *= np.uint32(0x9908B0DF)
+    hi ^= y
+
+
+def _mt_twist(mt: np.ndarray) -> np.ndarray:
+    """The next (_MT_N, rows) state of a whole (_MT_N, rows) state.
+
+    New word k mixes old words k and k + 1 (word 623 mixes old 623 and new
+    0) into word k + _MT_M, which is new once it wraps past 623, so the words
+    come in runs of _MT_N - _MT_M whose sources are all set.
+    """
+    new = np.empty_like(mt)
+    run = _MT_N - _MT_M
+    new[:run] = mt[_MT_M:]
+    _mt_next(mt[: run + 1], new[:run])
+    for lo in range(run, _MT_N - 1, run):
+        hi = min(lo + run, _MT_N - 1)
+        new[lo:hi] = new[lo - run : hi - run]
+        _mt_next(mt[lo : hi + 1], new[lo:hi])
+    new[-1] = new[_MT_M - 1]
+    _mt_next(np.stack([mt[-1], new[0]]), new[-1:])
+    return new
+
+
+def _mt_temper(y: np.ndarray) -> np.ndarray:
+    """MT19937's output words from state words, in place."""
+    u = np.right_shift(y, np.uint32(11))
+    y ^= u
+    for shift, mask in ((7, 0x9D2C5680), (15, 0xEFC60000)):
+        np.left_shift(y, np.uint32(shift), out=u)
+        u &= np.uint32(mask)
+        y ^= u
+    y ^= np.right_shift(y, np.uint32(18), out=u)
+    return y
+
+
+def _mt_words(seeds: Sequence[int], words: int) -> np.ndarray:
+    """(len(seeds), words) uint32: row k holds the first `words` outputs of
+    random.Random(seeds[k]), as getrandbits(32) returns them one by one.
+    The rows are a transposed view of a (words, len(seeds)) array.
+
+    CPython seeds with the 32-bit words of |s| from the lowest (one word 0
+    for 0) through init_by_array.  Seeds with keys of equal length L are
+    seeded together (_mt_state).  Outputs 0 .. words - 1 come from the first
+    twist, which reads state words 0 .. words and _MT_M .. _MT_M + words - 1,
+    so up to words = _MT_N - _MT_M only those 2 words + 1 are kept; beyond
+    that the whole state is kept and twisted one round of _MT_N outputs at
+    a time.  Keys of _MT_N words or more (|s| >= 2^19968), whose first loop
+    wraps, are reseeded one by one in the stdlib.
+    """
+    out = np.empty((words, len(seeds)), dtype=np.uint32)
+    if max(map(abs, seeds), default=0).bit_length() <= 64:
+        # keys of one or two words, the halves of |s|, read with no Python
+        # object per seed, in an eighth of the time of the general path below
+        keys = np.fromiter(map(abs, seeds), dtype="<u8", count=len(seeds)).view("<u4").reshape(-1, 2)
+        lengths = 1 + (keys[:, 1] != 0)
+    else:
+        # each key's words, _MT_N for any longer key, and the keys below _MT_N words
+        lengths = np.array([min(-(-abs(s).bit_length() // 32) or 1, _MT_N) for s in seeds])
+        width = min(lengths.max(), _MT_N - 1)
+        raw = b"".join([abs(s).to_bytes(4 * width, "little") if L < _MT_N else bytes(4 * width)
+                        for s, L in zip(seeds, lengths.tolist())])
+        keys = np.frombuffer(raw, dtype="<u4").reshape(len(seeds), width)
+    partial = words <= _MT_N - _MT_M
+    keep = [*range(words + 1), *range(_MT_M, _MT_M + words)] if partial else range(_MT_N)
+    for L in range(1, lengths.max(initial=0) + 1):
+        rows = lengths == L
+        if not rows.any():
+            continue
+        if L == _MT_N:
+            for r in np.flatnonzero(rows).tolist():
+                raw = random.Random(seeds[r]).getrandbits(32 * words).to_bytes(4 * words, "little")
+                out[:, r] = np.frombuffer(raw, dtype="<u4")
+            continue
+        state = _mt_state(keys[rows, :L].T + np.arange(L, dtype=np.uint32)[:, None], keep)
+        if partial:
+            _mt_next(state[: words + 1], state[words + 1 :])
+            out[:, rows] = _mt_temper(state[words + 1 :])
+            continue
+        for lo in range(0, words, _MT_N):
+            state = _mt_twist(state)
+            out[lo : lo + _MT_N, rows] = _mt_temper(state[: words - lo].copy())
+    return out.T
+
+
+def _draws(seeds: Sequence[int], size: int, ball: int, reads: int, words: int) -> np.ndarray:
+    """(len(seeds), 1 + reads) intp array: row k is
+    [rng.randrange(size), *rng.sample(range(ball), reads)] with
+    rng = random.Random(seeds[k]), replayed from the generator's raw words.
+
+    Each seed's first `words` 32-bit outputs, computed for all seeds at once
+    (_mt_words), are followed by two zero words.  CPython's _randbelow(m)
+    takes the next word >> (32 - k), with k = m.bit_length(), until one is
+    below m; every row keeps its own word pointer `at`, and a draw runs on
+    all rows at once, retrying only the rows that drew too high.  The sample replays random.sample's selection.
     Its pool branch swaps each pick out of a (rows, ball) pool, one pick of
     all rows at a time.  Its set branch draws below ball throughout and
     skips values it took before, so its picks are the first `reads`
@@ -323,14 +509,10 @@ def _draws(rng: random.Random, seeds: Sequence[int], size: int, ball: int, reads
     there, a value below every bound, and is drawn again, by the same
     replay, with twice the words.
     """
-    bits, width = 32 * words, 4 * (words + 2)
-
-    def raw(s: int) -> bytes:
-        rng.seed(s)
-        return rng.getrandbits(bits).to_bytes(width, "little")
-
     rows = len(seeds)
-    flat = np.frombuffer(b"".join(map(raw, seeds)), dtype="<u4")
+    grid = np.zeros((rows, words + 2), dtype=np.uint32)
+    grid[:, :words] = _mt_words(seeds, words)
+    flat = grid.ravel()
     end = np.arange(words, len(flat), words + 2)  # each row's first zero word
     at = end - words
 
@@ -358,7 +540,6 @@ def _draws(rng: random.Random, seeds: Sequence[int], size: int, ball: int, reads
         short = at > end
     else:
         shift = 32 - ball.bit_length()
-        grid = flat.reshape(rows, -1)
         width = grid.shape[1]
         col = np.arange(width)
         live = grid < np.uint32(ball << shift)
@@ -377,7 +558,7 @@ def _draws(rng: random.Random, seeds: Sequence[int], size: int, ball: int, reads
         out[:, 1 : 1 + pos.shape[1]] = grid[np.arange(rows)[:, None], pos] >> np.uint32(shift)
     short = np.flatnonzero(short)
     if short.size:
-        out[short] = _draws(rng, [seeds[k] for k in short], size, ball, reads, 2 * words)
+        out[short] = _draws([seeds[k] for k in short], size, ball, reads, 2 * words)
     return out
 
 
@@ -387,10 +568,11 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
     With rng = Random(seed + k), trial k draws its truth as the
     rng.randrange(|C|)-th codeword and its reads at positions
     rng.sample(range(|I_t|), reads) of the truth's sorted insertion ball.
-    One generator is reseeded to the state of Random(seed + k) per trial,
-    and these draws are replayed from its raw words (_draws) in blocks of
-    trials that hold at most _DRAW entries; each block is then cut into
-    chunks of trials, read and decoded as arrays.
+    No generator is made: these draws are replayed (_draws) from the raw
+    words of Random(seed + k), which _mt_words computes for a whole block of
+    trials at once, in blocks of trials that hold at most _DRAW entries;
+    each block is then cut into chunks of trials, read and decoded as
+    arrays.
     With no reads every codeword survives.
     """
     if trials < 0:
@@ -408,13 +590,15 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
     present = _presence(members, code.n) if reads and code.n <= _PRESENCE_BITS else None
     words = _trial_words(len(members), ball, reads)
     # a trial's words and two zero words, each with its sort key, value and
-    # position in the set branch; its 1 + N draws; and its pool, if any
+    # position in the set branch; its 1 + N draws; its pool, if any; and the
+    # generator state words it is seeded to, the whole state and the next
+    # round's once the words outrun the first twist's run (_mt_words)
     pool = _pool_sample(ball, reads)
-    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0)
+    state = 2 * words + 1 if words <= _MT_N - _MT_M else 2 * _MT_N
+    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0) + state
     block = max(1, _DRAW // held)
-    rng = random.Random()
     for start in range(0, trials, block):
-        drawn = _draws(rng, range(seed + start, seed + min(trials, start + block)),
+        drawn = _draws(range(seed + start, seed + min(trials, start + block)),
                        len(members), ball, reads, words)
         for lo in range(0, len(drawn), step):
             part = drawn[lo : lo + step]

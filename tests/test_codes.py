@@ -8,6 +8,7 @@ import random
 import re
 import tempfile
 import threading
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -1399,6 +1400,35 @@ def test_code_file_read_through_a_pipe_as_from_the_file(tmp_path, n, body, text,
     assert spy.called == text
     with blocks_of(bits):
         assert got == read_or_error(read_code_file, str(path))
+
+
+@pytest.mark.parametrize("shape", ("exact", "bad last line", "bad byte", "headerless"))
+def test_code_file_with_only_cr_line_ends_is_read_in_chunks(tmp_path, shape):
+    # with no \n in the file, each read is cut after its last \r and the
+    # header comes from the first chunk, so the 13,798 lines of the vt code at
+    # n = 18 give the text reading's words or error while the reading holds
+    # less than the file's bytes (the text reading holds about twelve times them)
+    params, code = codes.VTParams(18, 0), build_vt(18, 0)
+    head, lines = format_header(params).encode() + b"\r", code.to_lines().encode().replace(b"\n", b"\r")
+    data = {"exact": head + lines, "bad last line": head + lines + b"0101\r",
+            "bad byte": head + lines + b"01\xff0\r", "headerless": lines}[shape]
+    path = tmp_path / "code.txt"
+    path.write_bytes(data)
+    with blocks_of(8):
+        tracemalloc.start()
+        try:
+            got = read_or_error(read_code_file, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got == read_or_error(read_as_text, str(path))
+    if shape == "exact":
+        assert got == (params, code) and peak < len(data), peak
+    elif shape == "headerless":
+        assert got == (None, code)
+    else:
+        assert got[1] in ("bad sequence line: '0101'", f"'ascii' codec can't decode byte 0xff in "
+                          f"position {len(head + lines) + 2}: ordinal not in range(128)")
 
 
 @pytest.mark.parametrize("bits", (0, 1, seqs._BLOCK_BITS))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -440,7 +441,7 @@ def _stdlib_draws(size, ball, reads, seeds):
 
 def _replayed(size, ball, reads, seeds, words=None):
     words = recon._trial_words(size, ball, reads) if words is None else words
-    got = recon._draws(random.Random(), seeds, size, ball, reads, words)
+    got = recon._draws(seeds, size, ball, reads, words)
     assert got.dtype == np.intp and got.shape == (len(seeds), 1 + reads)
     return got.tolist()
 
@@ -478,7 +479,7 @@ def test_draws_redraw_rows_that_run_out_of_words(size, ball, reads):
     with mock.patch.object(recon, "_draws", wraps=recon._draws) as spy:
         assert _replayed(size, ball, reads, seeds, words=1) == _stdlib_draws(size, ball, reads, seeds)
     assert spy.call_count > 2
-    assert [c.args[5] for c in spy.call_args_list] == [2**i for i in range(spy.call_count)]
+    assert [c.args[4] for c in spy.call_args_list] == [2**i for i in range(spy.call_count)]
 
 
 @given(st.integers(1, 5000), st.integers(1, 300), st.data())
@@ -507,24 +508,74 @@ def test_draws_replay_long_runs_of_retries(size, ball, reads):
     assert _replayed(size, ball, reads, seeds) == _stdlib_draws(size, ball, reads, seeds)
 
 
-@pytest.mark.parametrize("reads", (3, 40))
+def _stdlib_words(seeds, words):
+    """The first `words` outputs of Random(s) per seed s, one getrandbits(32) each."""
+    out = []
+    for s in seeds:
+        rng = random.Random(s)
+        out.append([rng.getrandbits(32) for _ in range(words)])
+    return out
+
+
+@pytest.mark.parametrize("seeds", [
+    [0, 1, 5, 2**32 - 1],  # one-word keys, 0 seeding as the key [0]
+    range(2**32 - 3, 2**32 + 3),  # one- and two-word keys in one call
+    [2**64 + 7, 2**96 - 1, 2**100 + 1, 2**128 - 1, -(2**64)],  # three and four words
+    range(-6, 3),  # a negative seed seeds as its absolute value
+    [2**19968, 3, -(2**20000) - 1, 2**19968 - 1],  # 625-word keys and a 624-word one, beside small ones
+])
+@pytest.mark.parametrize("words", (1, 9, 227, 228, 624, 625, 1300))
+def test_mt_words_are_the_stdlib_outputs(seeds, words):
+    # 227 words come from the first twist's kept words, 228 on from the whole
+    # state, twisted once per 624 words
+    got = recon._mt_words(seeds, words)
+    assert got.dtype == np.uint32 and got.shape == (len(seeds), words)
+    assert got.tolist() == _stdlib_words(seeds, words)
+
+
+def test_draws_hold_no_whole_generator_state():
+    # 2000 rows of 624 state words would take 5 MB
+    seeds = range(2000)
+    recon._draws(seeds[:3], 13_798, 211, 2, 9)
+    tracemalloc.start()
+    try:
+        got = recon._draws(seeds, 13_798, 211, 2, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == _stdlib_draws(13_798, 211, 2, seeds)
+    assert peak < 2 << 20, peak
+
+
+@pytest.mark.parametrize("reads", (2, 6))
+def test_experiment_across_two_word_seeds_matches_documented_draw(reads):
+    # trials 0 .. 39 seed with one-word keys up to 2^32 - 1, then two-word ones
+    members = [str(c) for c in build_vt(6, 0)]
+    _check_against_oracle(members, 2, reads, 40, 2**32 - 20, recon._CHUNK)
+
+
+@pytest.mark.parametrize("n, reads", [(10, 3), (10, 40), (14, 132)])
 @pytest.mark.parametrize("chunk", (200, recon._CHUNK))
-def test_experiment_draws_in_blocks_of_bounded_entries(reads, chunk):
-    # a block's words, sort keys, picks and pool stay within _DRAW entries,
-    # here ten trials, in the set branch at N = 3 and the pool branch at
-    # N = 40; decode chunks are cut from one block, several to a block of
-    # ten when a chunk holds three trials, one when it could hold more
-    code, ball = build_vt(10, 0), ball_size_formula(10, 2)
+def test_experiment_draws_in_blocks_of_bounded_entries(n, reads, chunk):
+    # a block's words, sort keys, picks, pool and generator state words stay
+    # within _DRAW entries, here ten trials, in the set branch at N = 3, the
+    # pool branch at N = 40, and at N = 132, whose 252 words outrun the first
+    # twist, so a whole state and its next round count; decode chunks are
+    # cut from one block, several to a block of ten when a chunk holds few
+    # trials, one when it could hold more
+    code, ball = build_vt(n, 0), ball_size_formula(n, 2)
     words = recon._trial_words(len(code), ball, reads)
+    assert (words > 624 - 397) == (reads == 132)
     pool = recon._pool_sample(ball, reads)
-    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0)
-    step = chunk // max(math.comb(12, 2), reads)
+    state = 2 * words + 1 if words <= 624 - 397 else 2 * 624
+    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0) + state
+    step = chunk // max(math.comb(n + 2, 2), reads)
     with mock.patch.object(recon, "_DRAW", 10 * held + 5), \
             mock.patch.object(recon, "_CHUNK", chunk), \
             mock.patch.object(recon, "_draws", wraps=recon._draws) as draws, \
             mock.patch.object(recon, "_read_rows", wraps=recon._read_rows) as chunks:
         summary = run_experiment(code, 2, reads, 50, 1)
-    assert [len(c.args[1]) for c in draws.call_args_list if c.args[5] == words] == [10] * 5
+    assert [len(c.args[0]) for c in draws.call_args_list if c.args[4] == words] == [10] * 5
     per_block = [min(step, 10 - lo) for lo in range(0, 10, step)]
     assert [len(c.args[0]) for c in chunks.call_args_list] == per_block * 5
     assert [r.trial for r in summary.rows] == list(range(50))
