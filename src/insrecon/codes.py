@@ -1000,11 +1000,12 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     bytes at a time (n = MAX_LEN until the header or a headerless file's
     lines give it), k growing by one a read from _BLOCK_BITS - 4 to
     _BLOCK_BITS, so a small file takes small reads.  Each read is cut after
-    its last \n, or \r that is not its last byte, which end a line in any
-    reading, and the rest carried into the next.  The header is the first
-    line of the first chunk.  A chunk that is exactly lines of n bits
-    (SeqSet._line_words), or is once its \r\n line ends are \n, is parsed as
-    a byte matrix, any other by parse_lines; their words fill one array,
+    its last line break, \n, \v, \f, \x1c, \x1d, \x1e or a \r that is not
+    its last byte, which end a line in any reading, and the rest carried
+    into the next.  The header is the first line of the first chunk.  A
+    chunk that is exactly lines of n bits (SeqSet._line_words), or is once
+    its \r\n line ends are \n, is parsed as a byte matrix, any other by
+    parse_lines; their words fill one array,
     sorted only when the file was not.  A header or parse error is held
     until the end of the file, since a later non-ASCII byte fails the text
     reading first, with the error that names its position in the file.
@@ -1022,8 +1023,11 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
         while not eof:
             data = fh.read(((MAX_LEN if n is None else n) + 1) * lines)
             lines = min(2 * lines, 1 << seqs._BLOCK_BITS)
-            # a \n ends a line in any reading, and so does a \r that no \n follows
-            eof, cut = not data, max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+            # the ASCII breaks of str.splitlines end a line in any reading, \r once no
+            # \n can follow it; the others are sought after the last \n only
+            eof, cut = not data, data.rfind(b"\n") + 1
+            cut = max(cut, data.rfind(b"\r", cut, len(data) - 1) + 1,
+                      *(data.rfind(end, cut) + 1 for end in b"\v\f\x1c\x1d\x1e"))
             if not (eof or cut):
                 pending.append(data)
                 continue

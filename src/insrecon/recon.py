@@ -331,11 +331,11 @@ def _mt_constants() -> Tuple[List[np.ndarray], List[np.ndarray]]:
     return zero_d(g), zero_d(range(_MT_N + 1))
 
 
-def _mt_state(keys: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """(len(keep), rows) uint32: the words at indices `keep`, which start
-    with 0 and 1, of the state that init_by_array leaves for each column of
-    `keys`, a (L, rows) array of L < _MT_N key words plus their index,
-    key[j] + j.
+def _mt_state(keys: np.ndarray, words: int) -> np.ndarray:
+    """(2 words + 1, rows) uint32: words 0 .. words and _MT_M .. _MT_M +
+    words - 1, for 1 <= words <= _MT_N - _MT_M, of the state that
+    init_by_array leaves for each column of `keys`, a (L, rows) array of
+    L < _MT_N key words plus their index, key[j] + j.
 
     Its first loop sets a_i = (g_i ^ h1(a_{i-1})) + keys[(i - 1) % L] for
     i = 1 .. 623 from a_0 = g_0 (_mt_constants), with
@@ -377,8 +377,8 @@ def _mt_state(keys: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     xor(t, a1, t)
     add(t, key[_MT_N], s1)
     a1_last = s1.copy()
-    state = np.empty((len(keep), rows), dtype=np.uint32)
-    at = dict(zip(keep, state))
+    state = np.empty((2 * words + 1, rows), dtype=np.uint32)
+    at = dict(zip([*range(words + 1), *range(_MT_M, _MT_M + words)], state))
     for i in range(2, _MT_N):
         # [a_i; b_{i-1}] -> [a_{i+1}; b_i]; a_624 is not a word, and unused
         h(s, mults, hs)
@@ -410,26 +410,6 @@ def _mt_next(lo: np.ndarray, hi: np.ndarray) -> None:
     hi ^= y
 
 
-def _mt_twist(mt: np.ndarray) -> np.ndarray:
-    """The next (_MT_N, rows) state of a whole (_MT_N, rows) state.
-
-    New word k mixes old words k and k + 1 (word 623 mixes old 623 and new
-    0) into word k + _MT_M, which is new once it wraps past 623, so the words
-    come in runs of _MT_N - _MT_M whose sources are all set.
-    """
-    new = np.empty_like(mt)
-    run = _MT_N - _MT_M
-    new[:run] = mt[_MT_M:]
-    _mt_next(mt[: run + 1], new[:run])
-    for lo in range(run, _MT_N - 1, run):
-        hi = min(lo + run, _MT_N - 1)
-        new[lo:hi] = new[lo - run : hi - run]
-        _mt_next(mt[lo : hi + 1], new[lo:hi])
-    new[-1] = new[_MT_M - 1]
-    _mt_next(np.stack([mt[-1], new[0]]), new[-1:])
-    return new
-
-
 def _mt_temper(y: np.ndarray) -> np.ndarray:
     """MT19937's output words from state words, in place."""
     u = np.right_shift(y, np.uint32(11))
@@ -445,50 +425,31 @@ def _mt_temper(y: np.ndarray) -> np.ndarray:
 def _mt_words(seeds: Sequence[int], words: int) -> np.ndarray:
     """(len(seeds), words) uint32: row k holds the first `words` outputs of
     random.Random(seeds[k]), as getrandbits(32) returns them one by one.
-    The rows are a transposed view of a (words, len(seeds)) array.
 
     CPython seeds with the 32-bit words of |s| from the lowest (one word 0
-    for 0) through init_by_array.  Seeds with keys of equal length L are
-    seeded together (_mt_state).  Outputs 0 .. words - 1 come from the first
-    twist, which reads state words 0 .. words and _MT_M .. _MT_M + words - 1,
-    so up to words = _MT_N - _MT_M only those 2 words + 1 are kept; beyond
-    that the whole state is kept and twisted one round of _MT_N outputs at
-    a time.  Keys of _MT_N words or more (|s| >= 2^19968), whose first loop
-    wraps, are reseeded one by one in the stdlib.
+    for 0) through init_by_array, and outputs 0 .. words - 1 come from the
+    first twist, which reads state words 0 .. words and _MT_M .. _MT_M +
+    words - 1.  Up to words = _MT_N - _MT_M, a block whose keys are one or
+    two words (|s| < 2^64) is seeded in numpy, all at once (_mt_state),
+    keeping only those 2 words + 1.  Any other block takes each row from
+    the stdlib, as getrandbits(32 * words): past the first twist that is
+    faster than replaying whole states, and it spares longer keys, which no
+    workload seeds, a path of their own.
     """
-    out = np.empty((words, len(seeds)), dtype=np.uint32)
-    if max(map(abs, seeds), default=0).bit_length() <= 64:
-        # keys of one or two words, the halves of |s|, read with no Python
-        # object per seed, in an eighth of the time of the general path below
-        keys = np.fromiter(map(abs, seeds), dtype="<u8", count=len(seeds)).view("<u4").reshape(-1, 2)
-        lengths = 1 + (keys[:, 1] != 0)
-    else:
-        # each key's words, _MT_N for any longer key, and the keys below _MT_N words
-        lengths = np.array([min(-(-abs(s).bit_length() // 32) or 1, _MT_N) for s in seeds])
-        width = min(lengths.max(), _MT_N - 1)
-        raw = b"".join([abs(s).to_bytes(4 * width, "little") if L < _MT_N else bytes(4 * width)
-                        for s, L in zip(seeds, lengths.tolist())])
-        keys = np.frombuffer(raw, dtype="<u4").reshape(len(seeds), width)
-    partial = words <= _MT_N - _MT_M
-    keep = [*range(words + 1), *range(_MT_M, _MT_M + words)] if partial else range(_MT_N)
-    for L in range(1, lengths.max(initial=0) + 1):
-        rows = lengths == L
-        if not rows.any():
-            continue
-        if L == _MT_N:
-            for r in np.flatnonzero(rows).tolist():
-                raw = random.Random(seeds[r]).getrandbits(32 * words).to_bytes(4 * words, "little")
-                out[:, r] = np.frombuffer(raw, dtype="<u4")
-            continue
-        state = _mt_state(keys[rows, :L].T + np.arange(L, dtype=np.uint32)[:, None], keep)
-        if partial:
-            _mt_next(state[: words + 1], state[words + 1 :])
-            out[:, rows] = _mt_temper(state[words + 1 :])
-            continue
-        for lo in range(0, words, _MT_N):
-            state = _mt_twist(state)
-            out[lo : lo + _MT_N, rows] = _mt_temper(state[: words - lo].copy())
-    return out.T
+    if words <= _MT_N - _MT_M and max(map(abs, seeds), default=0).bit_length() <= 64:
+        # the halves of |s|, read with no Python object per seed; a_i adds
+        # key word j = (i - 1) % L plus j, which for a one-word key k is k
+        # at either parity, so every key is seeded as two words
+        lo, hi = np.fromiter(map(abs, seeds), dtype="<u8", count=len(seeds)).view("<u4").reshape(-1, 2).T
+        state = _mt_state(np.stack([lo, np.where(hi != 0, hi + 1, lo)]), words)
+        _mt_next(state[: words + 1], state[words + 1 :])
+        return _mt_temper(state[words + 1 :]).T
+    rng = random.Random()
+
+    def row(s: int) -> bytes:
+        rng.seed(s)
+        return rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    return np.frombuffer(b"".join(map(row, seeds)), dtype="<u4").reshape(len(seeds), words)
 
 
 def _draws(seeds: Sequence[int], size: int, ball: int, reads: int, words: int) -> np.ndarray:
@@ -506,8 +467,8 @@ def _draws(seeds: Sequence[int], size: int, ball: int, reads: int, words: int) -
     skips values it took before, so its picks are the first `reads`
     distinct values of a row's draws, found for all picks at once by
     sorting each row's words.  A row that reaches its zero words draws 0
-    there, a value below every bound, and is drawn again, by the same
-    replay, with twice the words.
+    there, a value below every bound, and is drawn again by its own
+    random.Random.
     """
     rows = len(seeds)
     grid = np.zeros((rows, words + 2), dtype=np.uint32)
@@ -556,9 +517,9 @@ def _draws(seeds: Sequence[int], size: int, ball: int, reads: int, words: int) -
         pos = pos[:, :reads]
         short = (at > end) | (pos.shape[1] < reads) | (pos == width - 1).any(axis=1)
         out[:, 1 : 1 + pos.shape[1]] = grid[np.arange(rows)[:, None], pos] >> np.uint32(shift)
-    short = np.flatnonzero(short)
-    if short.size:
-        out[short] = _draws([seeds[k] for k in short], size, ball, reads, 2 * words)
+    for k in np.flatnonzero(short).tolist():
+        rng = random.Random(seeds[k])
+        out[k] = [rng.randrange(size), *rng.sample(range(ball), reads)]
     return out
 
 
@@ -591,11 +552,10 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
     words = _trial_words(len(members), ball, reads)
     # a trial's words and two zero words, each with its sort key, value and
     # position in the set branch; its 1 + N draws; its pool, if any; and the
-    # generator state words it is seeded to, the whole state and the next
-    # round's once the words outrun the first twist's run (_mt_words)
+    # 2W + 1 generator state words it is seeded to (_mt_words), which bound
+    # the stdlib's words too
     pool = _pool_sample(ball, reads)
-    state = 2 * words + 1 if words <= _MT_N - _MT_M else 2 * _MT_N
-    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0) + state
+    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0) + 2 * words + 1
     block = max(1, _DRAW // held)
     for start in range(0, trials, block):
         drawn = _draws(range(seed + start, seed + min(trials, start + block)),

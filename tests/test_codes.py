@@ -1402,16 +1402,18 @@ def test_code_file_read_through_a_pipe_as_from_the_file(tmp_path, n, body, text,
         assert got == read_or_error(read_code_file, str(path))
 
 
+@pytest.mark.parametrize("end", (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e"))
 @pytest.mark.parametrize("shape", ("exact", "bad last line", "bad byte", "headerless"))
-def test_code_file_with_only_cr_line_ends_is_read_in_chunks(tmp_path, shape):
-    # with no \n in the file, each read is cut after its last \r and the
-    # header comes from the first chunk, so the 13,798 lines of the vt code at
-    # n = 18 give the text reading's words or error while the reading holds
-    # less than the file's bytes (the text reading holds about twelve times them)
+def test_code_file_with_only_cr_line_ends_is_read_in_chunks(tmp_path, shape, end):
+    # with no \n in the file, each read is cut after its last \r or other
+    # line break and the header comes from the first chunk, so the 13,798
+    # lines of the vt code at n = 18 give the text reading's words or error
+    # while the reading holds less than the file's bytes (the text reading
+    # holds about twelve times them)
     params, code = codes.VTParams(18, 0), build_vt(18, 0)
-    head, lines = format_header(params).encode() + b"\r", code.to_lines().encode().replace(b"\n", b"\r")
-    data = {"exact": head + lines, "bad last line": head + lines + b"0101\r",
-            "bad byte": head + lines + b"01\xff0\r", "headerless": lines}[shape]
+    head, lines = format_header(params).encode() + end, code.to_lines().encode().replace(b"\n", end)
+    data = {"exact": head + lines, "bad last line": head + lines + b"0101" + end,
+            "bad byte": head + lines + b"01\xff0" + end, "headerless": lines}[shape]
     path = tmp_path / "code.txt"
     path.write_bytes(data)
     with blocks_of(8):

@@ -473,13 +473,15 @@ def test_draws_replay_any_seed(seeds):
 
 @pytest.mark.parametrize("size, ball, reads", [(1, 21, 5), (3, 22, 5), (1, 211, 40), (9, 22, 22)])
 def test_draws_redraw_rows_that_run_out_of_words(size, ball, reads):
-    # with one word per trial every row runs out and is drawn again, by the
-    # same replay, with 2, 4, ... words
+    # with one word per trial every row runs out and is drawn again by its
+    # own generator, in the same call
     seeds = range(40)
-    with mock.patch.object(recon, "_draws", wraps=recon._draws) as spy:
-        assert _replayed(size, ball, reads, seeds, words=1) == _stdlib_draws(size, ball, reads, seeds)
-    assert spy.call_count > 2
-    assert [c.args[4] for c in spy.call_args_list] == [2**i for i in range(spy.call_count)]
+    want = _stdlib_draws(size, ball, reads, seeds)
+    with mock.patch.object(recon, "_draws", wraps=recon._draws) as spy, \
+            mock.patch.object(recon.random, "Random", wraps=random.Random) as rngs:
+        assert _replayed(size, ball, reads, seeds, words=1) == want
+    assert spy.call_count == 1
+    assert [c.args for c in rngs.call_args_list] == [(s,) for s in seeds]
 
 
 @given(st.integers(1, 5000), st.integers(1, 300), st.data())
@@ -526,11 +528,26 @@ def _stdlib_words(seeds, words):
 ])
 @pytest.mark.parametrize("words", (1, 9, 227, 228, 624, 625, 1300))
 def test_mt_words_are_the_stdlib_outputs(seeds, words):
-    # 227 words come from the first twist's kept words, 228 on from the whole
-    # state, twisted once per 624 words
+    # up to 227 words, keys of one or two words are seeded in numpy; the rest
+    # come from the stdlib
     got = recon._mt_words(seeds, words)
     assert got.dtype == np.uint32 and got.shape == (len(seeds), words)
     assert got.tolist() == _stdlib_words(seeds, words)
+
+
+@pytest.mark.parametrize("seeds, words, numpy", [
+    (range(2**32 - 3, 2**32 + 3), 227, True),  # one- and two-word keys, 227 words
+    ([-(2**64) + 1, 5], 50, True),
+    (range(2**32 - 3, 2**32 + 3), 228, False),
+    ([2**64, 5], 9, False),  # a three-word key takes its whole block
+    ([-(2**64), 5], 50, False),
+])
+def test_mt_words_seed_in_numpy_only_from_small_keys_and_first_twist_words(seeds, words, numpy):
+    # the rows are the stdlib's whichever path seeds the block
+    with mock.patch.object(recon, "_mt_state", wraps=recon._mt_state) as spy:
+        got = _replayed(13_798, 211, 2, seeds, words)
+    assert spy.called == numpy
+    assert got == _stdlib_draws(13_798, 211, 2, seeds)
 
 
 def test_draws_hold_no_whole_generator_state():
@@ -557,25 +574,24 @@ def test_experiment_across_two_word_seeds_matches_documented_draw(reads):
 @pytest.mark.parametrize("n, reads", [(10, 3), (10, 40), (14, 132)])
 @pytest.mark.parametrize("chunk", (200, recon._CHUNK))
 def test_experiment_draws_in_blocks_of_bounded_entries(n, reads, chunk):
-    # a block's words, sort keys, picks, pool and generator state words stay
-    # within _DRAW entries, here ten trials, in the set branch at N = 3, the
-    # pool branch at N = 40, and at N = 132, whose 252 words outrun the first
-    # twist, so a whole state and its next round count; decode chunks are
-    # cut from one block, several to a block of ten when a chunk holds few
+    # a block's words, sort keys, picks, pool and 2W + 1 generator state
+    # words stay within _DRAW entries, here ten trials, in the set branch at
+    # N = 3, the pool branch at N = 40, and at N = 132, whose 252 words
+    # outrun the first twist and come from the stdlib; decode chunks are cut
+    # from one block, several to a block of ten when a chunk holds few
     # trials, one when it could hold more
     code, ball = build_vt(n, 0), ball_size_formula(n, 2)
     words = recon._trial_words(len(code), ball, reads)
     assert (words > 624 - 397) == (reads == 132)
     pool = recon._pool_sample(ball, reads)
-    state = 2 * words + 1 if words <= 624 - 397 else 2 * 624
-    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0) + state
+    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0) + 2 * words + 1
     step = chunk // max(math.comb(n + 2, 2), reads)
     with mock.patch.object(recon, "_DRAW", 10 * held + 5), \
             mock.patch.object(recon, "_CHUNK", chunk), \
             mock.patch.object(recon, "_draws", wraps=recon._draws) as draws, \
             mock.patch.object(recon, "_read_rows", wraps=recon._read_rows) as chunks:
         summary = run_experiment(code, 2, reads, 50, 1)
-    assert [len(c.args[0]) for c in draws.call_args_list if c.args[4] == words] == [10] * 5
+    assert [(len(c.args[0]), c.args[4]) for c in draws.call_args_list] == [(10, words)] * 5
     per_block = [min(step, 10 - lo) for lo in range(0, 10, step)]
     assert [len(c.args[0]) for c in chunks.call_args_list] == per_block * 5
     assert [r.trial for r in summary.rows] == list(range(50))
