@@ -747,15 +747,11 @@ def _suffix_classes(r: Optional[Tuple[int, int]], L: int, m: int) -> Tuple[np.nd
 
 def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
     """The ambient words of ``key`` of a ``_ws`` family, strictly ascending,
-    as uint64, from its cell automaton (``_ws_cells``); no other word is
-    enumerated.
+    as uint64, from its cell automaton (``_ws_cells``).
 
-    ``reach[r, c]`` says that some allowed r-bit suffix leads from cell c to
-    a cell of ``key``; it is filled only on the cells reachable at depth
-    n - r, while those are few.  The top n - L bits are walked forward from
-    the empty word, keeping only the prefixes whose cell reaches ``key`` in
-    the bits left, so there are never more of them than members.  The last
-    L = min(n, _SUFFIX_BITS) bits come from the suffix classes
+    The top n - L bits, L = min(n, _SUFFIX_BITS), are walked forward from
+    the empty word, keeping every prefix the automaton allows: at most
+    2^(n - L) of them.  The last L bits come from the suffix classes
     (``_suffix_classes``): a suffix leads cell (q, w, S) to grid entry
     (w + wt, S + L*w + sigma), so the suffixes of each distinct cell at
     depth n - L that land on a cell of ``key`` are the classes of its state
@@ -766,46 +762,17 @@ def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
     child, grid = _ws_cells(cls, n, P)
     m = cls._moduli(n, P)[0]
     tail_bits = min(n, _SUFFIX_BITS)
-    n_cells = len(child)
-    every = slice(0, n_cells)
-
-    def children(cells):
-        """The (cells, 2) children of the cells: a view for every cell, else
-        one take, which is several times faster than indexing by them."""
-        return child[cells] if cells is every else child.take(cells, axis=0)
-
-    # the cells reached from the empty word by d bits, for each depth d, with
-    # repeats, while there are fewer than an eighth of all cells; past that,
-    # every cell
-    fronts = [np.zeros(1, dtype=np.intp)]
-    while len(fronts) <= n:
-        front = fronts[-1]
-        if front is not every:
-            front = children(front).ravel()
-            front = front[front >= 0] if 8 * front.size < n_cells else every
-        fronts.append(front)
-    # reach[r] is filled on the cells of depth n - r only; the last column
-    # stands for the forbidden step (-1), which reaches nothing
-    reach = np.zeros((n + 1, n_cells + 1), dtype=bool)
-    reach[0, fronts[n]] = np.tile(grid == key, n_cells // grid.size)[fronts[n]]
-    for r in range(1, n + 1):
-        cells = fronts[n - r]
-        ahead = reach[r - 1].take(children(cells))
-        reach[r, cells] = ahead[:, 0] | ahead[:, 1]
-
-    words = np.zeros(int(reach[n, 0]), dtype=np.uint64)
-    cells = np.zeros(words.size, dtype=np.intp)
-    for r in range(n - 1, tail_bits - 1, -1):
-        # every live one-bit extension of the words, in order
+    words = np.zeros(1, dtype=np.uint64)
+    cells = np.zeros(1, dtype=np.intp)
+    for _ in range(n - tail_bits):
+        # every allowed one-bit extension of the words, in order
         words = ((words << 1)[:, None] | _BIT_PAIR).ravel()
-        cells = children(cells).ravel()
-        live = reach[r, cells]
+        cells = child.take(cells, axis=0).ravel()
+        live = cells >= 0
         words, cells = words[live], cells[live]
     # the distinct cells at depth n - L, ascending, and each prefix's rank
-    # among them, from a dense rank of all cells; reach is freed first, so
-    # the rank's int64 per cell does not add to it
-    del reach
-    seen = np.zeros(n_cells, dtype=bool)
+    # among them, from a dense rank of all cells
+    seen = np.zeros(len(child), dtype=bool)
     seen[cells] = True
     roots = np.flatnonzero(seen)
     root_of = np.cumsum(seen)[cells] - 1

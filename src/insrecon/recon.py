@@ -26,7 +26,7 @@ from .seqs import ENUM_CAP, BitSeq, EnumerationCapError
 # where E is the larger of C(n + t, t), the columns of their deletion table,
 # and N, their picks, and their candidates are tested _CHUNK // N at a time,
 # so peak memory grows with neither the number of trials, N nor the number
-# of candidates.  A slice's test costs 8(n + t) numpy calls whatever its
+# of candidates.  A slice's test costs 5(n + t) numpy calls whatever its
 # size, hence 2^15.
 _CHUNK = 1 << 15
 # Up to n = _PRESENCE_BITS, trial batches look candidates up in a presence
@@ -34,9 +34,10 @@ _CHUNK = 1 << 15
 # code's searchsorted.
 _PRESENCE_BITS = 20
 # Entries held at once by a block of drawn trials: their generator words
-# (or the set branch's sort keys), their sample pools and their picks.  Every pool pick costs a few dozen
-# numpy calls whatever the block's size, so a block holds hundreds of
-# trials even at N in the thousands.
+# (or the set branch's sort keys), their sample pools, their picks and the
+# 2W + 1 generator state words that each is seeded to.  Every pool pick
+# costs a few dozen numpy calls whatever the block's size, so a block holds
+# hundreds of trials even at N in the thousands.
 _DRAW = 1 << 20
 
 

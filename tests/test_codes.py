@@ -1111,11 +1111,11 @@ def test_suffix_classes_hold_each_allowed_suffix_once(r, m):
         assert list(got) == sorted(want), (r, m, L)
 
 
-@pytest.mark.parametrize("family,P", [("np4", 30), ("np5", 18), ("tworead", 18)])
+@pytest.mark.parametrize("family,P", [("np4", 30), ("np5", 18), ("tworead", 18), ("vt", None)])
 def test_ws_members_of_the_largest_automata(family, P):
     """The members of the best and of the smallest nonempty coset, n = 17..22,
-    for the automata with the most cells, against the ambient words of that
-    key from the block walk."""
+    for the automata with the most cells and for vt over the whole space,
+    against the ambient words of that key from the block walk."""
     cls = codes.FAMILIES[family]
     for n in range(17, 23):
         sweep = codes.coset_sweep(family, n, P)
