@@ -276,6 +276,8 @@ def _gap_patterns(n: int, t: int) -> tuple:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
+    if t > 64:  # |I_t| >= 2^t: refused without summing C(n + t, i) over t terms
+        raise EnumerationCapError(f"insertion ball of at least 2**{t} words exceeds cap 2**{ENUM_CAP}")
     size = ball_size_formula(n, t)
     if size > 1 << ENUM_CAP:
         raise EnumerationCapError(f"insertion ball of {size} words exceeds cap 2**{ENUM_CAP}")
@@ -673,7 +675,8 @@ def coverage_at_least(code: SeqSet, t: int, bound: int) -> Optional[Tuple[int, B
     ceiling scan counts the others too, up to the first pair at 6
     (_worst_pair).
     """
-    if len(code) < 2 or nplus_formula(code.n, t) < bound:
+    # nplus_formula(n, t) >= 2^t - 1, so it is summed only for a bound >= 2^t
+    if len(code) < 2 or int(bound).bit_length() > t and nplus_formula(code.n, t) < bound:
         return None
     worst = _worst_pair(code, t, bound)
     return worst if worst[0] >= bound else None

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .balls import SeqSet, _among, _check_ball, _deletion_table
+from .balls import SeqSet, _among, _check_ball, _deletion_table, _run_starts
 from .seqs import ENUM_CAP, BitSeq, EnumerationCapError
 
 # Table entries held at once: trials are decoded _CHUNK // E at a time,
@@ -177,28 +177,27 @@ def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int,
     looks its deletions up in the code by searchsorted.  Given the code's
     _presence table `present`, which a trial batch of n <= _PRESENCE_BITS
     builds once for all its chunks, they are looked up in that table
-    instead.  Only the hits are deduplicated.  Those that embed in every
-    read of their row survive (_embeds), tested _CHUNK // N candidates at a
-    time.
+    instead.  Only the hits are deduplicated, by one sort of their int64
+    (row, candidate) keys.  Those that embed in every read of their row
+    survive (_embeds), tested _CHUNK // N candidates at a time.
     """
     dels = _deletion_table(reads.min(axis=1), n + t, t)
     if present is None:
-        flat = np.flatnonzero(_among(dels, code))
+        hit = np.flatnonzero(_among(dels, code))
+        index, width = np.searchsorted(code, dels.ravel()[hit]), len(code)
     else:
         # deletions are below 2^n <= 2^_PRESENCE_BITS, so their int64 view
         # indexes as they do
-        flat = np.flatnonzero(present[dels.view(np.int64)])
-    row, cands = flat // dels.shape[1], dels.ravel()[flat]
-    # one sort of packed (row, value) keys while they fit 64 bits, else two;
-    # lexsort alone made the decode benchmark's pass about 3% slower
-    if n + len(reads).bit_length() <= 64:
-        order = np.argsort(row.astype(np.uint64) << np.uint64(n) | cands)
-    else:
-        order = np.lexsort((cands, row))
-    row, cands = row[order], cands[order]
-    first = np.ones(len(cands), dtype=bool)
-    first[1:] = (cands[1:] != cands[:-1]) | (row[1:] != row[:-1])
-    row, cands = row[first], cands[first]
+        index = dels.view(np.int64).ravel()
+        hit = np.flatnonzero(present[index])
+        index, width = index[hit], 1 << n
+    # index is a hit's place in the code (its value, with the table), so a
+    # key is below rows * width: a chunk holds at most 2^15 rows (_CHUNK)
+    # and width <= max(2^20, |C|), so keys stay far below 2^63
+    key = hit // dels.shape[1] * width + index
+    key.sort()
+    row, index = np.divmod(key[_run_starts(key)], width)
+    cands = code[index] if present is None else index.astype(np.uint64)
     keep = np.zeros(len(cands), dtype=bool)
     step = max(1, _CHUNK // reads.shape[1])
     for lo in range(0, len(cands), step):
@@ -510,8 +509,7 @@ def _draws(seeds: Sequence[int], size: int, ball: int, reads: int, words: int) -
         key = np.where(live, grid >> np.uint32(shift), ball) * np.int64(width) + col
         key.sort(axis=1)
         vals, pos = np.divmod(key, width)
-        first = vals < ball
-        first[:, 1:] &= vals[:, 1:] != vals[:, :-1]
+        first = _run_starts(vals) & (vals < ball)
         # the positions of first draws in order; the last column, a zero word, is never one
         pos[~first] = width - 1
         pos.sort(axis=1)

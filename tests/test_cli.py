@@ -5,12 +5,13 @@ import hashlib
 import os
 import pathlib
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from insrecon import cli, codes
+from insrecon import balls, cli, codes
 from insrecon.balls import read_coverage
 from insrecon.cli import main
 from insrecon.codes import build_np4_code, read_code_file
@@ -249,6 +250,27 @@ def test_oversized_or_negative_t_is_one_error_line(tmp_path, capsys, argv, messa
     run(capsys, "build", "vt", "--n", "6", "--a", "0", "--out", path)
     code, out, err = run(capsys, *(arg.format(code=path) for arg in argv))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [("verify", "{code}", "--t", "100000", "--N", "5"),
+                                  ("coverage", "{code}", "--t", "100000")])
+def test_huge_t_is_refused_without_summing_binomials(tmp_path, capsys, argv):
+    # |I_t| >= 2^t and nplus_formula(n, t) >= 2^t - 1: neither sum over t
+    # terms, whose cost grows about as t^2.7, is needed to refuse the ball
+    path = str(tmp_path / "vt8.code")
+    run(capsys, "build", "vt", "--n", "8", "--a", "0", "--out", path)
+
+    def small_t_only(formula):
+        def guarded(n, t):
+            assert t <= 64, f"{formula.__name__} summed {t + 1} terms"
+            return formula(n, t)
+        return guarded
+
+    with mock.patch.object(balls, "ball_size_formula", small_t_only(balls.ball_size_formula)), \
+            mock.patch.object(balls, "nplus_formula", small_t_only(balls.nplus_formula)):
+        code, out, err = run(capsys, *(arg.format(code=path) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err == "error: insertion ball of at least 2**100000 words exceeds cap 2**26\n"
 
 
 def test_table_five_regimes(capsys):

@@ -16,6 +16,7 @@ from insrecon.balls import (
     SeqSet,
     ball_size_formula,
     coverage_argmax,
+    deletion_ball,
     insertion_ball,
     intersect_balls,
     read_coverage,
@@ -195,6 +196,56 @@ def test_decoder_never_builds_ball_tables():
     oracle = _documented_trials([str(m) for m in members], t, 3, 40, 7)
     assert [r.n_candidates for r in summary.rows] == [len(want) for _, _, want in oracle]
     assert [r.correct for r in summary.rows] == [want == {truth} for truth, _, want in oracle]
+
+
+@pytest.mark.parametrize("n, t, rows, table", [
+    (10, 2, 40, True),  # the presence table
+    (10, 2, 40, False),  # the code's searchsorted
+    (62, 2, 16, False),  # packed (row, word) keys would pass 64 bits
+    (63, 1, 20, False),
+])
+def test_decode_rows_order_rows_then_candidates_ascending(n, t, rows, table):
+    # one read per row, and a code of about half the words in the deletion
+    # balls of all reads plus a few others: each row keeps about half its
+    # ball, and the pairs come sorted by row, then by candidate, once each
+    rng = random.Random(n * 1000 + rows)
+    reads = [format(rng.getrandbits(n + t), f"0{n + t}b") for _ in range(rows)]
+    dels = [brute.deletion_ball(r, t) for r in reads]
+    near = sorted(frozenset().union(*dels))
+    members = set(rng.sample(near, len(near) // 2))
+    members |= {format(rng.getrandbits(n), f"0{n}b") for _ in range(20)}
+    code = np.array(sorted(int(m, 2) for m in members), dtype=np.uint64)
+    present = recon._presence(code, n) if table else None
+    row, vals = recon._decode_rows(np.array([[int(r, 2)] for r in reads], dtype=np.uint64),
+                                   code, n, t, present)
+    assert row.dtype == np.intp and vals.dtype == np.uint64
+    assert (np.diff(row) >= 0).all()
+    same = row[1:] == row[:-1]
+    assert (vals[1:][same] > vals[:-1][same]).all()
+    for k, ball in enumerate(dels):
+        want = sorted(int(w, 2) for w in ball & members)
+        assert vals[row == k].tolist() == want
+        assert len(want) >= 2
+
+
+def test_decode_past_the_presence_table_on_a_large_code():
+    # 300 trials of the 182 362-word vt code at n = 22 decode through the
+    # code's searchsorted; each count is |C & D_2(r_1) & D_2(r_2)| of its
+    # documented reads
+    code = best_coset("vt", 22)[1]
+    members, t, seed = code._array(), 2, 11
+    with mock.patch.object(recon, "_presence", side_effect=AssertionError("presence table")):
+        summary = run_experiment(code, t, 2, 300, seed)
+    counts = []
+    for k in range(300):
+        rng = random.Random(seed + k)
+        truth = BitSeq.from_int(int(members[rng.randrange(len(members))]), 22)
+        ball = insertion_ball(truth, t).values()
+        r1, r2 = (BitSeq.from_int(ball[i], 24) for i in rng.sample(range(len(ball)), 2))
+        counts.append(len(code & deletion_ball(r1, t) & deletion_ball(r2, t)))
+    assert [r.n_candidates for r in summary.rows] == counts
+    assert summary.correct == summary.unique
+    assert 0 < summary.ambiguous and summary.no_candidate == 0
 
 
 def test_decode_length_mismatch():
