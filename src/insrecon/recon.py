@@ -15,29 +15,29 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 from math import ceil, comb, log, sqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .balls import SeqSet, _among, _check_ball, _deletion_table, _run_starts
+from .balls import SeqSet, _check_ball, _deletion_table, _run_starts
 from .seqs import ENUM_CAP, BitSeq, EnumerationCapError
 
-# Table entries held at once: trials are decoded _CHUNK // E at a time,
-# where E is the larger of C(n + t, t), the columns of their deletion table,
-# and N, their picks, and their candidates are tested _CHUNK // N at a time,
-# so peak memory grows with neither the number of trials, N nor the number
-# of candidates.  A slice's test costs 5(n + t) numpy calls whatever its
-# size, hence 2^15.
+# Table entries held at once by each decoding stage: a block's reads are
+# unranked _CHUNK // N trials at a time and looked up _CHUNK // C(n + t, t)
+# at a time (the columns of their deletion table), and their candidates are
+# tested _CHUNK // N at a time, so peak memory grows with neither the number
+# of trials, N nor the number of candidates.  An unranking or a test costs
+# n + t steps of numpy calls whatever its size, hence 2^15.
 _CHUNK = 1 << 15
 # Up to n = _PRESENCE_BITS, trial batches look candidates up in a presence
 # table of the code's 2^n words, 2^20 bytes at most; longer words take the
 # code's searchsorted.
 _PRESENCE_BITS = 20
 # Entries held at once by a block of drawn trials: their generator words
-# (or the set branch's sort keys), their sample pools, their picks and the
-# 2W + 1 generator state words that each is seeded to.  Every pool pick
-# costs a few dozen numpy calls whatever the block's size, so a block holds
-# hundreds of trials even at N in the thousands.
+# (or the set branch's sort keys), sample pools, picks and N reads, and the
+# 2W + 1 generator state words each is seeded to.  A pool pick or an
+# unranking costs a fixed number of numpy calls whatever the block's size,
+# so a block holds hundreds of trials even at N in the thousands.
 _DRAW = 1 << 20
 
 
@@ -166,44 +166,55 @@ def _presence(code: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int,
-                 present: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """(row, codeword) pairs, rows ascending and codewords ascending within a
-    row: the codewords whose t-deletion balls hold every read of their row.
+def _survivors(reads: np.ndarray, code: np.ndarray, n: int, t: int,
+               present: Optional[np.ndarray]) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(row, codeword) pairs in one slice or more, rows ascending and
+    codewords ascending within a row: the codewords whose t-deletion balls
+    hold every read of their row.
 
     `reads` is a (rows, N >= 1) uint64 array of distinct reads per row and
     `code` the sorted uint64 codewords, at least one.  A row's candidates are
-    the codewords in the deletion ball of its smallest read.  A single row
-    looks its deletions up in the code by searchsorted.  Given the code's
-    _presence table `present`, which a trial batch of n <= _PRESENCE_BITS
-    builds once for all its chunks, they are looked up in that table
-    instead.  Only the hits are deduplicated, by one sort of their int64
-    (row, candidate) keys.  Those that embed in every read of their row
-    survive (_embeds), tested _CHUNK // N candidates at a time.
+    the codewords in the deletion ball of its smallest read, looked up
+    _CHUNK // C(n + t, t) rows at a time in the code by one searchsorted or
+    in its _presence table `present` (n <= _PRESENCE_BITS), and deduplicated
+    by one sort of their int64 (row, candidate) keys.  Carried across those
+    chunks, they are tested _CHUNK // N at a time (_embeds).
     """
-    dels = _deletion_table(reads.min(axis=1), n + t, t)
-    if present is None:
-        hit = np.flatnonzero(_among(dels, code))
-        index, width = np.searchsorted(code, dels.ravel()[hit]), len(code)
-    else:
-        # deletions are below 2^n <= 2^_PRESENCE_BITS, so their int64 view
-        # indexes as they do
-        index = dels.view(np.int64).ravel()
-        hit = np.flatnonzero(present[index])
-        index, width = index[hit], 1 << n
-    # index is a hit's place in the code (its value, with the table), so a
-    # key is below rows * width: a chunk holds at most 2^15 rows (_CHUNK)
-    # and width <= max(2^20, |C|), so keys stay far below 2^63
-    key = hit // dels.shape[1] * width + index
-    key.sort()
-    row, index = np.divmod(key[_run_starts(key)], width)
-    cands = code[index] if present is None else index.astype(np.uint64)
-    keep = np.zeros(len(cands), dtype=bool)
-    step = max(1, _CHUNK // reads.shape[1])
-    for lo in range(0, len(cands), step):
-        part = slice(lo, lo + step)
-        keep[part] = _embeds(cands[part, None], reads[row[part]], n, t).all(axis=1)
-    return row[keep], cands[keep]
+    cols = comb(n + t, t)
+    step, size = max(1, _CHUNK // cols), max(1, _CHUNK // reads.shape[1])
+    carry, held = [], 0
+    for lo in range(0, max(len(reads), 1), step):
+        flat = _deletion_table(reads[lo : lo + step].min(axis=1), n + t, t).ravel()
+        if present is None:
+            index, width = np.searchsorted(code, flat), len(code)
+            hit = np.flatnonzero(code[np.minimum(index, width - 1)] == flat)
+        else:
+            # deletions are below 2^n <= 2^_PRESENCE_BITS: their int64 view indexes as they do
+            index, width = flat.view(np.int64), 1 << n
+            hit = np.flatnonzero(present[index])
+        # index is a hit's place in the code (its value, with the table): keys are
+        # below rows * width, rows <= 2^15 and width <= max(2^20, |C|), far below 2^63
+        key = hit // cols * width + index[hit]
+        key.sort()
+        row, index = np.divmod(key[_run_starts(key)], width)
+        carry.append((row + lo, code[index] if present is None else index.astype(np.uint64)))
+        held += len(index)
+        if held < size and lo + step < len(reads):
+            continue
+        row, cands = (np.concatenate(part) for part in zip(*carry))
+        stop = held - held % size if lo + step < len(reads) else held
+        for a in range(0, max(stop, 1), size):
+            part = slice(a, min(a + size, stop))
+            keep = _embeds(cands[part, None], reads[row[part]], n, t).all(axis=1)
+            yield row[part][keep], cands[part][keep]
+        carry, held = [(row[stop:], cands[stop:])], held - stop
+
+
+def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int,
+                 present: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """All the (row, codeword) pairs of _survivors at once."""
+    row, cands = zip(*_survivors(reads, code, n, t, present))
+    return np.concatenate(row), np.concatenate(cands)
 
 
 class DecodeStatus(Enum):
@@ -212,10 +223,8 @@ class DecodeStatus(Enum):
     NO_CANDIDATE = "no-candidate"
 
 
-def _status(count: int) -> DecodeStatus:
-    if count == 1:
-        return DecodeStatus.UNIQUE
-    return DecodeStatus.NO_CANDIDATE if count == 0 else DecodeStatus.AMBIGUOUS
+# a decode's status by its number of candidates, capped at 2
+_STATUS = (DecodeStatus.NO_CANDIDATE, DecodeStatus.UNIQUE, DecodeStatus.AMBIGUOUS)
 
 
 @dataclass(frozen=True)
@@ -243,11 +252,10 @@ def decode(bundle: ReadBundle, code: SeqSet, t: int) -> DecodeOutcome:
     if len(bundle.reads) and len(code):
         _, vals = _decode_rows(bundle.reads._array()[None], code._array(), code.n, t)
         candidates = SeqSet._from_vals(code.n, vals)
-    return DecodeOutcome(_status(len(candidates)), candidates)
+    return DecodeOutcome(_STATUS[min(len(candidates), 2)], candidates)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     trial: int
     status: DecodeStatus
     n_candidates: int
@@ -429,14 +437,14 @@ def _mt_words(seeds: Sequence[int], words: int) -> np.ndarray:
     CPython seeds with the 32-bit words of |s| from the lowest (one word 0
     for 0) through init_by_array, and outputs 0 .. words - 1 come from the
     first twist, which reads state words 0 .. words and _MT_M .. _MT_M +
-    words - 1.  Up to words = _MT_N - _MT_M, a block whose keys are one or
-    two words (|s| < 2^64) is seeded in numpy, all at once (_mt_state),
-    keeping only those 2 words + 1.  Any other block takes each row from
-    the stdlib, as getrandbits(32 * words): past the first twist that is
-    faster than replaying whole states, and it spares longer keys, which no
-    workload seeds, a path of their own.
+    words - 1.  Up to words = _MT_N - _MT_M, a block of 512 seeds or more
+    whose keys are one or two words (|s| < 2^64) is seeded in numpy at once
+    (_mt_state), keeping only those 2 words + 1.  Any other block takes each
+    row from the stdlib, as getrandbits(32 * words): that beats _mt_state's
+    fixed cost below 512 seeds and replayed whole states past the first
+    twist, and spares longer keys, which no workload seeds, a path of their own.
     """
-    if words <= _MT_N - _MT_M and max(map(abs, seeds), default=0).bit_length() <= 64:
+    if len(seeds) >= 512 and words <= _MT_N - _MT_M and max(map(abs, seeds)).bit_length() <= 64:
         # the halves of |s|, read with no Python object per seed; a_i adds
         # key word j = (i - 1) % L plus j, which for a one-word key k is k
         # at either parity, so every key is seeded as two words
@@ -530,9 +538,9 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
     rng.sample(range(|I_t|), reads) of the truth's sorted insertion ball.
     No generator is made: these draws are replayed (_draws) from the raw
     words of Random(seed + k), which _mt_words computes for a whole block of
-    trials at once, in blocks of trials that hold at most _DRAW entries;
-    each block is then cut into chunks of trials, read and decoded as
-    arrays.
+    trials at once, in blocks of trials that hold at most _DRAW entries.
+    Each block's reads are unranked _CHUNK // N trials at a time, decoded
+    stage by stage (_survivors), and its trials counted at once.
     With no reads every codeword survives.
     """
     if trials < 0:
@@ -544,46 +552,38 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
     if not trials:
         return ExperimentSummary(code.n, t, reads, 0, 0, 0, 0, 0, ())
     members = code._array()
-    rows: List[TrialRecord] = []
     ball = _draw_size(code.n, t, reads)
-    step = max(1, _CHUNK // max(comb(code.n + t, t), reads))
     present = _presence(members, code.n) if reads and code.n <= _PRESENCE_BITS else None
     words = _trial_words(len(members), ball, reads)
     # a trial's words and two zero words, each with its sort key, value and
-    # position in the set branch; its 1 + N draws; its pool, if any; and the
-    # 2W + 1 generator state words it is seeded to (_mt_words), which bound
-    # the stdlib's words too
+    # position in the set branch; its 1 + N draws; its pool, if any; its N
+    # reads; and the 2W + 1 generator state words it is seeded to
+    # (_mt_words), which bound the stdlib's words too
     pool = _pool_sample(ball, reads)
-    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0) + 2 * words + 1
+    held = (words + 2) * (1 if pool else 4) + 1 + 2 * reads + (ball if pool else 0) + 2 * words + 1
     block = max(1, _DRAW // held)
+    # the records, and the trials with no candidate, one, more and the right one
+    rows, tally = [], np.zeros(4, dtype=np.int64)
     for start in range(0, trials, block):
         drawn = _draws(range(seed + start, seed + min(trials, start + block)),
                        len(members), ball, reads, words)
-        for lo in range(0, len(drawn), step):
-            part = drawn[lo : lo + step]
-            truths = members[part[:, 0]]
-            if reads:
-                read_rows = _read_rows(truths, code.n, t, part[:, 1:])
-                row, vals = _decode_rows(read_rows, members, code.n, t, present)
-                counts = np.bincount(row, minlength=len(part))
-                found = np.bincount(row[vals == truths[row]], minlength=len(part)) > 0
-            else:
-                counts = np.full(len(part), len(members))
-                found = counts == 1
-            ok = (found & (counts == 1)).tolist()
-            counts = counts.tolist()
-            first = start + lo
-            rows.extend(map(TrialRecord, range(first, first + len(part)),
-                            map(_status, counts), counts, ok))
-    status = [r.status for r in rows]
-    return ExperimentSummary(
-        n=code.n,
-        t=t,
-        reads=reads,
-        trials=trials,
-        unique=status.count(DecodeStatus.UNIQUE),
-        ambiguous=status.count(DecodeStatus.AMBIGUOUS),
-        no_candidate=status.count(DecodeStatus.NO_CANDIDATE),
-        correct=sum(r.correct for r in rows),
-        rows=tuple(rows),
-    )
+        truths = members[drawn[:, 0]]
+        if reads:
+            read_rows, step = np.empty((len(drawn), reads), dtype=np.uint64), max(1, _CHUNK // reads)
+            for lo in range(0, len(drawn), step):
+                read_rows[lo : lo + step] = _read_rows(truths[lo : lo + step], code.n, t,
+                                                       drawn[lo : lo + step, 1:])
+            counts, found = np.zeros(len(drawn), dtype=np.intp), np.zeros(len(drawn), dtype=bool)
+            for row, vals in _survivors(read_rows, members, code.n, t, present):
+                counts += np.bincount(row, minlength=len(drawn))
+                found[row[vals == truths[row]]] = True
+        else:  # every codeword survives, the truth among them
+            counts, found = np.full(len(drawn), len(members)), np.ones(len(drawn), dtype=bool)
+        kind = np.minimum(counts, 2)
+        ok = found & (kind == 1)
+        tally += (*np.bincount(kind, minlength=3), np.count_nonzero(ok))
+        rows.extend(map(TrialRecord, range(start, start + len(drawn)),
+                        map(_STATUS.__getitem__, kind.tolist()), counts.tolist(), ok.tolist()))
+    no_candidate, unique, ambiguous, correct = tally.tolist()
+    return ExperimentSummary(code.n, t, reads, trials, unique, ambiguous, no_candidate,
+                             correct, tuple(rows))

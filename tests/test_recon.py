@@ -198,16 +198,20 @@ def test_decoder_never_builds_ball_tables():
     assert [r.correct for r in summary.rows] == [want == {truth} for truth, _, want in oracle]
 
 
-@pytest.mark.parametrize("n, t, rows, table", [
-    (10, 2, 40, True),  # the presence table
-    (10, 2, 40, False),  # the code's searchsorted
-    (62, 2, 16, False),  # packed (row, word) keys would pass 64 bits
-    (63, 1, 20, False),
+@pytest.mark.parametrize("n, t, rows, table, chunk", [
+    (10, 2, 40, True, recon._CHUNK),  # the presence table
+    (10, 2, 40, False, recon._CHUNK),  # the code's searchsorted
+    (10, 2, 40, True, 200),  # lookups of 3 rows, tests of 200 candidates
+    (10, 2, 40, False, 200),
+    (62, 2, 16, False, recon._CHUNK),  # packed (row, word) keys would pass 64 bits
+    (63, 1, 20, False, recon._CHUNK),
 ])
-def test_decode_rows_order_rows_then_candidates_ascending(n, t, rows, table):
+def test_decode_rows_order_rows_then_candidates_ascending(n, t, rows, table, chunk):
     # one read per row, and a code of about half the words in the deletion
     # balls of all reads plus a few others: each row keeps about half its
-    # ball, and the pairs come sorted by row, then by candidate, once each
+    # ball, and the pairs come sorted by row, then by candidate, once each;
+    # candidates are carried across lookup chunks, so every containment
+    # test but the last takes a full slice of them
     rng = random.Random(n * 1000 + rows)
     reads = [format(rng.getrandbits(n + t), f"0{n + t}b") for _ in range(rows)]
     dels = [brute.deletion_ball(r, t) for r in reads]
@@ -216,8 +220,14 @@ def test_decode_rows_order_rows_then_candidates_ascending(n, t, rows, table):
     members |= {format(rng.getrandbits(n), f"0{n}b") for _ in range(20)}
     code = np.array(sorted(int(m, 2) for m in members), dtype=np.uint64)
     present = recon._presence(code, n) if table else None
-    row, vals = recon._decode_rows(np.array([[int(r, 2)] for r in reads], dtype=np.uint64),
-                                   code, n, t, present)
+    with mock.patch.object(recon, "_CHUNK", chunk), \
+            mock.patch.object(recon, "_embeds", wraps=recon._embeds) as tests:
+        row, vals = recon._decode_rows(np.array([[int(r, 2)] for r in reads], dtype=np.uint64),
+                                       code, n, t, present)
+    # with one read a row every candidate survives
+    sizes = [len(c.args[0]) for c in tests.call_args_list]
+    assert sum(sizes) == len(vals) and sizes[:-1] == [chunk] * (len(sizes) - 1)
+    assert len(sizes) == -(-len(vals) // chunk)
     assert row.dtype == np.intp and vals.dtype == np.uint64
     assert (np.diff(row) >= 0).all()
     same = row[1:] == row[:-1]
@@ -525,8 +535,9 @@ def test_draws_replay_any_seed(seeds):
 @pytest.mark.parametrize("size, ball, reads", [(1, 21, 5), (3, 22, 5), (1, 211, 40), (9, 22, 22)])
 def test_draws_redraw_rows_that_run_out_of_words(size, ball, reads):
     # with one word per trial every row runs out and is drawn again by its
-    # own generator, in the same call
-    seeds = range(40)
+    # own generator, in the same call; 512 seeds are seeded in numpy, so no
+    # other generator is made
+    seeds = range(512)
     want = _stdlib_draws(size, ball, reads, seeds)
     with mock.patch.object(recon, "_draws", wraps=recon._draws) as spy, \
             mock.patch.object(recon.random, "Random", wraps=random.Random) as rngs:
@@ -571,27 +582,29 @@ def _stdlib_words(seeds, words):
 
 
 @pytest.mark.parametrize("seeds", [
-    [0, 1, 5, 2**32 - 1],  # one-word keys, 0 seeding as the key [0]
-    range(2**32 - 3, 2**32 + 3),  # one- and two-word keys in one call
+    [0, 1, 5, 2**32 - 1, *range(6, 514)],  # one-word keys, 0 seeding as the key [0]
+    range(2**32 - 256, 2**32 + 256),  # one- and two-word keys in one call
     [2**64 + 7, 2**96 - 1, 2**100 + 1, 2**128 - 1, -(2**64)],  # three and four words
-    range(-6, 3),  # a negative seed seeds as its absolute value
+    range(-256, 256),  # a negative seed seeds as its absolute value
     [2**19968, 3, -(2**20000) - 1, 2**19968 - 1],  # 625-word keys and a 624-word one, beside small ones
 ])
 @pytest.mark.parametrize("words", (1, 9, 227, 228, 624, 625, 1300))
 def test_mt_words_are_the_stdlib_outputs(seeds, words):
-    # up to 227 words, keys of one or two words are seeded in numpy; the rest
-    # come from the stdlib
+    # up to 227 words, blocks of 512 seeds or more whose keys are one or two
+    # words are seeded in numpy; the rest come from the stdlib
     got = recon._mt_words(seeds, words)
     assert got.dtype == np.uint32 and got.shape == (len(seeds), words)
     assert got.tolist() == _stdlib_words(seeds, words)
 
 
 @pytest.mark.parametrize("seeds, words, numpy", [
-    (range(2**32 - 3, 2**32 + 3), 227, True),  # one- and two-word keys, 227 words
-    ([-(2**64) + 1, 5], 50, True),
-    (range(2**32 - 3, 2**32 + 3), 228, False),
-    ([2**64, 5], 9, False),  # a three-word key takes its whole block
-    ([-(2**64), 5], 50, False),
+    (range(2**32 - 256, 2**32 + 256), 227, True),  # one- and two-word keys, 227 words
+    ([-(2**64) + 1, *range(511)], 50, True),
+    (range(2**32 - 256, 2**32 + 256), 228, False),
+    ([2**64, *range(511)], 9, False),  # a three-word key takes its whole block
+    ([-(2**64), *range(511)], 50, False),
+    (range(511), 9, False),  # below 512 seeds the stdlib beats _mt_state's fixed cost
+    (range(512), 9, True),
 ])
 def test_mt_words_seed_in_numpy_only_from_small_keys_and_first_twist_words(seeds, words, numpy):
     # the rows are the stdlib's whichever path seeds the block
@@ -625,25 +638,30 @@ def test_experiment_across_two_word_seeds_matches_documented_draw(reads):
 @pytest.mark.parametrize("n, reads", [(10, 3), (10, 40), (14, 132)])
 @pytest.mark.parametrize("chunk", (200, recon._CHUNK))
 def test_experiment_draws_in_blocks_of_bounded_entries(n, reads, chunk):
-    # a block's words, sort keys, picks, pool and 2W + 1 generator state
-    # words stay within _DRAW entries, here ten trials, in the set branch at
-    # N = 3, the pool branch at N = 40, and at N = 132, whose 252 words
-    # outrun the first twist and come from the stdlib; decode chunks are cut
-    # from one block, several to a block of ten when a chunk holds few
-    # trials, one when it could hold more
+    # a block's words, sort keys, picks, reads, pool and 2W + 1 generator
+    # state words stay within _DRAW entries, here ten trials, in the set
+    # branch at N = 3, the pool branch at N = 40, and at N = 132, whose 252
+    # words outrun the first twist and come from the stdlib; each block's
+    # reads are unranked in slices of _CHUNK // N trials, its candidates
+    # looked up _CHUNK // C(n + 2, 2) trials at a time and tested at most
+    # _CHUNK // N at a time
     code, ball = build_vt(n, 0), ball_size_formula(n, 2)
     words = recon._trial_words(len(code), ball, reads)
     assert (words > 624 - 397) == (reads == 132)
     pool = recon._pool_sample(ball, reads)
-    held = (words + 2) * (1 if pool else 4) + 1 + reads + (ball if pool else 0) + 2 * words + 1
-    step = chunk // max(math.comb(n + 2, 2), reads)
+    held = (words + 2) * (1 if pool else 4) + 1 + 2 * reads + (ball if pool else 0) + 2 * words + 1
+    step, lookup = max(1, chunk // reads), max(1, chunk // math.comb(n + 2, 2))
     with mock.patch.object(recon, "_DRAW", 10 * held + 5), \
             mock.patch.object(recon, "_CHUNK", chunk), \
             mock.patch.object(recon, "_draws", wraps=recon._draws) as draws, \
-            mock.patch.object(recon, "_read_rows", wraps=recon._read_rows) as chunks:
+            mock.patch.object(recon, "_read_rows", wraps=recon._read_rows) as unranked, \
+            mock.patch.object(recon, "_deletion_table", wraps=recon._deletion_table) as lookups, \
+            mock.patch.object(recon, "_embeds", wraps=recon._embeds) as tests:
         summary = run_experiment(code, 2, reads, 50, 1)
     assert [(len(c.args[0]), c.args[4]) for c in draws.call_args_list] == [(10, words)] * 5
     per_block = [min(step, 10 - lo) for lo in range(0, 10, step)]
-    assert [len(c.args[0]) for c in chunks.call_args_list] == per_block * 5
+    assert [len(c.args[0]) for c in unranked.call_args_list] == per_block * 5
+    assert lookups.called and max(len(c.args[0]) for c in lookups.call_args_list) <= lookup
+    assert tests.called and max(len(c.args[0]) for c in tests.call_args_list) <= step
     assert [r.trial for r in summary.rows] == list(range(50))
     assert summary == _check_against_oracle([str(c) for c in code], 2, reads, 50, 1, chunk)
