@@ -279,8 +279,9 @@ class _Params:
     the weight w and the position sum S of a word declares them as
     ``_ws(w, S, n, P)`` instead, and its kernel is that of
     ``_weight_and_sum(vals)``; they must depend only on w mod 2m and S mod m,
-    for the first modulus m, which is what ``_ws_sizes`` counts.  Any other
-    kernel also takes ``first_only``, to give the first residue alone.
+    for the first modulus m, which is what ``_ws_sizes`` counts, and at each
+    w the first residue must be a bijection of S mod m (``_ws_members``).
+    Any other kernel also takes ``first_only``, for the first residue alone.
     """
 
     _r = None
@@ -628,9 +629,9 @@ class CosetSweep(NamedTuple):
     """The nonempty cosets of one family at one length.
 
     ``keys`` are the distinct word keys (``_key``) in ascending order, with
-    their int64 word counts in ``sizes``: from ``_ws_sizes`` for a ``_ws``
-    family, and from one sort of the keys of one walk of the blocks for
-    twoins and fiveread.
+    their exact word counts in ``sizes``: from ``_ws_sizes`` for a ``_ws``
+    family (int64 up to n = 62, Python ints past that), and from one sort
+    of the keys of one walk of the blocks for twoins and fiveread.
     ``params(i)`` is the record of coset i, whose members ``build_code``
     collects: from ``_ws_members`` for a ``_ws`` family, from a keyed walk
     of the blocks otherwise.
@@ -687,12 +688,12 @@ def _ws_cells(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarr
 def _ws_sizes(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
     """(keys, sizes) of the nonempty cosets of a ``_ws`` family, exactly, from
     the word count of every cell of its cell automaton (``_ws_cells``,
-    ``seqs._walk_counts``), summed under the keys of the final grid; no word
-    is enumerated.
+    ``seqs._walk_counts``), summed under the keys of the final grid in the
+    walk's dtype (Python ints past n = 62); no word is enumerated.
     """
     child, grid = _ws_cells(cls, n, P)
     counts = seqs._walk_counts(child, n)
-    sizes = np.zeros(math.prod(cls._moduli(n, P)), dtype=np.int64)
+    sizes = np.zeros(math.prod(cls._moduli(n, P)), dtype=counts.dtype)
     np.add.at(sizes, grid, counts.reshape(-1, grid.size).sum(axis=0))
     keys = np.flatnonzero(sizes)
     return keys, sizes[keys]
@@ -753,9 +754,9 @@ def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
     the empty word, keeping every prefix the automaton allows: at most
     2^(n - L) of them.  The last L bits come from the suffix classes
     (``_suffix_classes``): a suffix leads cell (q, w, S) to grid entry
-    (w + wt, S + L*w + sigma), so the suffixes of each distinct cell at
-    depth n - L that land on a cell of ``key`` are the classes of its state
-    that match those cells, joined by one gather and one sort.  Every
+    (w + wt, S + L*w + sigma), and a grid row holds at most one cell of
+    ``key``, so each distinct cell at depth n - L takes, per weight, one
+    class of its state, joined by one gather and one sort.  Every
     prefix is expanded with its cell's list by one repeat and one gather;
     the words come out ascending, with no sort.
     """
@@ -776,28 +777,24 @@ def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
     seen[cells] = True
     roots = np.flatnonzero(seen)
     root_of = np.cumsum(seen)[cells] - 1
-    # for each grid row w and suffix weight, the cells s' of ``key`` in the
-    # row that weight leads to, listed row by row as the weight and
-    # s' - L*w: from entry (w, S), the suffixes that land on s' are those of
-    # class weight * m + (s' - L*w - S) % m, less the state's first class
-    key_w, key_s = np.nonzero(grid.reshape(2 * m, m) == key)
-    row_start = np.searchsorted(key_w, np.arange(2 * m + 1))
-    row = (np.arange(2 * m)[:, None] + np.arange(tail_bits + 1)) % (2 * m)
-    count = (row_start[row + 1] - row_start[row]).ravel()
-    row_of, weight = np.divmod(np.repeat(np.arange(count.size), count), tail_bits + 1)
-    shift = key_s[_ragged_index(row_start[row].ravel(), count)] - tail_bits * row_of
-    per_row = np.bincount(row_of, minlength=2 * m)
-    # each root's classes, from its state and grid entry, and their suffixes,
-    # sorted by (root, suffix), so that each root's come out ascending
+    # landing[w, j]: the S of the key's one cell in grid row w + j, or -1 where
+    # it has none (at a fixed w the first residue is a bijection of S mod m)
+    hit = grid.reshape(2 * m, m) == key
+    row_s = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    landing = row_s[(np.arange(2 * m)[:, None] + np.arange(tail_bits + 1)) % (2 * m)]
+    # each (root, j) whose row holds the key's cell s': from (w, S), class
+    # (state * (L+1) + j) * m + (s' - S - L*w) % m; their suffixes are sorted
+    # by (root, suffix), so that each root's come out ascending
     offsets, suffixes = _suffix_classes(cls._r(P) if cls._r is not None else None, tail_bits, m)
     state, entry = np.divmod(roots, grid.size)
     w, s = np.divmod(entry, m)
-    count = per_row[w]
-    listed = _ragged_index((np.cumsum(per_row) - per_row)[w], count)
-    k = (shift[listed] - np.repeat(s, count)) % m
-    k += weight[listed] * m + np.repeat(state * ((tail_bits + 1) * m), count)
+    landing = landing.take(w, axis=0).ravel()
+    pair = np.flatnonzero(landing >= 0)
+    root, j = np.divmod(pair, tail_bits + 1)
+    k = (state[root] * (tail_bits + 1) + j) * m + (landing[pair] - (s + tail_bits * w)[root]) % m
+    del landing, pair, j  # not held while the members are expanded
     size = offsets[k + 1] - offsets[k]
-    owner = np.repeat(np.repeat(np.arange(roots.size), count), size)
+    owner = np.repeat(root, size)
     tails = owner.astype(np.uint64) << np.uint64(tail_bits)
     tails |= suffixes[_ragged_index(offsets[k], size)]
     tails.sort()
@@ -824,14 +821,17 @@ def _ws_members(cls: Type, n: int, P: Optional[int], key: int) -> np.ndarray:
 def _swept_family(family: str, n: int, P: Optional[int]) -> Type:
     """The record class of a family, once n and P pass its checks: the
     family is known, P is given where it needs one, its moduli exist at n,
-    and n is within the enumeration cap, in that order."""
+    and 0 <= n <= MAX_LEN, in that order; the enumeration cap is left to
+    the code that enumerates (``seqs._blocks``, ``build_code``)."""
     cls = FAMILIES.get(family)
     if cls is None:
         raise ValueError(f"unknown family {family!r}")
     if P is None and "P" in cls.__dataclass_fields__:
         raise ValueError(f"family {family} needs P")
     cls._moduli(n, P)
-    seqs._block_bits(n)  # the enumeration cap holds for the counted sizes too
+    if n < 0:
+        raise ValueError(f"length n={n} must be >= 0")
+    _check_code_length(n)
     return cls
 
 
@@ -905,13 +905,13 @@ def format_header(params: CodeParams) -> str:
     return f"# family={params.family} n={params.n} params={body}"
 
 
-def _header_entries(items: Iterable[str], names: Optional[List[str]] = None) -> Dict[str, str]:
+def _header_entries(items: Iterable[str], names: List[str]) -> Dict[str, str]:
     """name -> raw value of the ``name=value`` items of a header; a repeated
-    name, or one outside names when they are given, is refused."""
+    name, or one outside names, is refused."""
     out = {}
     for item in items:
         name, _, raw = item.partition("=")
-        if name in out or names is not None and name not in names:
+        if name in out or name not in names:
             raise ValueError(f"code file header has {'a repeated' if name in out else 'an unknown'} "
                              f"entry {item!r}")
         out[name] = raw

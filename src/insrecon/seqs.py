@@ -16,7 +16,7 @@ import numpy as np
 
 MAX_LEN = 64
 
-# Hard ceiling for any 2**n enumeration (code builders, ball tables); count_r has none.
+# Hard ceiling for any 2**n enumeration (code builders, ball tables); counts have none.
 ENUM_CAP = 26
 
 
@@ -286,9 +286,7 @@ _BLOCK_BITS = 16
 
 
 def _block_bits(n: int) -> int:
-    """The block width k = min(n, _BLOCK_BITS), after checking n against the cap."""
-    if n < 0:
-        raise ValueError(f"length n={n} must be >= 0")
+    """The block width k = min(n, _BLOCK_BITS) of an n >= 0, after checking n against the cap."""
     if n > ENUM_CAP:
         raise EnumerationCapError(f"2**{n} enumeration exceeds cap n <= {ENUM_CAP}")
     return min(n, _BLOCK_BITS)

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import math
 import os
 import pathlib
 import tempfile
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import brute
 from insrecon import balls, cli, codes
 from insrecon.balls import read_coverage
 from insrecon.cli import main
 from insrecon.codes import build_np4_code, read_code_file
-from insrecon.seqs import BitSeq
+from insrecon.seqs import BitSeq, count_r
 
 
 def run(capsys, *argv):
@@ -457,13 +459,35 @@ def test_twoins_header_over_an_m0_variant_coset_is_one_error_line(tmp_path, caps
     assert err == f"error: codeword {wrong[0]} is not in the code of its header: {header[2:]}\n"
 
 
-def test_table_above_enumeration_cap_reads_unavailable(capsys):
+def test_table_above_enumeration_cap_counts_all_but_twoins(capsys):
+    """At n = 27 the counted rows are exact: all is 2^27 words, vt's best
+    coset is |VT_0(27)| by the closed form, the largest of the VT cosets, and
+    the best tworead and np4 cosets (P = 9, 20 cosets) hold at least a
+    twentieth of count_r's ambient set; only twoins, which enumerates its
+    words, reads unavailable."""
     code, out, err = run(capsys, "table", "--n-range=27:27", "--format", "records")
     assert (code, err) == (0, "")
-    rows = out.splitlines()
-    assert [r.split()[2] for r in rows] == [f"family={f}" for f in
-                                            ("all", "tworead", "np4", "vt", "twoins")]
-    assert all(r.endswith("unavailable: 2**27 enumeration exceeds cap n <= 26") for r in rows)
+    rows = [dict(item.split("=", 1) for item in r.split(" ", 6)) for r in out.splitlines()]
+    assert [r["family"] for r in rows] == ["all", "tworead", "np4", "vt", "twoins"]
+    sizes = {r["family"]: r["size"] for r in rows}
+    vt = [brute.vt_coset_size(27, a) for a in range(28)]
+    assert (sizes["all"], sizes["vt"]) == (str(2**27), str(vt[0])) and vt[0] == max(vt)
+    for family, r in (("tworead", (2, 18)), ("np4", (3, 3))):
+        ambient = count_r(27, *r)
+        assert -(-ambient // 20) <= int(sizes[family]) <= ambient, family
+    for row in rows[:4]:
+        assert row["redundancy"] == f"{27 - math.log2(int(row['size'])):.3f}", row
+    assert rows[4]["pigeonhole"] == "unavailable: 2**27 enumeration exceeds cap n <= 26"
+
+
+@pytest.mark.parametrize("flags", (("vt",), ("np5", "--P", "9")), ids=lambda flags: flags[0])
+def test_build_best_above_enumeration_cap_is_one_error_line(tmp_path, capsys, flags):
+    """The sweep counts the cosets at n = 27, but their members are
+    enumerated, so the build refuses them and writes no file."""
+    path = tmp_path / "x"
+    code, out, err = run(capsys, "build", *flags, "--best", "--n", "27", "--out", str(path))
+    assert (code, out, err) == (1, "", "error: 2**27 enumeration exceeds cap n <= 26\n")
+    assert not path.exists()
 
 
 def test_table_negative_length_reads_unavailable(capsys):

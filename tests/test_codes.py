@@ -607,12 +607,41 @@ def test_all_is_one_coset_of_the_whole_space():
 
 @pytest.mark.parametrize("family,n,P", (("wat", 5, None), ("np4", 8, None), ("np4", 3, 18),
                                          ("vt", -1, None), ("twoins", 27, None), ("fiveread", 8, 1),
-                                         ("fiveread", 30, 3), ("tworead", 27, 3)))
+                                         ("fiveread", 30, 3), ("vt", -2, None), ("vt", 65, None)))
 def test_partition_refuses_what_the_sweep_refuses(family, n, P):
     with pytest.raises(Exception) as sweep:
         codes.coset_sweep(family, n, P)
     with pytest.raises(type(sweep.value), match=re.escape(str(sweep.value))):
         coset_partition(family, n, P)
+
+
+@pytest.mark.parametrize("family,n,P,error,text", (
+    ("vt", -2, None, ValueError, "length n=-2 must be >= 0"),
+    ("vt", 65, None, seqs.SequenceTooLongError, "code length 65 out of range 0..64"),
+    ("np5", 65, 9, seqs.SequenceTooLongError, "code length 65 out of range 0..64"),
+    ("twoins", 27, None, seqs.EnumerationCapError, "2**27 enumeration exceeds cap n <= 26"),
+    ("fiveread", 30, 3, seqs.EnumerationCapError, "2**30 enumeration exceeds cap n <= 26")))
+def test_sweep_refuses_lengths_outside_its_range(family, n, P, error, text):
+    """A counted sweep refuses only lengths outside 0..MAX_LEN; the families
+    that enumerate their words keep the enumeration cap."""
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        codes.coset_sweep(family, n, P)
+
+
+@pytest.mark.parametrize("family,P", (("tworead", 3), ("vt", None), ("np5", 9)))
+def test_counted_sweep_answers_above_the_cap_where_the_partition_refuses(family, P):
+    """At n = 27 a counted family's sweep is exact, since it enumerates no
+    word, while its partition, ``best_coset`` and its members, which do,
+    refuse with the cap's text."""
+    sweep = codes.coset_sweep(family, 27, P)
+    cls = codes.FAMILIES[family]
+    assert sweep.ambient_size == (count_r(27, *cls._r(P)) if cls._r else 2**27)
+    assert sweep.sizes.dtype == np.int64 and int(sweep.sizes.sum()) == sweep.ambient_size
+    cap = "^" + re.escape("2**27 enumeration exceeds cap n <= 26") + "$"
+    for refused in (lambda: coset_partition(family, 27, P), lambda: best_coset(family, 27, P),
+                    lambda: sweep.members(sweep.best())):
+        with pytest.raises(seqs.EnumerationCapError, match=cap):
+            refused()
 
 
 @pytest.mark.parametrize("family,n,P", (("twoins", 9, None), ("fiveread", 23, 3), ("vt", 9, None),
@@ -1048,6 +1077,49 @@ def test_ws_sizes_of_vt_match_closed_form(n):
     keys, sizes = codes._ws_sizes(VTParams, n, None)
     assert keys.tolist() == list(range(n + 1))
     assert sizes.tolist() == [brute.vt_coset_size(n, a) for a in range(n + 1)]
+
+
+# (family, P) of every ambient whose exact counted sizes are checked past the
+# cap, against the closed form of |VT_a(n)|, 2^n and count_r
+PAST_CAP_CASES = [("vt", None), ("all", None), ("tworead", 3), ("tworead", 9), ("np4", 9),
+                  ("np4", 18), ("np5", 9), ("np5", 15)]
+
+
+@pytest.mark.parametrize("n", (27, 40, 62, 63, 64))
+@pytest.mark.parametrize("family,P", PAST_CAP_CASES)
+def test_counted_sweeps_are_exact_past_the_cap(family, P, n):
+    """Every counted family is swept up to n = MAX_LEN: the sizes are int64
+    while n <= 62 and Python ints past that, every vt size is the closed
+    form, all is one coset of 2^n words, and the sizes of every other family
+    sum to count_r of its ambient set."""
+    sweep = codes.coset_sweep(family, n, P)
+    if n <= 62:
+        assert sweep.sizes.dtype == np.int64
+    else:
+        assert sweep.sizes.dtype == object and {type(v) for v in sweep.sizes} == {int}
+    cls = codes.FAMILIES[family]
+    ambient = count_r(n, *cls._r(P)) if cls._r else 2**n
+    assert sweep.ambient_size == sum(sweep.sizes.tolist()) == ambient
+    if family == "vt":
+        assert sweep.keys.tolist() == list(range(n + 1))
+        assert sweep.sizes.tolist() == [brute.vt_coset_size(n, a) for a in range(n + 1)]
+    if family == "all":
+        assert sweep.keys.tolist() == [0] and sweep.sizes.tolist() == [2**n]
+
+
+@pytest.mark.parametrize("family,P", WS_SIZE_CASES + [("all", None), ("np4", 30), ("np5", 15)])
+def test_every_ws_key_holds_at_most_one_cell_per_grid_row(family, P):
+    """The member join's precondition: at a fixed w mod 2m the first residue
+    is a bijection of S mod m, so no key of the (w, S) grid appears twice in
+    one row; for all, m = 1 and each row is one cell."""
+    cls = codes.FAMILIES[family]
+    for n in (0, 1, 2, 5, 8, 14, 22, 26, 40, 64):
+        try:
+            m = cls._moduli(n, P)[0]
+        except ValueError:
+            continue
+        rows = np.sort(codes._ws_cells(cls, n, P)[1].reshape(2 * m, m), axis=1)
+        assert (rows[:, 1:] != rows[:, :-1]).all(), n
 
 
 @pytest.mark.parametrize("family,P", WS_SIZE_CASES + [("all", None)])
