@@ -600,8 +600,9 @@ def _near_keys(vals: np.ndarray, n: int, dels: np.ndarray, owner: np.ndarray) ->
     keys = []
     for i in range(0, len(dels), per):
         near = _insertion_table(dels[i : i + per], n - 2, 2)
-        hit = _among(near, vals)
-        a, b = np.broadcast_to(owner[i : i + per, None], near.shape)[hit], np.searchsorted(vals, near[hit])
+        pos = np.searchsorted(vals, near)
+        hit = vals[np.minimum(pos, len(vals) - 1)] == near
+        a, b = np.broadcast_to(owner[i : i + per, None], near.shape)[hit], pos[hit]
         keys.append((a * len(vals) + b)[b > a])
     keys = np.sort(np.concatenate(keys))
     return keys[_run_starts(keys)]

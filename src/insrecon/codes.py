@@ -668,11 +668,16 @@ def _ws_cells(cls: Type, n: int, P: Optional[int]) -> Tuple[np.ndarray, np.ndarr
     automaton forbids; both children of a cell are adjacent, so a walk
     gathers them in one take.  ``grid`` holds the key of every
     (w mod 2m, S mod m), from one ``_ws`` call; cell c has the key
-    ``grid[c % grid.size]``.
+    ``grid[c % grid.size]``.  Over 2**ENUM_CAP cells are refused first.
     """
     moduli = cls._moduli(n, P)
     m = moduli[0]
-    table = seqs._r_automaton(*cls._r(P)) if cls._r is not None else _WHOLE_SPACE
+    cells = 2 * m * m
+    if cells <= 1 << seqs.ENUM_CAP:  # the grid alone first: a huge P builds no automaton
+        table = seqs._r_automaton(*cls._r(P)) if cls._r is not None else _WHOLE_SPACE
+        cells *= len(table)
+    if cells > 1 << seqs.ENUM_CAP:
+        raise seqs.EnumerationCapError(f"cell automaton of {cells} cells exceeds cap 2**{seqs.ENUM_CAP}")
     w, s = np.indices((2 * m, m))
     grid = _key(cls._ws(w, s, n, P), moduli).ravel()
     # the grid entry after bit b of every grid entry, as (entry, bit)
@@ -888,6 +893,8 @@ def coset_partition(family: str, n: int, P: Optional[int] = None) -> Dict[CodePa
 
 def best_coset(family: str, n: int, P: Optional[int] = None) -> Tuple[CodeParams, SeqSet]:
     """The largest coset; ties break to the smallest residue tuple."""
+    _swept_family(family, n, P)
+    seqs._block_bits(n)  # its members are enumerated: refuse before any count
     sweep = coset_sweep(family, n, P)
     if not sweep.keys.size:
         raise ValueError(f"all {family} cosets are empty at n={n}")

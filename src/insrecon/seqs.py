@@ -184,34 +184,20 @@ def is_alternating(x: BitSeq) -> bool:
 
 
 def in_r(x: BitSeq, ell: int, t: int) -> bool:
-    """Membership in R(n, ell, t): every subword of period <= ell has length <= t.
+    """Membership in R(n, ell, t), the one-word call of r_mask."""
+    if ell < 1 or t < 1:
+        raise ValueError("require ell >= 1 and t >= 1")
+    return bool(r_mask(x.val, x.n, ell, t))
+
+
+def r_mask(vals, n: int, ell: int, t: int):
+    """Membership in R(n, ell, t) of packed length-n values (an array, or one
+    value as a Python int): every subword of period <= ell has length <= t.
 
     Equivalent test: no subword of length t+1 has period <= ell.  If n <= t
     there is nothing to violate; if t < ell every length-(t+1) subword
     violates (its period is at most its own length <= ell).
     """
-    if ell < 1 or t < 1:
-        raise ValueError("require ell >= 1 and t >= 1")
-    n, v = x.n, x.val
-    if n <= t:
-        return True
-    if t < ell:
-        return False
-    for p in range(1, ell + 1):
-        width = n - p
-        zeros = ~(v ^ (v >> p)) & _mask(width)
-        # a run of (t+1-p) agreeing shift-p positions marks a violating window
-        run = zeros
-        for _ in range(t - p):
-            run &= run >> 1
-        if run:
-            return False
-    return True
-
-
-def r_mask(vals, n: int, ell: int, t: int):
-    """Vectorized in_r over packed length-n values, with the same edge cases;
-    vals is an array, or one value as a Python int."""
     if ell < 1 or t < 1 or n < 0:
         raise ValueError("require n >= 0, ell >= 1, t >= 1")
     if n <= t or t < ell:
@@ -266,14 +252,16 @@ def _walk_counts(child: np.ndarray, n: int) -> np.ndarray:
     """The count of n-bit words that walk from cell 0 to each cell, where
     ``child[c, b]`` is the cell after bit b, or -1 for a forbidden step: a
     step adds every count to each allowed child by the unbuffered np.add.at.
-    int64 while n <= 62, where no count can pass 2**62; Python ints past that."""
+    int64 for the first 62 steps, where no count can pass 2**62; Python ints after."""
     if n < 0:
         raise ValueError(f"length n={n} must be >= 0")
     ok = [child[:, b] >= 0 for b in (0, 1)]
     targets = [child[ok[b], b] for b in (0, 1)]
-    counts = np.zeros(len(child), dtype=np.int64 if n <= 62 else object)
+    counts = np.zeros(len(child), dtype=np.int64)
     counts[0] = 1
-    for _ in range(n):
+    for i in range(n):
+        if i == 62:
+            counts = counts.astype(object)
         step = np.zeros_like(counts)
         for b in (0, 1):
             np.add.at(step, targets[b], counts[ok[b]])

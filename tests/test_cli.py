@@ -480,13 +480,42 @@ def test_table_above_enumeration_cap_counts_all_but_twoins(capsys):
     assert rows[4]["pigeonhole"] == "unavailable: 2**27 enumeration exceeds cap n <= 26"
 
 
-@pytest.mark.parametrize("flags", (("vt",), ("np5", "--P", "9")), ids=lambda flags: flags[0])
-def test_build_best_above_enumeration_cap_is_one_error_line(tmp_path, capsys, flags):
-    """The sweep counts the cosets at n = 27, but their members are
-    enumerated, so the build refuses them and writes no file."""
+@pytest.mark.parametrize("flags,n", (pytest.param(("vt",), 27, id="vt"),
+                                     pytest.param(("np5", "--P", "9"), 27, id="np5"),
+                                     pytest.param(("np4", "--P", "30"), 64, id="np4-64")))
+def test_build_best_above_enumeration_cap_is_one_error_line(tmp_path, capsys, flags, n):
+    """The sweep could count the cosets above n = 26, but their members are
+    enumerated, so the build refuses them before any count and writes no
+    file."""
     path = tmp_path / "x"
-    code, out, err = run(capsys, "build", *flags, "--best", "--n", "27", "--out", str(path))
-    assert (code, out, err) == (1, "", "error: 2**27 enumeration exceeds cap n <= 26\n")
+    with mock.patch.object(codes.seqs, "_walk_counts", side_effect=AssertionError("_walk_counts")):
+        code, out, err = run(capsys, "build", *flags, "--best", "--n", str(n), "--out", str(path))
+    assert (code, out, err) == (1, "", f"error: 2**{n} enumeration exceeds cap n <= 26\n")
+    assert not path.exists()
+
+
+def test_table_past_the_cell_cap_reads_unavailable(capsys):
+    """At P = 99999 the tworead and np4 grids alone hold 2 * 100000**2 cells,
+    so those rows read the cell cap's text; the other rows ignore P."""
+    code, out, err = run(capsys, "table", "--n-range=20:20", "--P", "99999", "--format", "records")
+    assert (code, err) == (0, "")
+    rows = [dict(item.split("=", 1) for item in r.split(" ", 6)) for r in out.splitlines()]
+    assert [r["family"] for r in rows] == ["all", "tworead", "np4", "vt", "twoins"]
+    refused = "unavailable: cell automaton of 20000000000 cells exceeds cap 2**26"
+    assert [r["pigeonhole"] == refused for r in rows] == [False, True, True, False, False]
+    assert (rows[0]["size"], rows[3]["size"]) == (str(2**20), str(brute.vt_coset_size(20, 0)))
+
+
+@pytest.mark.parametrize("flags,cells", (
+    pytest.param(("tworead", "--n", "10", "--P", "3000"), 432270035998, id="tworead-3000"),
+    pytest.param(("np5", "--n", "26", "--P", "900000000"), 1620000003600000002, id="np5-900000000"),
+    pytest.param(("np5", "--n", "10", "--P", "300"), 144780398, id="np5-300")))
+def test_build_best_past_the_cell_cap_is_one_error_line(tmp_path, capsys, flags, cells):
+    """More than 2**26 cells (grid entries x ambient states) are refused
+    before the cell automaton is allocated; no file is written."""
+    path = tmp_path / "x"
+    code, out, err = run(capsys, "build", *flags, "--best", "--out", str(path))
+    assert (code, out, err) == (1, "", f"error: cell automaton of {cells} cells exceeds cap 2**26\n")
     assert not path.exists()
 
 

@@ -644,6 +644,42 @@ def test_counted_sweep_answers_above_the_cap_where_the_partition_refuses(family,
             refused()
 
 
+@pytest.mark.parametrize("family,n,P", (("np4", 64, 30), ("vt", 27, None)))
+def test_best_coset_refuses_the_cap_before_any_count(family, n, P):
+    """best_coset enumerates its members, so past the cap it refuses before
+    the walk counts a single coset."""
+    cap = "^" + re.escape(f"2**{n} enumeration exceeds cap n <= 26") + "$"
+    with mock.patch.object(seqs, "_walk_counts", side_effect=AssertionError("_walk_counts")), \
+            pytest.raises(seqs.EnumerationCapError, match=cap):
+        best_coset(family, n, P)
+
+
+@pytest.mark.parametrize("family,n,P,text", (
+    ("wat", 64, None, "unknown family 'wat'"), ("np4", 64, None, "family np4 needs P"),
+    ("np4", 64, 31, "np4 requires P >= 6 with 3 | P"), ("np5", -3, 9, "length n=-3 must be >= 0"),
+    ("vt", 65, None, "code length 65 out of range 0..64")))
+def test_best_coset_checks_family_p_and_length_before_the_cap(family, n, P, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        best_coset(family, n, P)
+
+
+def test_ws_cells_refuse_an_oversize_automaton_before_allocating():
+    """The grid alone (2m^2 entries) is checked before the ambient automaton
+    is built, and the cells (states x grid) before any array is made:
+    tworead P=99999 has a grid of 2 * 100000**2 entries, and np5 P=300 the
+    799 states of R(., 2, 200) over 2 * 301**2."""
+    with mock.patch.object(seqs, "_r_automaton", side_effect=AssertionError("automaton")), \
+            mock.patch.object(np, "indices", side_effect=AssertionError("indices")), \
+            pytest.raises(seqs.EnumerationCapError,
+                          match=r"^cell automaton of 20000000000 cells exceeds cap 2\*\*26$"):
+        codes._ws_cells(codes.FAMILIES["tworead"], 20, 99999)
+    assert len(seqs._r_automaton(2, 200)) == 799
+    with mock.patch.object(np, "indices", side_effect=AssertionError("indices")), \
+            pytest.raises(seqs.EnumerationCapError,
+                          match=r"^cell automaton of 144780398 cells exceeds cap 2\*\*26$"):
+        codes._ws_cells(codes.FAMILIES["np5"], 10, 300)
+
+
 @pytest.mark.parametrize("family,n,P", (("twoins", 9, None), ("fiveread", 23, 3), ("vt", 9, None),
                                          ("np5", 9, 3)))
 def test_partition_walks_the_blocks_once(family, n, P):

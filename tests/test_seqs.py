@@ -165,6 +165,20 @@ def test_in_r_examples():
     assert in_r(BitSeq("0110"), 5, 4)  # length <= t is vacuous
 
 
+@pytest.mark.parametrize("ell,t", ((0, 3), (2, 0), (-1, -1)))
+def test_in_r_refuses_bad_parameters_with_its_own_text(ell, t):
+    """in_r checks ell and t itself, before its one-word r_mask call."""
+    with mock.patch.object(seqs, "r_mask", side_effect=AssertionError("r_mask")), \
+            pytest.raises(ValueError, match=r"^require ell >= 1 and t >= 1$"):
+        in_r(BitSeq("0110"), ell, t)
+
+
+def test_in_r_is_the_one_word_call_of_r_mask():
+    with mock.patch.object(seqs, "r_mask", wraps=seqs.r_mask) as spy:
+        assert in_r(BitSeq("0011100011"), 3, 3) is True
+    spy.assert_called_once_with(0b0011100011, 10, 3, 3)
+
+
 @pytest.mark.parametrize("n", range(0, 9))
 def test_in_r_matches_subword_oracle(n):
     for s in brute.all_seqs(n):
@@ -224,6 +238,14 @@ def test_count_r_runs_match_compositions(n):
     compositions recurrence; past n = 62 the walk counts in Python ints."""
     for t in (1, 2, 5, 12):
         assert count_r(n, 1, t) == brute.count_r1(n, t), (n, t)
+
+
+def test_walk_counts_switch_to_python_ints_after_step_62():
+    """int64 for the first 62 steps, where no count passes 2**62; the counts
+    at n = 63 and 64 are pinned by test_count_r_runs_match_compositions."""
+    child = seqs._r_automaton(2, 6)
+    assert [seqs._walk_counts(child, n).dtype for n in (62, 63, 64)] == [np.int64, object, object]
+    assert {type(v) for v in seqs._walk_counts(child, 63)} == {int}
 
 
 def test_negative_length_enumeration_is_refused_clearly():
