@@ -347,8 +347,9 @@ _CACHED_MASKS = 1 << 20
 
 
 @lru_cache(maxsize=32)
-def _deletion_masks(n: int, t: int) -> tuple:
-    """Column recipe of the t-deletion table at length n: one mask per segment.
+def _deletion_masks(n: int, t: int, dtype=np.uint64) -> tuple:
+    """Column recipe of the t-deletion table at length n: one mask per segment,
+    in the unsigned `dtype` of the words it is applied to.
 
     Column j deletes the j-th t-subset p_0 < ... < p_{t-1} of positions
     (in itertools.combinations order), which cuts x into segments s = 0..t,
@@ -357,8 +358,8 @@ def _deletion_masks(n: int, t: int) -> tuple:
     shifted right by t - s.  A recipe of more than 2**ENUM_CAP mask entries,
     (t + 1) C(n, t), is refused before any cut is built.  The cuts are
     one (C(n, t), t + 2) int8 array of -1, p_0, ..., p_{t-1}, n per column,
-    so the recipe holds its 8-byte mask entries, t + 2 bytes per column, and
-    the temporaries of one mask.
+    so the recipe holds its mask entries, t + 2 bytes per column, and the
+    temporaries of one mask.
     """
     columns = comb(n, t)
     if (t + 1) * columns > 1 << ENUM_CAP:
@@ -368,7 +369,7 @@ def _deletion_masks(n: int, t: int) -> tuple:
     cuts[:, 0], cuts[:, -1] = -1, n
     cuts[:, 1:-1] = np.fromiter(chain.from_iterable(combinations(range(n), t)), np.int8,
                                 columns * t).reshape(columns, t)
-    ones = np.array([(1 << k) - 1 for k in range(n + 1)], dtype=np.uint64)
+    ones = np.array([(1 << k) - 1 for k in range(n + 1)], dtype=dtype)
     # (1 << (n - c[s] - 1)) - (1 << (n - c[s + 1])), as a difference of 2^k - 1
     masks = tuple(ones[n - 1 - cuts[:, s]] - ones[n - cuts[:, s + 1]] for s in range(t + 1))
     for keep in masks:
@@ -379,12 +380,14 @@ def _deletion_masks(n: int, t: int) -> tuple:
 def _deletion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
     """(len(vals), C(n, t)) table: row i holds the t-deletion ball of vals[i],
     one column per set of deleted positions, so values repeat within a row.
-    Words are at most MAX_LEN = 64 bits, so the table is uint64.
+    The table is uint32 for a uint32 array of vals (n <= 32), else uint64:
+    words are at most MAX_LEN = 64 bits.
     """
-    x = np.asarray(vals, dtype=np.uint64)[:, None]
+    dt = np.uint32 if getattr(vals, "dtype", None) == np.uint32 else np.uint64
+    x = np.asarray(vals, dtype=dt)[:, None]
     masks = _deletion_masks if (t + 1) * comb(n, t) <= _CACHED_MASKS else _deletion_masks.__wrapped__
     out = 0
-    for s, keep in enumerate(masks(n, t)):
+    for s, keep in enumerate(masks(n, t, dt)):
         out = out | ((x & keep) >> (t - s))
     return out
 

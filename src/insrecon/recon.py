@@ -71,15 +71,16 @@ def _draw_size(n: int, t: int, count: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _completions(n: int, t: int) -> np.ndarray:
-    """(n + t, n + t + 1) uint64 table for unranking t-insertion balls at length n.
+def _completions(n: int, t: int, dtype) -> np.ndarray:
+    """(n + t, n + t + 1) table in `dtype` for unranking t-insertion balls at length n.
 
     Entry [i, q] is W(r, n - q) with r = n + t - 1 - i: the number of r-bit
     words that hold a given (n - q)-bit word as a subsequence, which is
     sum_{k <= r - n + q} C(r, k) (2^r once n - q <= 0, 0 when r < n - q)
-    whatever that word is.  Every entry is at most 2^63.
+    whatever that word is.  Every entry is at most 2^(n + t - 1), so it fits
+    the (n + t)-bit words of the reads.
     """
-    out = np.zeros((n + t, n + t + 1), dtype=np.uint64)
+    out = np.zeros((n + t, n + t + 1), dtype=dtype)
     for i in range(n + t):
         r = n + t - 1 - i
         sums = list(accumulate((comb(r, k) for k in range(r + 1)), initial=0))
@@ -96,25 +97,29 @@ def _read_rows(truths: np.ndarray, n: int, t: int, picks: np.ndarray) -> np.ndar
     extend it; if x's first n - m bits embed greedily in the prefix, those
     are the W(r, m) words of the remaining r bits that hold x's last m bits
     (_completions).  So bit 0 is taken when the position is below its W,
-    else that W is subtracted and bit 1 taken.  The unmatched bits of x are
-    kept complemented and left-aligned in the uint64 `rest`: its top bit is
-    1 iff x's next bit is 0, and stays 0 once x is used up, when every W is
-    2^r.  `done` counts the bits shifted out of `rest`.
+    else that W is subtracted and bit 1 taken.  Reads take the unsigned
+    dtype of truths, whose lanes hold n + t bits or more.  The unmatched bits
+    of x are kept complemented and left-aligned in the lane `rest`: its top
+    bit is 1 iff x's next bit is 0, and stays 0 once x is used up, when every
+    W is 2^r.  `done` counts the bits shifted out of `rest`.
     """
-    counts = _completions(n, t)
-    j = picks.astype(np.uint64)
-    rest = np.zeros(j.shape, dtype=np.uint64)
+    lane = truths.dtype.type
+    bits = 8 * truths.itemsize
+    counts = _completions(n, t, lane)
+    j = picks.astype(lane)
+    rest = np.zeros(j.shape, dtype=lane)
     if n:
-        rest |= ~truths[:, None] << np.uint64(64 - n)
+        rest |= ~truths[:, None] << lane(bits - n)
     done = np.zeros(j.shape, dtype=np.intp)
-    out = np.zeros(j.shape, dtype=np.uint64)
+    out = np.zeros(j.shape, dtype=lane)
     for i in range(n + t):
-        zero = (rest >> np.uint64(63)).view(np.intp)
+        # the top bit as a signed integer of the lane's width, which adds to done as an intp
+        zero = (rest >> lane(bits - 1)).view(f"i{truths.itemsize}")
         below = counts[i][done + zero]
         bit = j >= below
         below *= bit
         j -= below
-        out <<= np.uint64(1)
+        out <<= lane(1)
         out |= bit
         hit = bit != zero
         done += hit
@@ -135,22 +140,25 @@ def _embeds(c: np.ndarray, z: np.ndarray, n: int, t: int) -> np.ndarray:
 
     Greedy embedding: walk z from its top bit, and take the next unmatched
     bit of c whenever z shows it; c embeds iff that uses it up.  The
-    unmatched suffix of c is kept left-aligned in the uint64 `rest`, and
+    unmatched suffix of c is kept left-aligned in the lane `rest`, and
     `left` counts its bits down.  Once c is used up, `rest` is 0 and every
     0 bit of z takes `left` further below 0, to -t at the least, so c embeds
     iff `left` ends at most 0.  A step is five numpy calls that write into
-    buffers allocated once, not afresh at every bit.  n + t <= 64, so every
-    shift is below 64.
+    buffers allocated once, not afresh at every bit.  The lanes are the
+    unsigned dtype of c and z, whose `bits` are n + t or more, so every
+    shift is below `bits`.
     """
     shape = np.broadcast(c, z).shape
     left = np.full(shape, n, dtype=np.int8)
     if n == 0:
         return left <= 0
-    rest = np.empty(shape, dtype=np.uint64)
-    np.left_shift(c, np.uint64(64 - n), out=rest)
-    diff, hit, top = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=bool), np.uint64(1 << 63)
+    lane = np.result_type(c, z).type
+    bits = 8 * np.dtype(lane).itemsize
+    rest = np.empty(shape, dtype=lane)
+    np.left_shift(c, lane(bits - n), out=rest)
+    diff, hit, top = np.empty(shape, dtype=lane), np.empty(shape, dtype=bool), lane(1 << (bits - 1))
     for s in range(n + t - 1, -1, -1):
-        np.left_shift(z, np.uint64(63 - s), out=diff)  # z's bit s on top
+        np.left_shift(z, lane(bits - 1 - s), out=diff)  # z's bit s on top
         np.bitwise_xor(diff, rest, out=diff)
         np.less(diff, top, out=hit)  # the top bits agree
         np.left_shift(rest, hit, out=rest)
@@ -172,8 +180,9 @@ def _survivors(reads: np.ndarray, code: np.ndarray, n: int, t: int,
     codewords ascending within a row: the codewords whose t-deletion balls
     hold every read of their row.
 
-    `reads` is a (rows, N >= 1) uint64 array of distinct reads per row and
-    `code` the sorted uint64 codewords, at least one.  A row's candidates are
+    `reads` is a (rows, N >= 1) array of distinct reads per row and `code`
+    the sorted codewords, at least one, both of one unsigned dtype: uint32
+    or uint64, whose lanes every kernel works on.  A row's candidates are
     the codewords in the deletion ball of its smallest read, looked up
     _CHUNK // C(n + t, t) rows at a time in the code by one searchsorted or
     in its _presence table `present` (n <= _PRESENCE_BITS), and deduplicated
@@ -189,19 +198,20 @@ def _survivors(reads: np.ndarray, code: np.ndarray, n: int, t: int,
             index, width = np.searchsorted(code, flat), len(code)
             hit = np.flatnonzero(code[np.minimum(index, width - 1)] == flat)
         else:
-            # deletions are below 2^n <= 2^_PRESENCE_BITS: their int64 view indexes as they do
-            index, width = flat.view(np.int64), 1 << n
-            hit = np.flatnonzero(present[index])
+            # deletions are below 2^n <= 2^_PRESENCE_BITS: their signed view
+            # of the lane's width takes and keys as they do
+            index, width = flat.view(f"i{flat.itemsize}"), 1 << n
+            hit = np.flatnonzero(present.take(index))
         # index is a hit's place in the code (its value, with the table): keys are
         # below rows * width, rows <= 2^15 and width <= max(2^20, |C|), far below 2^63
         key = hit // cols * width + index[hit]
         key.sort()
         row, index = np.divmod(key[_run_starts(key)], width)
-        carry.append((row + lo, code[index] if present is None else index.astype(np.uint64)))
+        carry.append((row + lo, code[index] if present is None else index.astype(code.dtype)))
         held += len(index)
         if held < size and lo + step < len(reads):
             continue
-        row, cands = (np.concatenate(part) for part in zip(*carry))
+        row, cands = carry[0] if len(carry) == 1 else (np.concatenate(part) for part in zip(*carry))
         stop = held - held % size if lo + step < len(reads) else held
         for a in range(0, max(stop, 1), size):
             part = slice(a, min(a + size, stop))
@@ -213,8 +223,8 @@ def _survivors(reads: np.ndarray, code: np.ndarray, n: int, t: int,
 def _decode_rows(reads: np.ndarray, code: np.ndarray, n: int, t: int,
                  present: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """All the (row, codeword) pairs of _survivors at once."""
-    row, cands = zip(*_survivors(reads, code, n, t, present))
-    return np.concatenate(row), np.concatenate(cands)
+    parts = list(_survivors(reads, code, n, t, present))
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 class DecodeStatus(Enum):
@@ -551,8 +561,10 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
         raise ValueError("experiment needs a nonempty code")
     if not trials:
         return ExperimentSummary(code.n, t, reads, 0, 0, 0, 0, 0, ())
-    members = code._array()
     ball = _draw_size(code.n, t, reads)
+    # every decoding kernel runs on the lanes of the members' dtype: uint32,
+    # half as wide, whenever the reads fit it
+    members = code._array().astype(np.uint32 if code.n + t <= 32 else np.uint64, copy=False)
     present = _presence(members, code.n) if reads and code.n <= _PRESENCE_BITS else None
     words = _trial_words(len(members), ball, reads)
     # a trial's words and two zero words, each with its sort key, value and
@@ -569,7 +581,7 @@ def run_experiment(code: SeqSet, t: int, reads: int, trials: int, seed: int) -> 
                        len(members), ball, reads, words)
         truths = members[drawn[:, 0]]
         if reads:
-            read_rows, step = np.empty((len(drawn), reads), dtype=np.uint64), max(1, _CHUNK // reads)
+            read_rows, step = np.empty((len(drawn), reads), dtype=members.dtype), max(1, _CHUNK // reads)
             for lo in range(0, len(drawn), step):
                 read_rows[lo : lo + step] = _read_rows(truths[lo : lo + step], code.n, t,
                                                        drawn[lo : lo + step, 1:])

@@ -290,7 +290,11 @@ def _blocks(n: int) -> Iterator[np.ndarray]:
 
 
 def count_r(n: int, ell: int, t: int) -> int:
-    """|R(n, ell, t)| exactly at every n >= 0, by a walk of its automaton."""
+    """|R(n, ell, t)| exactly at every n >= 0, by a walk of its automaton.
+    As in r_mask, every word of length n <= t is in R: those 2^n are counted
+    without the automaton, whose size grows with t."""
+    if min(ell, t) >= 1 and 0 <= n <= t:
+        return 1 << n
     return int(_walk_counts(_r_automaton(ell, t), n).sum())
 
 

@@ -415,6 +415,24 @@ def test_deletion_table_rows_are_exact_balls_up_to_64_bits(args):
         assert {word_str(z, n - t) for z in row} == brute.deletion_ball(word_str(v, n), t)
 
 
+@pytest.mark.parametrize("t", (0, 1, 2, 3))
+def test_deletion_table_of_uint32_words_equals_the_uint64_table(t):
+    # the decoder's uint32 lanes: every word up to 10 bits, and sampled
+    # words up to 32 bits, extremes included, from masks cached per dtype
+    rng = random.Random(t)
+    for n in range(t, 33):
+        if n <= 10:
+            vals = range(1 << n)
+        else:
+            vals = [0, (1 << n) - 1, int(("10" * 16)[:n], 2), *(rng.getrandbits(n) for _ in range(20))]
+        narrow = _deletion_table(np.array(vals, dtype=np.uint32), n, t)
+        wide = _deletion_table(np.array(vals, dtype=np.uint64), n, t)
+        assert narrow.dtype == np.uint32 and wide.dtype == np.uint64
+        assert np.array_equal(narrow, wide), (n, t)
+        masks = balls._deletion_masks(n, t, np.uint32)
+        assert all(m.dtype == np.uint32 and not m.flags.writeable for m in masks)
+
+
 def test_insertion_table_splits_at_the_first_insertion():
     # the moved columns complement a bit among the top `top` bits of x, the
     # others start with them; together they are the whole table

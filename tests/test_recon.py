@@ -349,8 +349,12 @@ def _documented_trials(members, t, reads, trials, seed):
 def _check_against_oracle(members, t, reads, trials, seed, entries):
     n = len(members[0])
     code = SeqSet(n, [BitSeq(m) for m in members])
-    with mock.patch.object(recon, "_CHUNK", entries):
+    with mock.patch.object(recon, "_CHUNK", entries), \
+            mock.patch.object(recon, "_survivors", wraps=recon._survivors) as lanes:
         summary = run_experiment(code, t, reads, trials, seed)
+    # the experiment decodes on uint32 lanes whenever its reads fit them
+    lane = np.uint32 if n + t <= 32 else np.uint64
+    assert all(call.args[0].dtype == call.args[1].dtype == lane for call in lanes.call_args_list)
     oracle = _documented_trials(members, t, reads, trials, seed)
     assert len(summary.rows) == trials
     for k, (row, (truth, got, want)) in enumerate(zip(summary.rows, oracle)):
@@ -361,13 +365,13 @@ def _check_against_oracle(members, t, reads, trials, seed, entries):
         assert row.correct == (want == {truth})
         bundle = ReadBundle(SeqSet(n + t, [BitSeq(r) for r in got]), n, t)
         assert {str(c) for c in decode(bundle, code, t).candidates} == want
-    if reads:
-        # all trials' candidate sets from one call of the batched decoder
+    # all trials' candidate sets from one call of the batched decoder, on
+    # uint64 lanes and on the uint32 lanes too when the reads fit them
+    for dtype in dict.fromkeys((np.uint64, lane)) if reads else ():
         table = np.array([[BitSeq(r).val for r in got] for _, got, _ in oracle],
-                         dtype=np.uint64).reshape(trials, reads)
-        members_u64 = np.array([BitSeq(m).val for m in members], dtype=np.uint64)
-        row, vals = recon._decode_rows(table, members_u64, n, t)
-        assert vals.dtype == np.uint64
+                         dtype=dtype).reshape(trials, reads)
+        row, vals = recon._decode_rows(table, code._array().astype(dtype), n, t)
+        assert vals.dtype == dtype
         for k, (_, _, want) in enumerate(oracle):
             got = {str(BitSeq.from_int(int(v), n)) for v in vals[row == k]}
             assert got == want
@@ -406,6 +410,58 @@ def test_batched_experiment_on_62_bit_words(reads):
                       "1" * 61 + "0", "1" * 60 + "01"])
     summary = _check_against_oracle(members, 2, reads, 30, 3, recon._CHUNK)
     assert summary.ambiguous > 0 if reads == 1 else summary.unique == 30
+
+
+@pytest.mark.parametrize("n, t", [(21, 2), (30, 2), (29, 3), (31, 2)])
+def test_batched_experiment_on_both_lanes(n, t):
+    # n + t = 32, the widest reads of the uint32 lanes, and 33, the narrowest
+    # of the uint64 lanes; past the presence table (n = 21 and 30) the uint32
+    # lanes look candidates up by searchsorted in the uint32 members.  Words
+    # one substitution from 1^n leave single reads ambiguous, and five unique
+    members = sorted({"1" * n, "0" + "1" * (n - 1), "10" + "1" * (n - 2), "110" + "1" * (n - 3),
+                      "1" * (n - 1) + "0", "1" * (n - 2) + "01", ("01" * n)[:n]})
+    for reads in (1, 2, 5):
+        summary = _check_against_oracle(members, t, reads, 20, 3, recon._CHUNK)
+        if reads == 1:
+            assert summary.ambiguous > 0
+        elif reads == 5:
+            assert summary.unique == 20
+
+
+@pytest.mark.parametrize("n, t", [(0, 2), (1, 0), (5, 3), (18, 2), (30, 2), (29, 3)])
+def test_read_rows_return_their_truths_dtype(n, t):
+    # uint32 truths are unranked on uint32 lanes into uint32 reads, equal to
+    # the sorted ball table's up to n + t = 32, whose counts reach 2^31
+    rng = random.Random(n)
+    xs = [0, (1 << n) - 1, rng.getrandbits(n)]
+    size = ball_size_formula(n, t)
+    picks = np.array(sorted({0, size // 2, size - 1, rng.randrange(size)}))
+    want = np.sort(balls._insertion_table(xs, n, t), axis=1)[:, picks]
+    for dtype in (np.uint32, np.uint64):
+        got = recon._read_rows(np.array(xs, dtype=dtype), n, t, np.broadcast_to(picks, (3, len(picks))))
+        assert got.dtype == dtype and (got == want).all()
+
+
+@pytest.mark.parametrize("t", (0, 1, 2))
+def test_embeds_on_uint32_lanes_of_32_bits(t):
+    # n + t = 32: uint32 lanes walk every bit of a read up to 2**32 - 1 and
+    # agree with the uint64 lanes and the deletion balls
+    n, rng = 32 - t, random.Random(t)
+    words = ["1" * n, "0" * n, ("10" * 16)[:n], *(format(rng.getrandbits(n), f"0{n}b") for _ in range(6))]
+    reads = ["1" * 32, "0" * 32, "01" * 16]
+    for c in words[2:]:
+        for _ in range(t):
+            i = rng.randrange(len(c) + 1)
+            c = c[:i] + rng.choice("01") + c[i:]
+        reads += [c, c[::-1]]
+    got = [recon._embeds(np.array([int(c, 2) for c in words], dtype=dtype)[:, None],
+                         np.array([int(z, 2) for z in reads], dtype=dtype), n, t)
+           for dtype in (np.uint32, np.uint64)]
+    assert (got[0] == got[1]).all()
+    for z, col in zip(reads, got[0].T):
+        subs = brute.deletion_ball(z, t)
+        assert col.tolist() == [c in subs for c in words], z
+    assert 6 <= got[0].sum() < got[0].size
 
 
 @pytest.mark.parametrize("t", (0, 1, 2, 3))

@@ -248,6 +248,17 @@ def test_walk_counts_switch_to_python_ints_after_step_62():
     assert {type(v) for v in seqs._walk_counts(child, 63)} == {int}
 
 
+def test_count_r_of_words_no_longer_than_t_builds_no_automaton():
+    """Every word of length n <= t is in R(n, ell, t), so count_r returns
+    2^n at once, even at a t whose automaton would hold t states or more."""
+    with mock.patch.object(seqs, "_r_automaton", side_effect=AssertionError("_r_automaton")):
+        for ell in (1, 2, 3, 5):
+            for t in (1, 2, 4, 7):
+                for n in range(t + 1):
+                    assert count_r(n, ell, t) == brute.count_r_by_windows(n, ell, t) == 2**n
+        assert count_r(5, 2, 20000) == 32
+
+
 def test_negative_length_enumeration_is_refused_clearly():
     with pytest.raises(ValueError, match=r"^length n=-1 must be >= 0$"):
         count_r(-1, 2, 3)
