@@ -377,18 +377,28 @@ def _deletion_masks(n: int, t: int, dtype=np.uint64) -> tuple:
     return masks
 
 
-def _deletion_table(vals: Sequence[int], n: int, t: int) -> np.ndarray:
+def _deletion_table(vals: Sequence[int], n: int, t: int, cols: slice = slice(None),
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """(len(vals), C(n, t)) table: row i holds the t-deletion ball of vals[i],
     one column per set of deleted positions, so values repeat within a row.
     The table is uint32 for a uint32 array of vals (n <= 32), else uint64:
-    words are at most MAX_LEN = 64 bits.
+    words are at most MAX_LEN = 64 bits.  Only the columns cols, into out
+    when it is given (of any dtype that holds them).
     """
     dt = np.uint32 if getattr(vals, "dtype", None) == np.uint32 else np.uint64
     x = np.asarray(vals, dtype=dt)[:, None]
     masks = _deletion_masks if (t + 1) * comb(n, t) <= _CACHED_MASKS else _deletion_masks.__wrapped__
-    out = 0
-    for s, keep in enumerate(masks(n, t, dt)):
-        out = out | ((x & keep) >> (t - s))
+    first, *rest = (keep[cols] for keep in masks(n, t, dt))
+    if out is None:
+        out = np.empty((len(x), len(first)), dtype=dt)
+    np.bitwise_and(x, first, out=out)
+    out >>= t
+    buf = np.empty_like(out)
+    for s, keep in enumerate(rest, 1):
+        np.bitwise_and(x, keep, out=buf)
+        if s < t:
+            buf >>= t - s
+        out |= buf
     return out
 
 
@@ -406,51 +416,70 @@ _RANGE = 1 << 22
 _FILL = 1 << 16
 
 
-def _pair_blocks(vals: np.ndarray, n: int, t: int,
-                 start: int = 0) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def _pair_blocks(vals: np.ndarray, n: int, t: int, start: int = 0,
+                 deletions: bool = False) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Exact overlaps of the t-insertion balls of all pairs of vals that meet,
-    for the first owners from row start on.
+    for the first owners from row start on; with deletions, of their
+    t-deletion balls, which meet for the same pairs.
 
     Yields (keys, counts) block by block, where key a*rows+b (a < b) names
     the pair (vals[a], vals[b]) and count its overlap.  Keys ascend within
     and across blocks.  Each ball value is tagged with its owner row in the
-    low bits and sorted, so equal values form runs with owners ascending; a
-    block of first owners emits its pairs from the runs one offset at a time
-    and counts them with np.unique.
+    low bits and sorted, so equal values form runs with owners ascending
+    (a word's equal deletions are dropped); a block of first owners emits
+    its pairs from the runs one offset at a time and counts them with
+    np.unique.
 
     The table is sorted in 2**k ranges of values, by their top k bits, with
     k the least that leaves about _RANGE entries per range; only the shared
     values of each range are kept.  The ranges ascend, so the kept entries
     are those of one sort of the whole table.  A value starts with the top
-    k bits of its owner unless its first insertion falls among them: those
-    moved columns are built first, for every owner, and sorted.  Then each
-    range builds the other columns of the owners of its top bits, and takes
-    its share of the moved entries, so each entry is built once.
+    k bits of its owner unless its first insertion (or deletion) falls
+    among them: those moved columns are built first, for every owner, and
+    sorted.  Then each range builds the other columns of the owners of its
+    top bits, and takes its share of the moved entries, so each entry is
+    built once.
     """
-    _gap_patterns(n, t)  # a negative t, or a ball above the cap, is refused first
     rows = len(vals)
+    if deletions:
+        # half the entries a range: fewer columns would often take one
+        # range fewer, of twice the entries
+        width, size, per = comb(n, t), n - t, _RANGE // 2
+    else:
+        _gap_patterns(n, t)  # a negative t, or a ball above the cap, is refused first
+        width, size, per = ball_size_formula(n, t), n + t, _RANGE
     tag = (rows - 1).bit_length()
-    width = ball_size_formula(n, t)
-    bits = min((max(rows * width - 1, 0) // _RANGE).bit_length(), n)
+    bits = min((max(rows * width - 1, 0) // per).bit_length(), n, size)
     # the owners of range p, whose top bits are p, are rows owners[p]:owners[p + 1]
     owners = np.append(np.searchsorted(vals, np.arange(1 << bits, dtype=np.uint64) << (n - bits)), rows)
     # (with one range, no column is moved)
-    away = np.sort(_entries(vals, n, t, tag, bits, 0, rows if bits else 0, moved=True))
-    cut = np.searchsorted((away >> tag >> (n + t - bits)).astype(np.int64), np.arange((1 << bits) + 1))
+    away = _entries(vals, n, t, tag, bits, 0, rows if bits else 0, moved=True, deletions=deletions)
+    away.sort()
+    # range p takes the moved entries from the first whose top bits are p
+    starts = np.array([p << (size - bits + tag) for p in range(1 << bits)], dtype=away.dtype)
+    cut = np.append(np.searchsorted(away, starts), len(away))
+    # every range is built and shifted into the same two arrays, so no range
+    # allocates, faults in and frees its own
+    sizes = np.diff(owners) * (width - len(away) // max(rows, 1)) + np.diff(cut)
+    table, shifted = np.empty((2, sizes.max()), dtype=away.dtype)
     kept = []
     for p in range(1 << bits):
         flat = _entries(vals, n, t, tag, bits, owners[p], owners[p + 1], moved=False,
-                        head=away[cut[p] : cut[p + 1]])
+                        deletions=deletions, head=away[cut[p] : cut[p + 1]], out=table[: sizes[p]])
         flat.sort()
-        z = flat >> tag
+        z = np.right_shift(flat, tag, out=shifted[: sizes[p]])
         eq = z[1:] == z[:-1]
+        if deletions:  # a word's equal deletions are not shared
+            eq &= flat[1:] != flat[:-1]
         shared = np.zeros(len(z), dtype=bool)
         shared[1:] = eq
         shared[:-1] |= eq
-        kept.append(flat[shared])
+        flat = flat[shared]
+        # (an owner between two others keeps its first and last such deletion)
+        kept.append(flat[_run_starts(flat)] if deletions else flat)
         del flat, z, eq, shared
     flat = kept[0] if len(kept) == 1 else np.concatenate(kept)
-    del away, kept
+    del away, kept, table, shifted
     z = flat >> tag
     owner = (flat & ((1 << tag) - 1)).astype(np.int64)
     del flat  # the blocks below need only z and owner
@@ -469,19 +498,35 @@ def _pair_blocks(vals: np.ndarray, n: int, t: int,
 
 
 def _entries(vals: np.ndarray, n: int, t: int, tag: int, bits: int, lo: int, hi: int,
-             moved: bool, head: np.ndarray = ()) -> np.ndarray:
+             moved: bool, deletions: bool, head: np.ndarray = (),
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """head, then the moved or the other columns (_insertion_table at top =
-    bits) of the ball table of owner rows lo..hi-1, each tagged with its row
-    in the low tag bits, as one array, filled _FILL entries at a time."""
-    dt = _word_dtype(n + t + tag)
-    cols = sum((c.stop - c.start) * len(tails) for _, tails, c in _kept_patterns(n, t, bits, moved))
-    out = np.empty(len(head) + (hi - lo) * cols, dtype=dt)
+    bits, or the t-deletion columns whose first deleted position is among
+    the top bits) of the ball table of owner rows lo..hi-1, each tagged with
+    its row in the low tag bits, as one array (out, when given), filled
+    _FILL entries at a time; deletions in uint32 when they fit it."""
+    if deletions:
+        width = comb(n, t)
+        split = width - comb(n - bits, t)
+        cols = slice(0, split) if moved else slice(split, width)
+        kept = cols.stop - cols.start
+        dt = np.uint32 if max(n, n - t + tag) <= 32 else _word_dtype(n - t + tag)
+    else:
+        width = ball_size_formula(n, t)
+        kept = sum((c.stop - c.start) * len(tails) for _, tails, c in _kept_patterns(n, t, bits, moved))
+        dt = _word_dtype(n + t + tag)
+    if out is None:
+        out = np.empty(len(head) + (hi - lo) * kept, dtype=dt)
     out[: len(head)] = head
-    table = out[len(head) :].reshape(hi - lo, cols)
-    chunk = max(1, _FILL // ball_size_formula(n, t))
+    table = out[len(head) :].reshape(hi - lo, kept)
+    words = vals[lo:hi].astype(dt) if dt == np.uint32 else vals[lo:hi]
+    chunk = max(1, _FILL // width)
     for a in range(lo, hi, chunk):
         part = table[a - lo : a - lo + chunk]
-        _insertion_table(vals[a : a + len(part)], n, t, bits, moved, out=part)
+        if deletions:
+            _deletion_table(words[a - lo : a - lo + len(part)], n, t, cols, out=part)
+        else:
+            _insertion_table(words[a - lo : a - lo + len(part)], n, t, bits, moved, out=part)
         part <<= tag
         part |= np.arange(a, a + len(part)).astype(dt)[:, None]
     return out
@@ -544,11 +589,11 @@ def _counted(keys: np.ndarray, vals: np.ndarray, n: int, t: int) -> Iterator[Tup
 def _close_blocks(vals: np.ndarray, n: int, t: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Like _pair_blocks, restricted to the pairs at d_L <= 1.
 
-    Those pairs come from the engine at t = 1 (in value ranges of its
-    table, as for any t), block by block, and are counted by
+    Those pairs share a 1-deletion (SCS = 2n - LCS), so they come from the
+    engine on the 1-deletion table, block by block, and are counted by
     _common_supersequences in slices of _PAIRS pairs.
     """
-    for close, _ in _pair_blocks(vals, n, 1):
+    for close, _ in _pair_blocks(vals, n, 1, deletions=True):
         yield from _counted(close, vals, n, t)
 
 
@@ -634,14 +679,15 @@ def _worst_pair(code: SeqSet, t: int, bound: int = 0) -> Tuple[int, BitSeq, BitS
     when that overlap is below bound, a pair below bound may come instead.
 
     When no pair overlaps, that is (0, the two smallest words).  For t = 2
-    (and n >= 4) the pairs at d_L <= 1 are counted first: any other pair
-    shares at most nplus_ell_formula(n, 2, 2) = 6 supersequences, so a close
-    pair above 6 is the worst pair overall.  Only when neither the close
-    pairs' maximum nor the bound is above 6 are the other pairs counted, by
-    the ceiling scan (_far_blocks), which stops at the first block that
-    reaches 6: no pair exceeds it, and every smaller key has been counted.
-    Past its budget, the full scan counts the owners left.  Other t (at
-    t = 1 only close pairs overlap at all), and n < 4, take the full scan
+    (and n >= 4) the pairs at d_L <= 1, which share a 1-deletion, are
+    counted first (_close_blocks): any other pair shares at most
+    nplus_ell_formula(n, 2, 2) = 6 supersequences, so a close pair above 6
+    is the worst pair overall.  Only when neither the close pairs' maximum
+    nor the bound is above 6 are the other pairs counted, by the ceiling
+    scan (_far_blocks), which stops at the first block that reaches 6: no
+    pair exceeds it, and every smaller key has been counted.  Past its
+    budget, the full scan counts the owners left.  Other t (at t = 1 only
+    close pairs overlap at all), and n < 4, take the full scan
     (_pair_blocks).
     """
     if len(code) < 2:

@@ -32,6 +32,7 @@ from insrecon.balls import (
     read_coverage,
     t_insertion_bound,
 )
+from insrecon.codes import best_coset
 from insrecon.seqs import BitSeq, EnumerationCapError, SequenceTooLongError, insertion_distance
 
 
@@ -655,13 +656,107 @@ def test_close_blocks_never_build_ball_tables():
     assert len(close) > 1 and keys.size > 100
     a, b = np.divmod(keys, len(vals))
     want = table_overlaps(vals[a], vals[b], n, 2)
-    with mock.patch.object(balls, "_pair_blocks", side_effect=lambda v, n, t: iter(close)) as engine, \
+    with mock.patch.object(balls, "_pair_blocks",
+                           side_effect=lambda v, n, t, deletions: iter(close)) as engine, \
             mock.patch.object(balls, "_insertion_table", side_effect=AssertionError("ball table")), \
             mock.patch.object(balls, "_PAIRS", 7):
         got = list(balls._close_blocks(vals, n, 2))
-    assert engine.call_args.args[2] == 1
+    assert engine.call_args.args[2] == 1 and engine.call_args.kwargs == {"deletions": True}
     assert np.array_equal(np.concatenate([k for k, _ in got]), keys)
     assert np.array_equal(np.concatenate([c for _, c in got]), want)
+    # the engine itself takes the close pairs from deletion tables alone
+    with mock.patch.object(balls, "_insertion_table", side_effect=AssertionError("ball table")):
+        alone = list(balls._close_blocks(vals, n, 2))
+    assert np.array_equal(np.concatenate([k for k, _ in alone]), keys)
+    assert np.array_equal(np.concatenate([c for _, c in alone]), want)
+
+
+def runs_word(rng, n, runs):
+    """A random n-bit word of the given number of runs (at most n)."""
+    cuts = [0, *sorted(rng.sample(range(1, n), runs - 1)), n]
+    bit = rng.getrandbits(1)
+    return sum(((1 << (n - lo)) - (1 << (n - hi))) * ((bit + i) % 2) for i, (lo, hi) in
+               enumerate(zip(cuts, cuts[1:])))
+
+
+def near_words(seed, n, count):
+    """At least count distinct n-bit word strings: random words and words of
+    two to four runs, each with a word at d_L <= 1 from it."""
+    rng, words = random.Random(seed), set()
+    while len(words) < count:
+        for v in (rng.getrandbits(n), runs_word(rng, n, rng.randint(2, 4))):
+            words |= {v, one_edit(rng, v, n)}
+    return [word_str(v, n) for v in sorted(words)]
+
+
+def few_runs(n, runs):
+    """The n-bit words of at most the given number of runs."""
+    return [w for w in brute.all_seqs(n) if 1 + sum(a != b for a, b in zip(w, w[1:])) <= runs]
+
+
+# (n, words, dtype of the tagged deletions): words of few runs, whose runs
+# repeat deletions; every 7-bit word, so a deletion has up to eight owners;
+# and 300-odd words whose tagged deletions take 32 bits (uint32), 33 and 48
+# bits (uint64), and 68 bits (Python ints).
+CLOSE_CASES = {
+    "few runs": (12, few_runs(12, 4), np.uint32),
+    "every word": (7, brute.all_seqs(7), np.uint32),
+    "32 bits": (24, near_words(24, 24, 300), np.uint32),
+    "33 bits": (25, near_words(25, 25, 300), np.uint64),
+    "48 bits": (40, near_words(40, 40, 300), np.uint64),
+    "68 bits": (60, near_words(60, 60, 300), object),
+}
+
+
+@pytest.mark.parametrize("per", (1 << 22, 1 << 12, 1 << 8))
+@pytest.mark.parametrize("case", sorted(CLOSE_CASES))
+def test_close_pass_takes_the_pairs_that_share_a_deletion(case, per):
+    n, words, dtype = CLOSE_CASES[case]
+    rows = len(words)
+    assert 256 < rows <= 512 or n < 24  # the wide cases tag their deletions with 9 bits
+    dels = [brute.deletion_ball(w, 1) for w in words]
+    want = {a * rows + b: len(dels[a] & dels[b])
+            for a, b in combinations(range(rows), 2) if not dels[a].isdisjoint(dels[b])}
+    assert len(want) > 50
+    vals = np.array([int(w, 2) for w in words], dtype=np.uint64)
+    entries, built = balls._entries, []
+
+    def spy(*args, **kwargs):
+        out = entries(*args, **kwargs)
+        built.append((kwargs["moved"], out.dtype, len(out)))
+        return out
+
+    with mock.patch.object(balls, "_RANGE", per):
+        with mock.patch.object(balls, "_entries", side_effect=spy):
+            blocks = list(balls._pair_blocks(vals, n, 1, deletions=True))
+        close = np.concatenate([k for k, _ in balls._close_blocks(vals, n, 2)])
+        # the same pairs as the t = 1 insertion table's
+        inserted = np.concatenate([k for k, _ in balls._pair_blocks(vals, n, 1)])
+    keys = np.concatenate([k for k, _ in blocks])
+    assert (keys[1:] > keys[:-1]).all()
+    # each pair once, counted by its distinct shared deletions
+    assert dict(zip(keys.tolist(), np.concatenate([c for _, c in blocks]).tolist())) == want
+    assert close.tolist() == inserted.tolist() == keys.tolist()
+    assert {kind for _, kind, _ in built} == {np.dtype(dtype)}
+    # several value ranges, each with its share of the moved columns
+    ranges = sum(not moved for moved, _, _ in built)
+    assert (ranges > 1) == (rows * n > per // 2)
+    assert built[0][0] and bool(built[0][2]) == (ranges > 1)
+
+
+@pytest.mark.parametrize("family, n, P, pairs", [
+    *[("vt", n, None, 0) for n in range(6, 19)],
+    ("np5", 14, 9, 44), ("np5", 18, 9, 5918), ("tworead", 16, 3, 34624), ("all", 12, None, 139263),
+])
+def test_close_pair_counts_of_best_cosets(family, n, P, pairs):
+    vals = best_coset(family, n, P=P)[1]._array()
+    assert sum(len(keys) for keys, _ in balls._pair_blocks(vals, n, 1, deletions=True)) == pairs
+    if family == "vt" and n <= 10:
+        # VT codes correct one deletion: no two codewords share one
+        words = vt_words(n)
+        assert vals.tolist() == [int(w, 2) for w in words]
+        dels = [brute.deletion_ball(w, 1) for w in words]
+        assert all(a.isdisjoint(b) for a, b in combinations(dels, 2))
 
 
 # Every close pair at t = 2 shares at least 8 supersequences at these
@@ -736,7 +831,9 @@ def scan_path(words, share=balls._SHARE):
         got = coverage_argmax(code, 2)
     full = [c.args[3] for c in engine.call_args_list if c.args[2] == 2]
     assert len(full) <= 1
-    return got, [len(c.args[0]) for c in dels.call_args_list], full[0] if full else None
+    # the close pass builds 1-deletion tables; the ceiling scan, 2-deletion tables
+    listed = [len(c.args[0]) for c in dels.call_args_list if c.args[2] == 2]
+    return got, listed, full[0] if full else None
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
@@ -783,9 +880,9 @@ def test_ceiling_stop_decides_vt_codes_without_the_full_scan(n):
     worst = brute_worst(words, 2)
     engine = balls._pair_blocks
 
-    def close_pairs_only(vals, n, t, start=0):
+    def close_pairs_only(vals, n, t, start=0, deletions=False):
         assert t == 1, "full scan at t = 2"
-        return engine(vals, n, t, start)
+        return engine(vals, n, t, start, deletions)
 
     with mock.patch.object(balls, "_pair_blocks", side_effect=close_pairs_only):
         assert coverage_argmax(code, 2) == worst
