@@ -31,16 +31,7 @@ from .codes import (
     VerifyResult,
     WeightVectors,
     best_coset,
-    build_all,
-    build_code,
-    build_five_read_code,
-    build_np4_code,
-    build_np5_code,
-    build_two_insertion_code,
-    build_two_read_code,
-    build_vt,
     coset_partition,
-    five_read_member,
     five_read_syndrome,
     np4_member,
     np5_member,
@@ -49,7 +40,6 @@ from .codes import (
     redundancy,
     segment_checks,
     tilde_sums,
-    two_insertion_member,
     two_insertion_syndrome,
     two_read_member,
     verify_reconstruction_code,

@@ -115,7 +115,7 @@ def cmd_build(args) -> int:
         params, code = codes.best_coset(args.family, args.n, P=args.P)
     else:
         params = _build_params(args)
-        code = codes.build_code(params)
+        code = params.members()
     codes.write_code_file(args.out, params, code)
     body = codes.format_header(params).partition(" params=")[2]
     if args.format == "records":

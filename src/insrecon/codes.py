@@ -17,12 +17,13 @@ Seven families, all realized as syndrome cosets of an ambient set:
 
 Each family's residues have one definition, its kernel in ``FAMILIES``, and
 their moduli one, its ``_moduli(n, P)``, which also checks n and P.
-Builders materialize codes by exhaustive filtering (refused above the
-enumeration cap); the coset sizes and members of the families keyed by
+A coset's record lists its words, ``members()``, by exhaustive filtering
+(refused above the enumeration cap), and tests words against it,
+``contains(words)``; the coset sizes and members of the families keyed by
 weight and position sum come from their cell automaton instead
-(``_ws_sizes``, ``_ws_members``).  The
-scalar syndromes and the ``*_member`` predicates are one-word calls of the
-same kernels, for words of up to ``MAX_LEN`` bits.
+(``_ws_sizes``, ``_ws_members``).  The scalar syndromes and the
+``*_member`` predicates are one-word calls of the same kernels, for words
+of up to ``MAX_LEN`` bits.
 """
 
 from __future__ import annotations
@@ -300,15 +301,26 @@ class _Params:
             if not 0 <= r < m:
                 raise ValueError(f"residue {name}={r} out of range 0..{m - 1}")
 
-    @classmethod
-    def _member(cls, vals, n: int, P: Optional[int], want: Sequence[int]):
-        """Which length-n words lie in the coset of the residues ``want``: in
-        the ambient set, with the kernel's residues equal to ``want``."""
-        if len(want) != len(cls._moduli(n, P)):
-            return False
-        ok = cls._r is None or r_mask(vals, n, *cls._r(P))
-        for r, w in zip(cls._kernel(vals, n, P), want):
-            ok = ok & (r == w)
+    def members(self) -> SeqSet:
+        """Every word of the coset, ascending: from the cell automaton
+        (``_ws_members``) for a ``_ws`` family, from a keyed walk of the
+        blocks otherwise; refused above the enumeration cap."""
+        cls, n, P = type(self), self.n, getattr(self, "P", None)
+        key = _key(self.residues(), cls._moduli(n, P))
+        if cls._ws is None:
+            return SeqSet._from_vals(n, np.concatenate(
+                [words for words, _ in _keyed_blocks(cls, n, P, key)]))
+        seqs._block_bits(n)  # the enumeration cap holds for the members too
+        return SeqSet._from_vals(n, _ws_members(cls, n, P, key))
+
+    def contains(self, words):
+        """Which length-n words, an array of them or one as a Python int, lie
+        in the coset: in the ambient set, with the kernel's residues equal to
+        the record's."""
+        P = getattr(self, "P", None)
+        ok = self._r is None or r_mask(words, self.n, *self._r(P))
+        for r, want in zip(self._kernel(words, self.n, P), self.residues()):
+            ok = ok & (r == want)
         return ok
 
     def _items(self) -> List[Tuple[str, object]]:
@@ -419,6 +431,9 @@ class TwoInsertionParams(_Params):
 
 @dataclass(frozen=True)
 class FiveReadParams(_Params):
+    """When 7P+1 does not divide n, the segment sums run on the zero-padded
+    word, while the VT and R(n, 3, P) conditions stay on x itself."""
+
     n: int
     P: int
     a: int
@@ -452,19 +467,19 @@ def vt_syndrome(x: BitSeq) -> int:
 
 
 def vt_member(x: BitSeq, a: int) -> bool:
-    return bool(VTParams._member(x.val, x.n, None, (a,)))
+    return bool(VTParams(x.n, a).contains(x.val))
 
 
 def two_read_member(x: BitSeq, P: int, c: int, d: int) -> bool:
-    return bool(TwoReadParams._member(x.val, x.n, P, (c, d)))
+    return bool(TwoReadParams(x.n, P, c, d).contains(x.val))
 
 
 def np4_member(x: BitSeq, P: int, c: int, d: int) -> bool:
-    return bool(Np4Params._member(x.val, x.n, P, (c, d)))
+    return bool(Np4Params(x.n, P, c, d).contains(x.val))
 
 
 def np5_member(x: BitSeq, P: int, c: int, d: int) -> bool:
-    return bool(Np5Params._member(x.val, x.n, P, (c, d)))
+    return bool(Np5Params(x.n, P, c, d).contains(x.val))
 
 
 def two_insertion_syndrome(x: BitSeq) -> Tuple[int, int, int, int, int]:
@@ -472,74 +487,10 @@ def two_insertion_syndrome(x: BitSeq) -> Tuple[int, int, int, int, int]:
     return tuple(TwoInsertionParams._kernel(x.val, x.n, None))
 
 
-def two_insertion_member(x: BitSeq, residues: Sequence[int]) -> bool:
-    return bool(TwoInsertionParams._member(x.val, x.n, None, tuple(residues)))
-
-
 def five_read_syndrome(x: BitSeq, P: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
     """(VT residue of x, even sums, odd sums); the sums run on the padded word."""
     a, *sums = _five_read_residues(x.val, x.n, P)
     return a, tuple(sums[:5]), tuple(sums[5:])
-
-
-def five_read_member(x: BitSeq, P: int, a: int, avec: Sequence[int], bvec: Sequence[int]) -> bool:
-    # eleven residues split as 1 + 5 + 5 only if avec and bvec have equal lengths
-    want = (a, *avec, *bvec) if len(avec) == len(bvec) else ()
-    return bool(FiveReadParams._member(x.val, x.n, P, want))
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-def build_code(params: CodeParams) -> SeqSet:
-    """Materialize the coset described by a parameter record."""
-    cls, n, P = type(params), params.n, getattr(params, "P", None)
-    key = _key(params.residues(), cls._moduli(n, P))
-    if cls._ws is None:
-        return SeqSet._from_vals(n, np.concatenate(
-            [words for words, _ in _keyed_blocks(cls, n, P, key)]))
-    seqs._block_bits(n)  # the enumeration cap holds for the members too
-    return SeqSet._from_vals(n, _ws_members(cls, n, P, key))
-
-
-def build_all(n: int) -> SeqSet:
-    return build_code(AllParams(n))
-
-
-def build_vt(n: int, a: int) -> SeqSet:
-    """All x of length n with VT syndrome a."""
-    return build_code(VTParams(n, a))
-
-
-def build_two_read_code(n: int, P: int, c: int, d: int) -> SeqSet:
-    """Inversion/weight coset of R(n, 2, 2P)."""
-    return build_code(TwoReadParams(n, P, c, d))
-
-
-def build_np4_code(n: int, P: int, c: int, d: int) -> SeqSet:
-    """Inversion/weight coset of R(n, 3, P/3); coverage <= n+3 after 2 insertions."""
-    return build_code(Np4Params(n, P, c, d))
-
-
-def build_np5_code(n: int, P: int, c: int, d: int) -> SeqSet:
-    """Inversion/weight coset of R(n, 2, 2P/3); coverage <= n+4 after 2 insertions."""
-    return build_code(Np5Params(n, P, c, d))
-
-
-def build_two_insertion_code(n: int, a1: int, a2: int, a3: int, a4: int, a5: int) -> SeqSet:
-    """Coset of the higher-order parity checks over the full space."""
-    return build_code(TwoInsertionParams(n, a1, a2, a3, a4, a5))
-
-
-def build_five_read_code(n: int, P: int, a: int, avec: Sequence[int],
-                         bvec: Sequence[int]) -> SeqSet:
-    """VT + even/odd segment-sum coset of R(n, 3, P).
-
-    When 7P+1 does not divide n, the segment sums are evaluated on the
-    zero-padded word while the VT and R(n, 3, P) conditions stay on x itself.
-    """
-    return build_code(FiveReadParams(n, P, a, tuple(avec), tuple(bvec)))
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +583,9 @@ class CosetSweep(NamedTuple):
     their exact word counts in ``sizes``: from ``_ws_sizes`` for a ``_ws``
     family (int64 up to n = 62, Python ints past that), and from one sort
     of the keys of one walk of the blocks for twoins and fiveread.
-    ``params(i)`` is the record of coset i, whose members ``build_code``
-    collects: from ``_ws_members`` for a ``_ws`` family, from a keyed walk
-    of the blocks otherwise.
+    ``params(i)`` is the record of coset i, whose ``members()`` come from
+    ``_ws_members`` for a ``_ws`` family, from a keyed walk of the blocks
+    otherwise.
     ``ambient_size`` stays at index 1, where perfbench/spans.py reads it.
     """
 
@@ -647,9 +598,6 @@ class CosetSweep(NamedTuple):
     def best(self) -> int:
         """The largest coset; ties break to the smallest residues."""
         return int(np.argmax(self.sizes))
-
-    def members(self, i: int) -> SeqSet:
-        return build_code(self.params(i))
 
 
 # the ambient automaton of the whole space: one state, every step allowed
@@ -827,7 +775,7 @@ def _swept_family(family: str, n: int, P: Optional[int]) -> Type:
     """The record class of a family, once n and P pass its checks: the
     family is known, P is given where it needs one, its moduli exist at n,
     and 0 <= n <= MAX_LEN, in that order; the enumeration cap is left to
-    the code that enumerates (``seqs._blocks``, ``build_code``)."""
+    the code that enumerates (``seqs._blocks``, ``members()``)."""
     cls = FAMILIES.get(family)
     if cls is None:
         raise ValueError(f"unknown family {family!r}")
@@ -898,8 +846,8 @@ def best_coset(family: str, n: int, P: Optional[int] = None) -> Tuple[CodeParams
     sweep = coset_sweep(family, n, P)
     if not sweep.keys.size:
         raise ValueError(f"all {family} cosets are empty at n={n}")
-    best = sweep.best()
-    return sweep.params(best), sweep.members(best)
+    params = sweep.params(sweep.best())
+    return params, params.members()
 
 
 # ---------------------------------------------------------------------------
@@ -984,9 +932,9 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
     until the end of the file, since a later non-ASCII byte fails the text
     reading first, with the error that names its position in the file.
 
-    Under a header, every codeword must lie in the coset it names, by the
-    record test the ``*_member`` predicates make one word at a time (so a
-    ``twoins`` body is checked with the m1 weights, a ``fiveread`` one with m0).
+    Under a header, every codeword must lie in the coset it names, by its
+    record's ``contains`` (so a ``twoins`` body is checked with the m1
+    weights, a ``fiveread`` one with m0).
     The test runs on 2^_BLOCK_BITS words at a time in ascending order, and
     the error names the smallest failing word.
     """
@@ -1046,10 +994,10 @@ def read_code_file(path: str) -> Tuple[Optional[CodeParams], SeqSet]:
         raise error
     code = SeqSet._from_vals(n, words)
     if params is not None:
-        vals, P = code._array(), getattr(params, "P", None)
+        vals = code._array()
         # an empty code is one empty slice, still checked, as a whole array is
         for part in np.split(vals, range(1 << seqs._BLOCK_BITS, len(vals), 1 << seqs._BLOCK_BITS)):
-            ok = params._member(part, code.n, P, params.residues())
+            ok = params.contains(part)
             if not ok.all():
                 word = BitSeq.from_int(int(part[~ok][0]), code.n)
                 raise ValueError(f"codeword {word} is not in the code of its header: "

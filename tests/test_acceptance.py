@@ -24,8 +24,8 @@ from insrecon.balls import (
     t_insertion_bound,
 )
 from insrecon.codes import (
+    VTParams,
     best_coset,
-    build_vt,
     coset_partition,
     parity_checks,
     segment_checks,
@@ -364,7 +364,7 @@ def test_c11_reconstruction_round_trip():
     assert summary.correct == 1000
     assert summary.unique_rate == 1.0
 
-    vt = build_vt(10, 0)
+    vt = VTParams(10, 0).members()
     vt_summary = run_experiment(vt, t=1, reads=3, trials=1000, seed=20240918)
     assert vt_summary.unique == 1000
     assert vt_summary.correct == 1000

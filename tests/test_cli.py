@@ -16,7 +16,7 @@ import brute
 from insrecon import balls, cli, codes
 from insrecon.balls import read_coverage
 from insrecon.cli import main
-from insrecon.codes import build_np4_code, read_code_file
+from insrecon.codes import read_code_file
 from insrecon.seqs import BitSeq, count_r
 
 
@@ -358,11 +358,11 @@ BUILD_CASES = [
 
 
 @pytest.mark.parametrize("flags,params", BUILD_CASES, ids=[c[0][0] for c in BUILD_CASES])
-def test_build_flags_write_the_build_code_file(tmp_path, capsys, flags, params):
+def test_build_flags_write_the_records_code_file(tmp_path, capsys, flags, params):
     path, want = tmp_path / "cli.code", tmp_path / "lib.code"
     code, out, err = run(capsys, "build", *flags, "--out", str(path))
     assert (code, err) == (0, "")
-    built = codes.build_code(params)
+    built = params.members()
     assert len(built) > 0 and f"size={len(built)} " in out
     codes.write_code_file(str(want), params, built)
     assert path.read_text() == want.read_text()
@@ -597,3 +597,7 @@ def test_cli_reaches_no_private_helper():
         and node.value.id in modules and node.attr.startswith("_")
     ]
     assert private == []
+    # nor a private attribute of what they return, such as a record's _kernel
+    reached = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_") and not node.attr.startswith("__")]
+    assert reached == []

@@ -28,19 +28,15 @@ from insrecon.balls import (
     read_coverage,
 )
 from insrecon.codes import (
+    AllParams,
     FiveReadParams,
     Np4Params,
+    Np5Params,
     ParityVector,
     TwoInsertionParams,
+    TwoReadParams,
     VTParams,
     best_coset,
-    build_five_read_code,
-    build_np4_code,
-    build_np5_code,
-    build_two_insertion_code,
-    build_two_read_code,
-    build_vt,
-    build_all,
     coset_partition,
     five_read_syndrome,
     format_header,
@@ -209,15 +205,15 @@ def test_vt_syndrome_examples():
 
 
 def test_build_vt_example():
-    assert seqs_of(build_vt(4, 0)) == {"0000", "1001", "0110", "1111"}
+    assert seqs_of(VTParams(4, 0).members()) == {"0000", "1001", "0110", "1111"}
     with pytest.raises(ValueError):
-        build_vt(4, 5)
+        VTParams(4, 5).members()
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_vt_cosets_have_disjoint_deletion_balls(n):
     for a in range(n + 1):
-        code = build_vt(n, a)
+        code = VTParams(n, a).members()
         balls = [deletion_ball(x, 1) for x in code]
         for b1, b2 in combinations(balls, 2):
             assert b1.isdisjoint(b2)
@@ -228,7 +224,7 @@ def test_vt_cosets_partition_space():
     total = 0
     seen = set()
     for a in range(n + 1):
-        code = build_vt(n, a)
+        code = VTParams(n, a).members()
         vals = set(code.values())
         assert not (vals & seen)
         seen |= vals
@@ -242,7 +238,7 @@ def test_vt_cosets_partition_space():
 
 def test_two_read_membership_predicates():
     n, P, c, d = 9, 3, 1, 0
-    code = build_two_read_code(n, P, c, d)
+    code = TwoReadParams(n, P, c, d).members()
     assert len(code) > 0
     for x in code:
         assert in_r(x, 2, 2 * P)
@@ -257,7 +253,7 @@ def test_two_read_single_insertion_two_read_property(P):
         total = 0
         for c in range(P + 1):
             for d in (0, 1):
-                code = build_two_read_code(n, P, c, d)
+                code = TwoReadParams(n, P, c, d).members()
                 total += len(code)
                 assert verify_reconstruction_code(code, 1, 2).ok
                 if 2 <= len(code) and n <= 9:
@@ -267,7 +263,7 @@ def test_two_read_single_insertion_two_read_property(P):
 
 def test_two_read_large_p_reduces_to_plain_cosets():
     n, P = 8, 12  # 2P >= n so the periodicity constraint is vacuous
-    code = build_two_read_code(n, P, 0, 0)
+    code = TwoReadParams(n, P, 0, 0).members()
     expected = {
         s
         for s in brute.all_seqs(n)
@@ -279,7 +275,7 @@ def test_two_read_large_p_reduces_to_plain_cosets():
 def test_np4_empty_at_minimum_p():
     # P = 6 forces period-<=3 subwords of length <= 2, impossible for n >= 3
     for n in (4, 6, 10):
-        assert len(build_np4_code(n, 6, 0, 0)) == 0
+        assert len(Np4Params(n, 6, 0, 0).members()) == 0
 
 
 def test_np4_nonempty_and_members_constrained():
@@ -287,7 +283,7 @@ def test_np4_nonempty_and_members_constrained():
     sizes = 0
     for c in range(P + 1):
         for d in (0, 1):
-            code = build_np4_code(n, P, c, d)
+            code = Np4Params(n, P, c, d).members()
             sizes += len(code)
             for x in code:
                 assert in_r(x, 3, 3)
@@ -296,11 +292,11 @@ def test_np4_nonempty_and_members_constrained():
 
 def test_np4_parameter_validation():
     with pytest.raises(ValueError):
-        build_np4_code(12, 8, 0, 0)  # 3 does not divide 8
+        Np4Params(12, 8, 0, 0).members()  # 3 does not divide 8
     with pytest.raises(ValueError):
-        build_np4_code(12, 3, 0, 0)  # P < 6
+        Np4Params(12, 3, 0, 0).members()  # P < 6
     with pytest.raises(ValueError):
-        build_np4_code(3, 9, 0, 0)  # n < 4
+        Np4Params(3, 9, 0, 0).members()  # n < 4
 
 
 def test_np4_member_refuses_lengths_below_4_like_its_record():
@@ -309,6 +305,16 @@ def test_np4_member_refuses_lengths_below_4_like_its_record():
     for word in ("", "0", "010", "111"):
         with pytest.raises(ValueError, match=r"^np4 requires n >= 4$"):
             codes.np4_member(BitSeq(word), 9, 0, 0)
+    # an out-of-range residue: each kept predicate refuses it as its record does
+    x = BitSeq("010110")
+    for member, cls, args, text in (
+            (codes.vt_member, VTParams, (12,), "a=12 out of range 0..6"),
+            (codes.two_read_member, TwoReadParams, (9, 12, 0), "c=12 out of range 0..9"),
+            (codes.np4_member, Np4Params, (9, 12, 0), "c=12 out of range 0..9"),
+            (codes.np5_member, Np5Params, (9, 12, 0), "c=12 out of range 0..9")):
+        for call in (lambda: cls(x.n, *args), lambda: member(x, *args)):
+            with pytest.raises(ValueError, match=f"^residue {re.escape(text)}$"):
+                call()
 
 
 # (n, P, residue names, moduli) of one record per family, the moduli written
@@ -362,7 +368,7 @@ def test_np5_membership_and_ambient_nesting():
     total = 0
     for c in range(P + 1):
         for d in (0, 1):
-            code = build_np5_code(n, P, c, d)
+            code = Np5Params(n, P, c, d).members()
             total += len(code)
             for x in code:
                 assert in_r(x, 2, 6)
@@ -370,7 +376,7 @@ def test_np5_membership_and_ambient_nesting():
                 assert x.weight() % 2 == d
     assert total == len(np5_ambient)
     with pytest.raises(ValueError):
-        build_np5_code(10, 8, 0, 0)
+        Np5Params(10, 8, 0, 0).members()
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +395,11 @@ def test_two_insertion_cosets_partition():
 
 
 def test_two_insertion_length_rule_has_one_text():
-    # the record, the sweep, the builder and the member test refuse n < 2 alike
+    # the record, the sweep and the record's members refuse n < 2 alike
     for n in (0, 1):
         for call in (lambda: TwoInsertionParams(n, 0, 0, 0, 0, 0),
                      lambda: codes.coset_sweep("twoins", n),
-                     lambda: build_two_insertion_code(n, 0, 0, 0, 0, 0),
-                     lambda: codes.two_insertion_member(BitSeq("0" * n), (0, 0, 0, 0, 0))):
+                     lambda: TwoInsertionParams(n, 0, 0, 0, 0, 0).members()):
             with pytest.raises(ValueError, match=r"^parity checks need length >= 2$"):
                 call()
 
@@ -403,7 +408,7 @@ def test_two_insertion_build_matches_partition():
     n = 7
     groups = coset_partition("twoins", n)
     params, code = max(groups.items(), key=lambda kv: len(kv[1]))
-    rebuilt = build_two_insertion_code(n, *params.residues())
+    rebuilt = TwoInsertionParams(n, *params.residues()).members()
     assert rebuilt == code
 
 
@@ -411,7 +416,7 @@ def test_two_insertion_build_matches_partition():
 # five-read segmented code
 
 
-def test_five_read_members_satisfy_all_conditions():
+def test_five_read_cosets_satisfy_all_conditions():
     n, P = 23, 3
     m = 7 * P + 1
     groups = coset_partition("fiveread", n, P=P)
@@ -427,7 +432,7 @@ def test_five_read_members_satisfy_all_conditions():
 
 def test_five_read_rejects_wide_segments():
     with pytest.raises(ValueError):
-        build_five_read_code(20, 3, 0, (0, 0, 0, 0, 0), (0, 0, 0, 0, 0))  # m=22 >= n
+        FiveReadParams(20, 3, 0, (0, 0, 0, 0, 0), (0, 0, 0, 0, 0)).members()  # m=22 >= n
 
 
 def test_five_read_record_refuses_a_padded_length_above_64():
@@ -443,7 +448,7 @@ def test_five_read_build_matches_syndrome_filter():
     n, P = 23, 3
     groups = coset_partition("fiveread", n, P=P)
     params = next(iter(groups))
-    code = build_five_read_code(n, P, params.a, params.avec, params.bvec)
+    code = FiveReadParams(n, P, params.a, params.avec, params.bvec).members()
     assert code == groups[params]
 
 
@@ -452,15 +457,15 @@ def test_five_read_build_matches_syndrome_filter():
 
 
 def test_redundancy_values():
-    assert redundancy(build_all(6), 6) == 0.0
-    assert redundancy(build_vt(4, 0), 4) == 2.0
+    assert redundancy(AllParams(6).members(), 6) == 0.0
+    assert redundancy(VTParams(4, 0).members(), 4) == 2.0
     with pytest.raises(ValueError):
         redundancy(SeqSet(4, []), 4)
 
 
 def test_verify_full_space_thresholds():
     for n in (5, 6):
-        space = build_all(n)
+        space = AllParams(n).members()
         assert verify_reconstruction_code(space, 2, 2 * n + 5).ok
         assert not verify_reconstruction_code(space, 2, 2 * n + 4).ok
 
@@ -473,7 +478,7 @@ def test_verify_vacuous_flag():
 
 
 def test_verify_refuses_negative_t_before_the_vacuity_check():
-    for code in (SeqSet(5, []), SeqSet(5, [BitSeq("10110")]), build_vt(6, 0)):
+    for code in (SeqSet(5, []), SeqSet(5, [BitSeq("10110")]), VTParams(6, 0).members()):
         with pytest.raises(ValueError, match=r"^t must be >= 0$"):
             verify_reconstruction_code(code, -2, 5)
 
@@ -501,7 +506,7 @@ def test_failing_verify_scans_the_pairs_once(monkeypatch):
     calls = []
     worst_pair = balls._worst_pair
     monkeypatch.setattr(balls, "_worst_pair", lambda *a, **k: calls.append(1) or worst_pair(*a, **k))
-    result = verify_reconstruction_code(build_vt(8, 0), 2, 3)
+    result = verify_reconstruction_code(VTParams(8, 0).members(), 2, 3)
     assert not result.ok and result.worst[0] >= 3
     assert len(calls) == 1
 
@@ -572,12 +577,12 @@ def test_best_coset_empty_ambient():
 @pytest.mark.parametrize(
     "params_builder",
     [
-        lambda: (VTParams(4, 0), build_vt(4, 0)),
-        lambda: (Np4Params(10, 9, 0, 0), build_np4_code(10, 9, 0, 0)),
-        lambda: (TwoInsertionParams(6, 0, 0, 0, 0, 0), build_two_insertion_code(6, 0, 0, 0, 0, 0)),
+        lambda: (VTParams(4, 0), VTParams(4, 0).members()),
+        lambda: (Np4Params(10, 9, 0, 0), Np4Params(10, 9, 0, 0).members()),
+        lambda: (TwoInsertionParams(6, 0, 0, 0, 0, 0), TwoInsertionParams(6, 0, 0, 0, 0, 0).members()),
         lambda: (
             FiveReadParams(23, 3, 7, (0,) * 5, (0,) * 5),
-            build_five_read_code(23, 3, 7, (0,) * 5, (0,) * 5),
+            FiveReadParams(23, 3, 7, (0,) * 5, (0,) * 5).members(),
         ),
     ],
 )
@@ -593,16 +598,16 @@ def test_code_file_roundtrip(tmp_path, params_builder):
 def test_code_file_of_another_length_is_refused_before_writing(tmp_path):
     path = tmp_path / "code.txt"
     with pytest.raises(ValueError, match=r"^code length 5 does not match the header's n=4$"):
-        write_code_file(str(path), VTParams(4, 0), build_vt(5, 0))
+        write_code_file(str(path), VTParams(4, 0), VTParams(5, 0).members())
     assert not path.exists()
 
 
 def test_all_is_one_coset_of_the_whole_space():
     sweep = codes.coset_sweep("all", 5)
     assert (sweep.keys.size, sweep.ambient_size) == (1, 32)
-    assert best_coset("all", 5) == (codes.AllParams(5), build_all(5))
-    assert coset_partition("all", 5) == {codes.AllParams(5): build_all(5)}
-    assert len(build_all(5)) == 32
+    assert best_coset("all", 5) == (codes.AllParams(5), AllParams(5).members())
+    assert coset_partition("all", 5) == {codes.AllParams(5): AllParams(5).members()}
+    assert len(AllParams(5).members()) == 32
 
 
 @pytest.mark.parametrize("family,n,P", (("wat", 5, None), ("np4", 8, None), ("np4", 3, 18),
@@ -639,7 +644,7 @@ def test_counted_sweep_answers_above_the_cap_where_the_partition_refuses(family,
     assert sweep.sizes.dtype == np.int64 and int(sweep.sizes.sum()) == sweep.ambient_size
     cap = "^" + re.escape("2**27 enumeration exceeds cap n <= 26") + "$"
     for refused in (lambda: coset_partition(family, 27, P), lambda: best_coset(family, 27, P),
-                    lambda: sweep.members(sweep.best())):
+                    lambda: sweep.params(sweep.best()).members()):
         with pytest.raises(seqs.EnumerationCapError, match=cap):
             refused()
 
@@ -744,14 +749,13 @@ def oracle_member(params, x):
 
 
 def predicate_member(params, x):
-    """Coset membership of x from the public scalar predicates."""
+    """Coset membership of x from the public scalar predicates, or from the
+    record's one-word ``contains`` for twoins and fiveread, which have none."""
     family = params.family
     if family == "vt":
         return codes.vt_member(x, params.a)
-    if family == "twoins":
-        return codes.two_insertion_member(x, params.residues())
-    if family == "fiveread":
-        return codes.five_read_member(x, params.P, params.a, params.avec, params.bvec)
+    if family in ("twoins", "fiveread"):
+        return bool(params.contains(x.val))
     member = {"tworead": codes.two_read_member, "np4": codes.np4_member, "np5": codes.np5_member}
     return member[family](x, params.P, params.c, params.d)
 
@@ -919,12 +923,10 @@ def test_member_predicates_match_oracle_membership(case):
         assert type(got) is bool and got == oracle_member(params, x)
 
 
-def test_five_read_member_checks_parameters_before_the_word():
-    # m = 7P+1 = 22 >= n = 10 whether or not the word lies in R(10, 3, 3)
-    assert in_r(BitSeq("0011100011"), 3, 3) and not in_r(BitSeq("0000000000"), 3, 3)
-    for word in ("0011100011", "0000000000"):
-        with pytest.raises(ValueError, match=r"m=7P\+1=22 < n=10"):
-            codes.five_read_member(BitSeq(word), 3, 0, (0,) * 5, (0,) * 5)
+def test_five_read_record_checks_parameters_before_any_word():
+    # m = 7P+1 = 22 >= n = 10: the record is refused before a word is tested
+    with pytest.raises(ValueError, match=r"m=7P\+1=22 < n=10"):
+        FiveReadParams(10, 3, 0, (0,) * 5, (0,) * 5)
 
 
 # (family, P, lengths) of every sweep compared with the reference
@@ -972,13 +974,17 @@ def reference_groups(family, n, P):
     return groups
 
 
-def check_sweeps_against_reference(family, P, lengths):
-    """Sweep, partition, best coset and build_code against the reference;
-    returns how many lengths had a tie for the largest coset.
+def check_sweeps_against_reference(family, P, lengths, every_coset=True):
+    """Sweep, partition, best coset and the records' members() and
+    contains() against the reference; returns how many lengths had a tie
+    for the largest coset.
 
     The sweep's keys are the mixed-radix keys of the reference's residue
     tuples (first residue most significant), ascending, and its int64
-    sizes and ambient size are the reference's word counts."""
+    sizes and ambient size are the reference's word counts.  With
+    ``every_coset``, every record of the partition up to n = 10 lists its
+    group and picks it out of the whole space; otherwise, and past
+    n = 10, only the best and the last coset list theirs."""
     ties = 0
     for n in lengths:
         groups = reference_groups(family, n, P)
@@ -1006,8 +1012,15 @@ def check_sweeps_against_reference(family, P, lengths):
         params, code = best_coset(family, n, P=P)
         assert params.residues() == want
         assert sorted(code.values()) == groups[want]
-        last = list(part)[-1]  # best_coset's members come from build_code; so another coset
-        assert sorted(codes.build_code(last).values()) == groups[last.residues()]
+        if every_coset and n <= 10:
+            space = np.arange(2**n, dtype=np.uint64)
+            for params in part:
+                group = groups[params.residues()]
+                assert sorted(params.members().values()) == group, params
+                assert np.flatnonzero(params.contains(space)).tolist() == group, params
+        else:
+            last = list(part)[-1]  # best_coset's members come from members(); so another coset
+            assert sorted(last.members().values()) == groups[last.residues()]
     return ties
 
 
@@ -1053,7 +1066,8 @@ def test_sweeps_match_reference_in_narrow_blocks(monkeypatch, bits, family, P, l
     partition takes its sizes from the keys of its own walk, so it makes no
     grid call."""
     seen = block_guards(monkeypatch, bits)
-    check_sweeps_against_reference(family, P, lengths)
+    # membership of the whole space would be one call on more than a block
+    check_sweeps_against_reference(family, P, lengths, every_coset=False)
     assert max(math.prod(shape) for shape in seen if len(shape) == 1) == 2 ** min(bits, max(lengths))
     cls = codes.FAMILIES[family]
     grids = [(2 * m, m) for n in lengths for m in [cls._moduli(n, P)[0]] * 4] if cls._ws else []
@@ -1075,7 +1089,7 @@ def test_multi_block_sweep_sizes_equal_whole_space_bincount(family, P, n):
     assert sweep.sizes.tolist() == counts[counts > 0].tolist()
     assert sweep.ambient_size == vals.size
     best = sweep.best()
-    assert sweep.members(best) == SeqSet._from_vals(n, vals[keys == sweep.keys[best]].tolist())
+    assert sweep.params(best).members() == SeqSet._from_vals(n, vals[keys == sweep.keys[best]].tolist())
 
 
 WS_SIZE_CASES = [("vt", None)] + [
@@ -1419,7 +1433,7 @@ def test_code_file_bad_later_block_reads_as_text_from_the_start(tmp_path, bad, e
     assert text.call_count == bad.isascii()
     assert got == read_or_error(read_as_text, str(path))
     if error is None:
-        assert got == (codes.VTParams(4, 0), build_vt(4, 0))
+        assert got == (codes.VTParams(4, 0), VTParams(4, 0).members())
     else:
         assert got[1] == error
 
@@ -1483,7 +1497,7 @@ def test_code_file_read_through_a_pipe_as_from_the_file(tmp_path, n, body, text,
     # a pipe is read to its end in whole blocks, though written 5 bytes at a
     # time, and a block that is not a line matrix is read as text, as a
     # file's is
-    body = build_vt(n, 0).to_lines().encode() if body is None else body
+    body = VTParams(n, 0).members().to_lines().encode() if body is None else body
     data = format_header(codes.VTParams(n, 0)).encode() + b"\n" + body
     path = tmp_path / "code.txt"
     path.write_bytes(data)
@@ -1518,7 +1532,7 @@ def test_code_file_with_only_cr_line_ends_is_read_in_chunks(tmp_path, shape, end
     # lines of the vt code at n = 18 give the text reading's words or error
     # while the reading holds less than the file's bytes (the text reading
     # holds about twelve times them)
-    params, code = codes.VTParams(18, 0), build_vt(18, 0)
+    params, code = codes.VTParams(18, 0), VTParams(18, 0).members()
     head, lines = format_header(params).encode() + end, code.to_lines().encode().replace(b"\n", end)
     data = {"exact": head + lines, "bad last line": head + lines + b"0101" + end,
             "bad byte": head + lines + b"01\xff0" + end, "headerless": lines}[shape]
@@ -1547,7 +1561,7 @@ def test_code_file_read_to_its_end_without_its_size(tmp_path, bits, shape):
     # nothing reads the file's size: with os.fstat failing, the 30 lines of
     # the vt code at n = 8 are read through every way a chunk is parsed, and
     # a malformed last line gives the text reading's error
-    params, code = codes.VTParams(8, 0), build_vt(8, 0)
+    params, code = codes.VTParams(8, 0), VTParams(8, 0).members()
     lines = code.to_lines().encode()
     head = format_header(params).encode() + b"\n"
     data = {"exact": head + lines, "bad last line": head + lines + b"0101\n",

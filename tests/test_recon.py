@@ -21,7 +21,7 @@ from insrecon.balls import (
     intersect_balls,
     read_coverage,
 )
-from insrecon.codes import best_coset, build_all, build_vt
+from insrecon.codes import AllParams, VTParams, best_coset
 from insrecon.recon import (
     DecodeStatus,
     ReadBundle,
@@ -66,7 +66,7 @@ def test_sample_reads_seeded_draw_is_pinned():
 
 
 def test_decode_whole_ball_is_unique():
-    code = build_vt(6, 0)
+    code = VTParams(6, 0).members()
     x = next(iter(code))
     bundle = sample_reads(x, 2, len(insertion_ball(x, 2)), seed=3)
     outcome = decode(bundle, code, 2)
@@ -85,7 +85,7 @@ def test_decode_singleton_code():
 
 def test_decode_soundness_random():
     rng = random.Random(77)
-    code = build_vt(8, 1)
+    code = VTParams(8, 1).members()
     members = list(code)
     for trial in range(100):
         x = members[rng.randrange(len(members))]
@@ -129,7 +129,7 @@ def decode_cases(draw):
 @example((4, 2, None, ["011010", "100101"]))  # four words hold both reads: ambiguous
 def test_decode_matches_deletion_ball_intersection(case):
     n, t, a, reads = case
-    code = build_all(n) if a is None else build_vt(n, a)
+    code = AllParams(n).members() if a is None else VTParams(n, a).members()
     bundle = ReadBundle(SeqSet(n + t, [BitSeq(r) for r in reads]), n, t)
     want = {str(c) for c in code}
     for r in reads:
@@ -175,7 +175,7 @@ def test_embeds_words_of_64_bits(t):
 def test_decoder_never_builds_ball_tables():
     # reads are unranked and candidates found from deletions: neither drawing
     # reads, decoding them nor a whole experiment builds a ball table
-    code, t = build_vt(10, 0), 2
+    code, t = VTParams(10, 0).members(), 2
     members = list(code)
     with mock.patch.object(balls, "_insertion_table", side_effect=AssertionError("ball table")):
         bundles = [sample_reads(members[k], t, N, seed=k) for k, N in ((0, 1), (7, 2), (30, 2), (60, 5))]
@@ -259,7 +259,7 @@ def test_decode_past_the_presence_table_on_a_large_code():
 
 
 def test_decode_length_mismatch():
-    code = build_vt(6, 0)
+    code = VTParams(6, 0).members()
     x = next(iter(code))
     bundle = sample_reads(x, 2, 2, seed=0)
     with pytest.raises(ValueError):
@@ -268,7 +268,7 @@ def test_decode_length_mismatch():
 
 def test_adversarial_bundle_is_ambiguous():
     # the maximizing intersection of the worst pair defeats nu_t reads
-    code = build_all(5)
+    code = AllParams(5).members()
     t = 2
     value, x, y = coverage_argmax(code, t)
     worst = intersect_balls(x, y, t)
@@ -280,7 +280,7 @@ def test_adversarial_bundle_is_ambiguous():
 
 
 def test_run_experiment_guarantee_and_determinism():
-    code = build_vt(7, 0)
+    code = VTParams(7, 0).members()
     cov = read_coverage(code, 1)
     summary = run_experiment(code, 1, cov + 1, trials=50, seed=11)
     assert summary.unique == 50
@@ -306,7 +306,7 @@ def test_guarantee_across_code_families():
 
 
 def test_run_experiment_single_read_reports_rates():
-    code = build_all(4)
+    code = AllParams(4).members()
     summary = run_experiment(code, 1, 1, trials=40, seed=2)
     assert summary.unique + summary.ambiguous + summary.no_candidate == 40
     assert summary.no_candidate == 0  # truth always survives
@@ -315,7 +315,7 @@ def test_run_experiment_single_read_reports_rates():
 
 
 def test_run_experiment_empty():
-    code = build_vt(6, 0)
+    code = VTParams(6, 0).members()
     summary = run_experiment(code, 1, 2, trials=0, seed=1)
     assert summary.trials == 0
     assert summary.rows == ()
@@ -507,7 +507,7 @@ def test_read_rows_unrank_64_bit_reads():
 def test_experiment_refusals_keep_their_text_and_order(t, reads, trials, error, message):
     # no ball is built, yet the cap still refuses a ball above 2**26 words,
     # after a draw larger than the ball and after a length past MAX_LEN
-    code = build_vt(8, 0)
+    code = VTParams(8, 0).members()
     if error is None:
         assert run_experiment(code, t, reads, trials, 1).rows == ()
         return
@@ -522,14 +522,14 @@ def test_negative_counts_and_t_are_refused():
     bundle = ReadBundle(SeqSet(7, [BitSeq("0110100")]), 8, -1)
     for reads in (bundle, ReadBundle(SeqSet(7, []), 8, -1)):
         with pytest.raises(ValueError, match=r"^t must be >= 0$"):
-            decode(reads, build_vt(8, 0), -1)
+            decode(reads, VTParams(8, 0).members(), -1)
 
 
 @pytest.mark.parametrize("bits", (0, 5, 6))
 def test_presence_table_serves_only_words_up_to_its_bits(bits):
     # past _PRESENCE_BITS no table is built and the hits come from the
     # code's searchsorted; up to it one table serves each whole run
-    members = [str(c) for c in build_vt(6, 0)]
+    members = [str(c) for c in VTParams(6, 0).members()]
     with mock.patch.object(recon, "_PRESENCE_BITS", bits), \
             mock.patch.object(recon, "_presence", wraps=recon._presence) as spy:
         for t, reads in ((1, 1), (2, 3), (2, 10)):
@@ -544,7 +544,7 @@ def test_decode_refuses_an_oversized_deletion_recipe_at_once():
     bundle = ReadBundle(SeqSet(38, [BitSeq("01" * 19)]), 8, 30)
     with pytest.raises(EnumerationCapError,
                        match=r"^deletion table of 48903492 columns needs 1516008252 mask entries"):
-        decode(bundle, build_vt(8, 0), 30)
+        decode(bundle, VTParams(8, 0).members(), 30)
 
 
 def _stdlib_draws(size, ball, reads, seeds):
@@ -614,7 +614,7 @@ def test_draws_replay_matches_the_stdlib(size, ball, data):
 
 @pytest.mark.parametrize("reads", (0, 2, 6))
 def test_experiment_with_one_word_per_trial_matches_documented_draw(reads):
-    members = [str(c) for c in build_vt(6, 0)]
+    members = [str(c) for c in VTParams(6, 0).members()]
     with mock.patch.object(recon, "_trial_words", return_value=1):
         _check_against_oracle(members, 2, reads, 30, 5, recon._CHUNK)
         _check_against_oracle(members, 2, reads, 9, 5, 1)
@@ -687,7 +687,7 @@ def test_draws_hold_no_whole_generator_state():
 @pytest.mark.parametrize("reads", (2, 6))
 def test_experiment_across_two_word_seeds_matches_documented_draw(reads):
     # trials 0 .. 39 seed with one-word keys up to 2^32 - 1, then two-word ones
-    members = [str(c) for c in build_vt(6, 0)]
+    members = [str(c) for c in VTParams(6, 0).members()]
     _check_against_oracle(members, 2, reads, 40, 2**32 - 20, recon._CHUNK)
 
 
@@ -701,7 +701,7 @@ def test_experiment_draws_in_blocks_of_bounded_entries(n, reads, chunk):
     # reads are unranked in slices of _CHUNK // N trials, its candidates
     # looked up _CHUNK // C(n + 2, 2) trials at a time and tested at most
     # _CHUNK // N at a time
-    code, ball = build_vt(n, 0), ball_size_formula(n, 2)
+    code, ball = VTParams(n, 0).members(), ball_size_formula(n, 2)
     words = recon._trial_words(len(code), ball, reads)
     assert (words > 624 - 397) == (reads == 132)
     pool = recon._pool_sample(ball, reads)
